@@ -259,19 +259,24 @@ def _plotdata_rows(report) -> list[dict]:
     return [{"k": row["k"], "ratio": row["ratio"]} for row in report.rows]
 
 
-def _resolve_cli_threads(option: int | None) -> int | None:
+def _resolve_cli_threads(option: int | None) -> int:
     """--threads wins; otherwise the environment; otherwise auto (0)."""
     if option is not None:
-        return option
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"environment variable {THREADS_ENV_VAR} must be an integer, got {raw!r}"
-        ) from None
+        source, value = "--threads", option
+    else:
+        raw = os.environ.get(THREADS_ENV_VAR)
+        if raw is None:
+            return 0
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ConfigError(
+                f"environment variable {THREADS_ENV_VAR} must be an integer, got {raw!r}"
+            ) from None
+        source = f"environment variable {THREADS_ENV_VAR}"
+    if value < 0:
+        raise ConfigError(f"{source} must be an integer >= 0, got {value}")
+    return value
 
 
 def cmd_run(config_path, out_dir, threads: int | None = None) -> int:

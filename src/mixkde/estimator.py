@@ -6,6 +6,31 @@ exact finite sums (windowed by the kernel support, with the Gaussian treated
 as supported on |u| <= 8). Centerings E f_n(x) and E F_n(x) are computed by
 quadrature against the known marginal, never by simulation, so the harness
 can separate bias from fluctuation exactly.
+
+Window sums for the compact kernels come from one engine, driven by the
+polynomial pieces of K and G_K stored on each KernelSpec, with two paths:
+
+- direct: when the windows of all m points hold at most 2n terms in total,
+  every term is evaluated and each window is summed pairwise. Few points
+  (the CLT and rate_sup_lp kinds) and small h land here. The error is that
+  of pairwise summation, about eps (3 + log2 W) W for a window of W terms.
+- prefix: otherwise, the sorted data are cut into value buckets 4h wide and
+  recentred on each bucket's centre; moments sum t^j (j <= 3) come from
+  running sums that restart in every bucket, and are shifted binomially to
+  each x. This costs O(n + m log n), for densities and CDFs alike. A window
+  touches at most two buckets, and for each the error is at most about
+  36 eps (s + log2 N) N, where N counts the bucket's values, s the window
+  bounds inside it, and 36 bounds sum_k |c_k| 5^k over the pieces'
+  coefficients (|t| <= 2h and |x - centre| <= 3h). In density units N/(n h)
+  stays near 4 times the local density (in CDF units N/n <= 1), so the
+  bound does not grow with n, 1/h or the data's offset from zero.
+
+At n = 2^20, h = n^-delta for delta in {0.3, 0.5, 0.7, 0.9} and data shifted
+by 0, 10 and 1e3, densities and CDFs at sampled points of a 1601-point grid
+were within 2e-15 of a math.fsum of their terms. The 2n crossover is about
+where the two paths cost the same: on a 1601-point grid the prefix path was
+faster above about 1.4n terms at n = 2^20, 2n at n = 2^17 and 5n at
+n = 2^14. The Gaussian kernel sums a slice per point.
 """
 
 from __future__ import annotations
@@ -85,7 +110,7 @@ def _check_h(h: float, values: np.ndarray | None = None) -> None:
 
 
 def _sorted_values(path: SamplePath) -> np.ndarray:
-    return np.sort(path.values, kind="stable")
+    return np.sort(path.values)
 
 
 def _window_bounds(xs: np.ndarray, pts: np.ndarray, radius: float):
@@ -97,43 +122,18 @@ def _window_bounds(xs: np.ndarray, pts: np.ndarray, radius: float):
 def _kernel_window_sums(xs: np.ndarray, kernel: KernelSpec, h: float, pts: np.ndarray) -> np.ndarray:
     """sum_i K((X_i - x)/h) for each x in pts; xs must be sorted ascending.
 
-    Compact polynomial kernels reduce to prefix sums of (1, X, X^2), which
-    keeps grid evaluation at O(n + m log n); the Gaussian falls back to a
-    windowed slice per point at radius 8h.
+    Compact kernels go through the window-sum engine (_piece_sums); the
+    Gaussian sums a windowed slice per point at radius 8h.
     """
-    fam = kernel.family
-    if fam == "gaussian":
-        lo, hi = _window_bounds(xs, pts, kernel.effective_radius * h)
-        out = np.empty(pts.size)
-        root = math.sqrt(2.0 * math.pi)
-        for j in range(pts.size):
-            u = (xs[lo[j]:hi[j]] - pts[j]) / h
-            out[j] = np.exp(-0.5 * u * u).sum() / root
-        return out
-
-    lo, hi = _window_bounds(xs, pts, h)
-    c1 = np.concatenate(([0.0], np.cumsum(xs)))
-    cnt = (hi - lo).astype(np.float64)
-    s1 = c1[hi] - c1[lo]
-
-    if fam == "uniform":
-        return 0.5 * cnt
-    if fam == "epanechnikov":
-        c2 = np.concatenate(([0.0], np.cumsum(xs * xs)))
-        s2 = c2[hi] - c2[lo]
-        # sum 0.75 (1 - u^2) with u = (X - x)/h over the window
-        return 0.75 * (cnt - (s2 - 2.0 * pts * s1 + pts * pts * cnt) / (h * h))
-    if fam == "triangular":
-        mid = np.searchsorted(xs, pts, side="left")
-        cnt_l = (mid - lo).astype(np.float64)
-        s1_l = c1[mid] - c1[lo]
-        cnt_r = (hi - mid).astype(np.float64)
-        s1_r = c1[hi] - c1[mid]
-        # below x: |u| = (x - X)/h; above x: |u| = (X - x)/h
-        below = cnt_l - (pts * cnt_l - s1_l) / h
-        above = cnt_r - (s1_r - pts * cnt_r) / h
-        return below + above
-    raise ValueError(f"unknown kernel family {fam!r}")  # pragma: no cover
+    if kernel.pieces is not None:
+        return _piece_sums(xs, kernel.pieces, h, pts, "density")[0]
+    lo, hi = _window_bounds(xs, pts, kernel.effective_radius * h)
+    out = np.empty(pts.size)
+    root = math.sqrt(2.0 * math.pi)
+    for j in range(pts.size):
+        u = (xs[lo[j]:hi[j]] - pts[j]) / h
+        out[j] = np.exp(-0.5 * u * u).sum() / root
+    return out
 
 
 def _cdf_window_sums(xs: np.ndarray, kernel: KernelSpec, h: float, pts: np.ndarray) -> np.ndarray:
@@ -142,12 +142,165 @@ def _cdf_window_sums(xs: np.ndarray, kernel: KernelSpec, h: float, pts: np.ndarr
     Points below the window contribute exactly 1 each (for the Gaussian this
     truncates G at 8 standard units, an error below 7e-16 per point).
     """
+    if kernel.pieces is not None:
+        sums, below = _piece_sums(xs, kernel.pieces, h, pts, "cdf")
+        return below + sums
     lo, hi = _window_bounds(xs, pts, kernel.effective_radius * h)
     out = np.empty(pts.size)
     for j in range(pts.size):
         window = (pts[j] - xs[lo[j]:hi[j]]) / h
         out[j] = lo[j] + np.sum(kernel_cdf(kernel, window))
     return out
+
+
+# The window-sum engine for compact kernels (see the module docstring). A
+# kernel is a polynomial in u = (X_i - x)/h on each of its pieces, so a
+# window sum is a sum of polynomial values over an index range of the
+# sorted data. Windows holding at most this many terms per data value, in
+# total over all points, are summed term by term.
+_DIRECT_TERMS_PER_VALUE = 2
+# Direct sums gather at most this many terms at a time (a larger window is
+# sliced alone), which bounds their scratch memory.
+_DIRECT_CHUNK = 1 << 16
+# Prefix sums restart in value buckets this many bandwidths wide: a window
+# 2h wide then touches at most two buckets, every value lies within 2h of its
+# bucket's centre, and every centre a window uses lies within 3h of its x.
+_BUCKET_WIDTH = 4.0
+
+
+def _piece_sums(xs: np.ndarray, pieces, h: float, pts: np.ndarray, form: str):
+    """(sum over the window of the piecewise polynomial `form`, count below it) per point."""
+    edges = [pieces[0].lo] + [piece.hi for piece in pieces]
+    # piece p holds the X_i with edges[p] <= u < edges[p + 1]; the last one is closed
+    bounds = np.array([
+        xs.searchsorted(pts + e * h, side="right" if k == len(pieces) else "left")
+        for k, e in enumerate(edges)
+    ])
+    coefs = [getattr(piece, form) for piece in pieces]
+    if (bounds[-1] - bounds[0]).sum() <= _DIRECT_TERMS_PER_VALUE * xs.size:
+        sums = _direct_sums(xs, h, pts, bounds, coefs)
+    else:
+        sums = _prefix_sums(xs, h, pts, bounds, coefs)
+    return sums, bounds[0]
+
+
+def _horner(coefs, u: np.ndarray) -> np.ndarray:
+    out = np.full(u.shape, coefs[-1])
+    for c in coefs[-2::-1]:
+        out *= u
+        out += c
+    return out
+
+
+def _direct_sums(xs, h, pts, bounds, coefs) -> np.ndarray:
+    """Each window's terms, evaluated and summed (pairwise, per window)."""
+    out = np.zeros(pts.size)
+    for p, coef in enumerate(coefs):
+        lo, sizes = bounds[p], bounds[p + 1] - bounds[p]
+        ends = sizes.cumsum()
+        j = 0
+        while j < pts.size:
+            base = ends[j] - sizes[j]
+            k = max(j + 1, int(ends.searchsorted(base + _DIRECT_CHUNK, side="right")))
+            size = sizes[j:k]
+            offsets = ends[j:k] - size - base
+            full = size > 0
+            if k == j + 1:  # one window: a slice of the data
+                u = (xs[lo[j]:lo[j] + size[0]] - pts[j]) / h
+            else:
+                idx = np.arange(ends[k - 1] - base) + (lo[j:k] - offsets).repeat(size)
+                u = (xs[idx] - pts[j:k].repeat(size)) / h
+            if u.size:
+                out[j:k][full] += np.add.reduceat(_horner(coef, u), offsets[full])
+            j = k
+    return out
+
+
+def _prefix_sums(xs, h, pts, bounds, coefs) -> np.ndarray:
+    """Window sums from moments accumulated within value buckets.
+
+    Values are recentred on the centre c_b of their bucket, t = X - c_b.
+    The moments sum t^j over each stretch between consecutive window bounds
+    are summed pairwise, then accumulated with running sums that restart in
+    every bucket, so their size and rounding are those of one bucket, not of
+    all n values. A window part in bucket b sums the polynomial about the
+    bucket centre: sum P(u) = sum_j P^(j)(d)/j! M_j/h^j, with u = t/h + d
+    and d = (c_b - x)/h.
+    """
+    n, m = xs.size, pts.size
+    width = _BUCKET_WIDTH * h
+    span = xs[-1] - xs[0]
+    if span < n * width:  # at most n buckets: bisect for the first value of each
+        left = xs[0] + width * np.arange(int(span / width) + 1)
+        starts = np.searchsorted(xs, left)
+        keep = np.append(starts[1:], n) > starts
+        starts, centers = starts[keep], left[keep] + 0.5 * width
+    else:  # values sparser than buckets: number the bucket of every value
+        q = xs - xs[0]
+        q /= width
+        np.floor(q, out=q)
+        starts = np.concatenate(([0], np.flatnonzero(q[1:] != q[:-1]) + 1))
+        centers = xs[0] + (q[starts] + 0.5) * width
+        del q
+    ends = np.append(starts[1:], n)
+    t = np.repeat(centers, ends - starts)
+    np.subtract(xs, t, out=t)
+
+    # split each nonempty window at the end of the bucket it starts in
+    lo, hi = bounds[:-1].ravel(), bounds[1:].ravel()
+    piece = np.repeat(np.arange(len(coefs)), m)
+    point = np.tile(np.arange(m), len(coefs))
+    full = hi > lo
+    lo, hi, piece, point = lo[full], hi[full], piece[full], point[full]
+    bucket = np.searchsorted(starts, lo, side="right") - 1
+    cut = ends[bucket]
+    over = hi > cut
+    a = np.concatenate((lo, cut[over]))
+    e = np.concatenate((np.minimum(hi, cut), hi[over]))
+    bucket = np.concatenate((bucket, bucket[over] + 1))
+    piece = np.concatenate((piece, piece[over]))
+    point = np.concatenate((point, point[over]))
+
+    # every part is a run of the stretches between consecutive cuts
+    cuts = np.unique(np.concatenate((starts, a, e)))
+    cuts = cuts[: np.searchsorted(cuts, n)]
+    first = np.searchsorted(cuts, starts)  # first stretch of each bucket
+    last = np.append(first[1:], cuts.size) - 1
+    sa, se, sb = np.searchsorted(cuts, a), np.searchsorted(cuts, e), first[bucket]
+    at_end = se == last[bucket] + 1
+
+    degree = max(len(c) for c in coefs) - 1
+    moments = np.empty((degree + 1, a.size))
+    moments[0] = e - a
+    for j in range(degree, 0, -1):
+        y = t  # j = 1 sums t itself
+        if j > 1:
+            y = t * t
+            for _ in range(j - 2):
+                y *= t
+        stretch = np.add.reduceat(y, cuts)
+        del y
+        totals = np.add.reduceat(stretch, first)
+        # each bucket's last stretch absorbs the bucket total, so the running
+        # sum comes back to (nearly) zero as the next bucket starts
+        stretch[last] -= totals
+        run = np.concatenate(([0.0], np.cumsum(stretch)))
+        moments[j] = np.where(at_end, totals[bucket] - (run[sa] - run[sb]), run[se] - run[sa])
+        moments[j] /= h**j
+
+    d = (centers[bucket] - pts[point]) / h
+    table = np.zeros((len(coefs), degree + 1))
+    for p, coef in enumerate(coefs):
+        table[p, : len(coef)] = coef
+    coef = table[piece]
+    value = np.zeros(a.size)
+    for j in range(degree + 1):
+        # P^(j)(d)/j! = sum_k C(k, j) coef_k d^(k - j), by Horner's rule in d
+        deriv = np.zeros(a.size)
+        for k in range(degree, j - 1, -1):
+            deriv = deriv * d + math.comb(k, j) * coef[:, k]
+        value += deriv * moments[j]
+    return np.bincount(point, weights=value, minlength=m)
 
 
 def _linear_bin_counts(values: np.ndarray, grid: Grid) -> np.ndarray:

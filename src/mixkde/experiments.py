@@ -500,11 +500,11 @@ def resolve_threads(threads: int | None) -> int:
 def _run_replicates(count: int, threads: int | None, worker) -> None:
     """Run worker(i) for i in range(count), possibly on a thread pool.
 
-    Each worker call must write only its own output slots; results are
-    aggregated by index afterwards, so any thread count gives identical
-    bytes.
+    The pool never has more threads than CPUs or replicates. Each worker
+    call must write only its own output slots; results are aggregated by
+    index afterwards, so any thread count gives identical bytes.
     """
-    t = min(resolve_threads(threads), count)
+    t = min(resolve_threads(threads), count, os.cpu_count() or 1)
     if t <= 1:
         for i in range(count):
             worker(i)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -21,13 +22,29 @@ GAUSSIAN_TAIL_RADIUS = 8.0
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+class PolyPiece(NamedTuple):
+    """One piece lo <= u <= hi on which a kernel is a polynomial in u.
+
+    Coefficients run in ascending powers of u: `density` is K(u) and `cdf`
+    is G_K(-u), the integrated kernel as the CDF estimate uses it, with
+    u = (X_i - x)/h.
+    """
+
+    lo: float
+    hi: float
+    density: tuple[float, ...]
+    cdf: tuple[float, ...]
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A kernel and the analytic constants consumed by the limit theorems.
 
     lipschitz_const is None when the kernel has no finite Lipschitz constant
     (the uniform kernel jumps at its support edge); callers that need
-    smoothness must treat None as "not Lipschitz" and refuse.
+    smoothness must treat None as "not Lipschitz" and refuse. pieces covers
+    the support of a compact kernel with polynomial pieces, in increasing u;
+    it is None for the Gaussian.
     """
 
     family: str
@@ -36,6 +53,7 @@ class KernelSpec:
     sup_norm: float
     support_radius: float
     lipschitz_const: float | None
+    pieces: tuple[PolyPiece, ...] | None = None
     is_symmetric: bool = True
     integrates_to_one: bool = True
 
@@ -62,6 +80,7 @@ EPANECHNIKOV = KernelSpec(
     sup_norm=0.75,
     support_radius=1.0,
     lipschitz_const=1.5,
+    pieces=(PolyPiece(-1.0, 1.0, (0.75, 0.0, -0.75), (0.5, -0.75, 0.0, 0.25)),),
 )
 
 TRIANGULAR = KernelSpec(
@@ -71,6 +90,10 @@ TRIANGULAR = KernelSpec(
     sup_norm=1.0,
     support_radius=1.0,
     lipschitz_const=1.0,
+    pieces=(
+        PolyPiece(-1.0, 0.0, (1.0, 1.0), (0.5, -1.0, -0.5)),
+        PolyPiece(0.0, 1.0, (1.0, -1.0), (0.5, -1.0, 0.5)),
+    ),
 )
 
 UNIFORM = KernelSpec(
@@ -80,6 +103,7 @@ UNIFORM = KernelSpec(
     sup_norm=0.5,
     support_radius=1.0,
     lipschitz_const=None,
+    pieces=(PolyPiece(-1.0, 1.0, (0.5,), (0.5, -0.5)),),
 )
 
 FAMILIES: dict[str, KernelSpec] = {

@@ -126,6 +126,21 @@ def test_env_var_sets_threads_and_option_wins(tmp_path, monkeypatch):
     assert (out_opt / "report.json").read_bytes() == (out_env / "report.json").read_bytes()
 
 
+@pytest.mark.parametrize("option, env", [("-1", None), (None, "-3")])
+def test_negative_threads_exit_1_before_any_work(tmp_path, capsys, monkeypatch, option, env):
+    # the config file does not exist: the thread count is checked first
+    cfg = tmp_path / "missing.cfg"
+    out = tmp_path / "out"
+    if env is not None:
+        monkeypatch.setenv("MIXKDE_THREADS", env)
+    argv = ["run", str(cfg), "--out", str(out)] + (["--threads", option] if option else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be an integer >= 0" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_gate_rejection_exits_2_and_writes_nothing(tmp_path, capsys):
     cfg = _write(tmp_path, GATED_RUN)
     out = tmp_path / "out"

@@ -16,6 +16,7 @@ from mixkde.processes import (
     marginal_cdf,
 )
 from mixkde.util import derive_seed
+from mixkde import experiments
 from mixkde.experiments import (
     CLT_KINDS,
     GateError,
@@ -239,6 +240,30 @@ def test_resolve_threads():
         resolve_threads(-1)
     with pytest.raises(ValueError):
         resolve_threads(1.5)
+
+
+def test_replicate_pool_is_capped_at_cpu_count(monkeypatch):
+    pools = []
+
+    class InlinePool:  # records the requested size and starts no thread
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    done = []
+    experiments._run_replicates(2000, 5000, done.append)
+    assert pools == [3]
+    assert sorted(done) == list(range(2000))
 
 
 # ---------------------------------------------------------------------------

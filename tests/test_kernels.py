@@ -168,6 +168,21 @@ def test_lipschitz_bound(family, a, b):
     assert gap <= kernel.lipschitz_const * abs(a - b) + 1e-12
 
 
+@pytest.mark.parametrize("family", COMPACT_FAMILIES)
+def test_polynomial_pieces_match_closed_forms(family):
+    kernel = kernel_from_name(family)
+    pieces = kernel.pieces
+    assert pieces[0].lo == -kernel.support_radius and pieces[-1].hi == kernel.support_radius
+    assert all(a.hi == b.lo for a, b in zip(pieces, pieces[1:]))
+    for piece in pieces:
+        u = np.linspace(piece.lo, piece.hi, 101)
+        assert np.allclose(np.polynomial.polynomial.polyval(u, piece.density), evaluate(kernel, u),
+                           rtol=0.0, atol=1e-15)
+        assert np.allclose(np.polynomial.polynomial.polyval(u, piece.cdf), kernel_cdf(kernel, -u),
+                           rtol=0.0, atol=1e-15)
+    assert kernel_from_name("gaussian").pieces is None
+
+
 def test_uniform_flagged_not_lipschitz():
     assert kernel_from_name("uniform").lipschitz_const is None
 
