@@ -84,8 +84,8 @@ def bracket_threshold(alpha: float, beta: float) -> int:
     return k0
 
 
-def build_partition(k: int, alpha: float, beta: float) -> BlockPartition:
-    """The level-k partition of [2^k, 2^{k+1}) into big/small blocks.
+def _checked_level(k: int, alpha: float, beta: float) -> tuple[int, int, int]:
+    """(p_k, q_k, r_k) of a level that holds a usable partition.
 
     Rejects parameter order violations, levels too small to hold one
     big/small pair, and degenerate levels where the big block is not longer
@@ -106,6 +106,15 @@ def build_partition(k: int, alpha: float, beta: float) -> BlockPartition:
             f"degenerate blocks at k={k}: big length p={p} does not exceed small length q={q}, "
             "so the level carries no usable big/small structure"
         )
+    return p, q, r
+
+
+def build_partition(k: int, alpha: float, beta: float) -> BlockPartition:
+    """The level-k partition of [2^k, 2^{k+1}) into big/small blocks.
+
+    Raises ValueError for the levels and exponents _checked_level rejects.
+    """
+    p, q, r = _checked_level(k, alpha, beta)
     base = 2**k
     big = []
     small = []

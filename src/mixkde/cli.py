@@ -24,6 +24,7 @@ from .bandwidth import BandwidthSchedule
 from .blocking import build_partition, partition_to_csv
 from .estimator import Grid
 from .experiments import (
+    _KIND_TABLE,
     ExperimentConfig,
     GateError,
     check_gates,
@@ -220,43 +221,30 @@ def _write_rows_csv(path: Path, rows: list[dict]) -> None:
 
 
 def _plotdata_rows(report) -> list[dict]:
-    kind = report.kind
-    if kind in ("clt_density", "clt_cdf_centered", "clt_cdf_true"):
-        return [
-            {"x": row["x"], "ks": row["ks"], "mean": row["mean"], "variance": row["variance"]}
-            for row in report.rows
-        ]
-    if kind in ("rate_sup_lp", "rate_integral_lp", "uniform_as"):
-        value_key = "error" if kind.startswith("rate") else "ratio"
-        fit = report.slope
-        out = []
-        for row in report.rows:
-            log_n = math.log(row["n"])
-            out.append(
-                {
-                    "log_n": log_n,
-                    f"log_{value_key}": math.log(row[value_key]),
-                    "fitted_line": fit["intercept"] + fit["slope"] * log_n,
-                }
-            )
-        return out
-    if kind == "bias":
-        first_x = report.rows[0]["x"]
-        fit = report.slope
-        out = []
-        for row in report.rows:
-            if row["x"] != first_x:
-                continue
-            log_h = math.log(row["h"])
-            out.append(
-                {
-                    "log_h": log_h,
-                    "log_abs_bias": math.log(row["abs_bias"]),
-                    "fitted_line": fit["intercept"] + fit["slope"] * log_h,
-                }
-            )
-        return out
-    return [{"k": row["k"], "ratio": row["ratio"]} for row in report.rows]
+    """The kind's plot columns of each row, or its log-log points and fitted line.
+
+    A kind with a slope plots (log x, log y) and the fit. When its rows carry
+    an evaluation point x, only the rows at the first point are plotted.
+    """
+    columns = _KIND_TABLE[report.kind].plot
+    if report.slope is None:
+        return [{key: row[key] for key in columns} for row in report.rows]
+    x_key, y_key = columns
+    fit = report.slope
+    first_x = report.rows[0].get("x")
+    out = []
+    for row in report.rows:
+        if row.get("x") != first_x:
+            continue
+        log_x = math.log(row[x_key])
+        out.append(
+            {
+                f"log_{x_key}": log_x,
+                f"log_{y_key}": math.log(row[y_key]),
+                "fitted_line": fit["intercept"] + fit["slope"] * log_x,
+            }
+        )
+    return out
 
 
 def _resolve_cli_threads(option: int | None) -> int:

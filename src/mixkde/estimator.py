@@ -42,7 +42,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
-from .kernels import KernelSpec, evaluate, kernel_cdf
+from .kernels import GAUSSIAN_TAIL_RADIUS, KernelSpec, evaluate, kernel_cdf
 from .processes import (
     ProcessModel,
     SamplePath,
@@ -401,6 +401,13 @@ def cdf_estimate_at(path: SamplePath, kernel: KernelSpec, h: float, x: float) ->
     return min(1.0, max(0.0, val))
 
 
+def _panels(kernel: KernelSpec) -> list[tuple[float, float]]:
+    """Quadrature panels: one per polynomial piece, or the Gaussian's tail window."""
+    if kernel.pieces is None:
+        return [(-GAUSSIAN_TAIL_RADIUS, GAUSSIAN_TAIL_RADIUS)]
+    return [(piece.lo, piece.hi) for piece in kernel.pieces]
+
+
 def _quad_to_tolerance(integrand, panels, points=None) -> float:
     total = 0.0
     err = 0.0
@@ -420,13 +427,11 @@ def expected_density(model: ProcessModel, kernel: KernelSpec, h: float, x: float
     marginal; it depends on n only through h.
     """
     _check_h(h)
-    r = kernel.effective_radius
-    panels = [(-r, 0.0), (0.0, r)] if kernel.family == "triangular" else [(-r, r)]
 
     def integrand(u):
         return evaluate(kernel, u) * marginal_density(model, x + h * u)
 
-    return _quad_to_tolerance(integrand, panels)
+    return _quad_to_tolerance(integrand, _panels(kernel))
 
 
 def expected_cdf(model: ProcessModel, kernel: KernelSpec, h: float, x: float) -> float:
@@ -437,21 +442,17 @@ def expected_cdf(model: ProcessModel, kernel: KernelSpec, h: float, x: float) ->
     window; that compact form is what is integrated here.
     """
     _check_h(h)
-    r = kernel.effective_radius
-    panels = [(-r, 0.0), (0.0, r)] if kernel.family == "triangular" else [(-r, r)]
 
     def integrand(v):
         return evaluate(kernel, v) * marginal_cdf(model, x - h * v)
 
-    return _quad_to_tolerance(integrand, panels)
+    return _quad_to_tolerance(integrand, _panels(kernel))
 
 
 def _legendre_panels(kernel: KernelSpec, order: int):
-    r = kernel.effective_radius
-    panels = [(-r, 0.0), (0.0, r)] if kernel.family == "triangular" else [(-r, r)]
     nodes, weights = leggauss(order)
     out = []
-    for a, b in panels:
+    for a, b in _panels(kernel):
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         out.append((mid + half * nodes, half * weights))

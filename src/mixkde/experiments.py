@@ -9,6 +9,8 @@ bandwidth schedule, C1/C2/C3 for the marginal density, K1/K2/K3 for the
 kernel, plus dependence-decay summability); a failed gate raises GateError
 rather than producing a report, and conditions that hold automatically for
 the built-in models are still recorded so reports list every hypothesis.
+One table (_KIND_TABLE) describes each kind, and run_experiment runs every
+kind through the same steps.
 
 Reports are deterministic: replicate r of a run draws its path from
 derive_seed(base_seed, r), each replicate writes only its own result slots,
@@ -21,13 +23,15 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr
 
 from .bandwidth import BandwidthSchedule, bandwidth_at, check_conditions
-from .blocking import moment_bound_check
+from .blocking import _checked_level, moment_bound_check
 from .estimator import (
     DEFAULT_GRID,
     Grid,
@@ -50,19 +54,6 @@ from .processes import (
     rho_mixing_coefficient,
 )
 from .util import derive_seed, dumps_json
-
-KINDS = (
-    "clt_density",
-    "clt_cdf_centered",
-    "clt_cdf_true",
-    "rate_sup_lp",
-    "rate_integral_lp",
-    "uniform_as",
-    "bias",
-    "moment_bound",
-)
-CLT_KINDS = ("clt_density", "clt_cdf_centered", "clt_cdf_true")
-RATE_KINDS = ("rate_sup_lp", "rate_integral_lp")
 
 KS_THRESHOLD = 0.05
 RATE_SLOPE_TOL = 0.1
@@ -121,9 +112,10 @@ class ExperimentConfig:
             raise ValueError(f"n_list must be strictly increasing, got {self.n_list}")
         if not isinstance(self.replicates, int) or self.replicates < 1:
             raise ValueError(f"replicates must be an integer >= 1, got {self.replicates!r}")
-        if self.kind in CLT_KINDS and self.replicates < 100:
+        least = _KIND_TABLE[self.kind].least_replicates
+        if self.replicates < least:
             raise ValueError(
-                f"{self.kind} needs at least 100 replicates for a usable "
+                f"{self.kind} needs at least {least} replicates for a usable "
                 f"distribution comparison, got {self.replicates}"
             )
         if not isinstance(self.base_seed, int) or isinstance(self.base_seed, bool):
@@ -171,17 +163,7 @@ class ExperimentReport:
     notes: list
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "config": self.config,
-            "gates": self.gates,
-            "rows": self.rows,
-            "summary": self.summary,
-            "slope": self.slope,
-            "theorem_prediction": self.theorem_prediction,
-            "verdict": self.verdict,
-            "notes": self.notes,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return dumps_json(self.to_json_dict())
@@ -255,39 +237,43 @@ def _report_fit(fit: dict) -> dict:
 # gates
 
 
-def _bandwidth_gate(schedule: BandwidthSchedule, name: str) -> GateCheck:
-    verdict = check_conditions(schedule)[name]
+def _gate(name: str, passed: bool, holds: str, fails: str) -> GateCheck:
+    """One condition's check, detailed as "(name) " followed by holds or fails."""
+    return GateCheck(name, passed, f"({name}) " + (holds if passed else fails))
+
+
+def _bandwidth_gate(name: str, config: ExperimentConfig) -> GateCheck:
+    verdict = check_conditions(config.schedule)[name]
     return GateCheck(name, verdict.passed, verdict.detail)
 
 
-def _mixing_gate(model: ProcessModel, power: float) -> GateCheck:
-    cert = mixing_tail_bound(model, power)
-    passed = cert["first_omitted_term"] < _MIXING_TAIL_TOL
+def _mixing_gate(config: ExperimentConfig, power: float = 1.0) -> GateCheck:
+    cert = mixing_tail_bound(config.model, power)
     detail = (
         f"sum_i rho(2^i)^{power:g} = {cert['partial_sum']:.9g} over i <= 40 with first "
         f"omitted term {cert['first_omitted_term']:.3g}"
     )
-    if passed:
-        detail = "(rho-summable) holds: " + detail
-    else:
-        detail = "(rho-summable) fails: " + detail + f", not below {_MIXING_TAIL_TOL:g}"
-    return GateCheck("rho-summable", passed, detail)
-
-
-def _rho1_gate(model: ProcessModel) -> GateCheck:
-    r1 = rho_mixing_coefficient(model, 1)
-    if r1 <= 0.25:
-        return GateCheck(
-            "rho(1) <= 1/4", True, f"(rho(1) <= 1/4) holds: rho(1)={r1:g}"
-        )
-    return GateCheck(
-        "rho(1) <= 1/4", False,
-        f"(rho(1) <= 1/4) fails: rho(1)={r1:g} > 1/4, so the almost-sure uniform rate "
-        "is not certified for this model",
+    return _gate(
+        "rho-summable", cert["first_omitted_term"] < _MIXING_TAIL_TOL,
+        "holds: " + detail, "fails: " + detail + f", not below {_MIXING_TAIL_TOL:g}",
     )
 
 
-def _marginal_gate(name: str, model: ProcessModel) -> GateCheck:
+def _lp_mixing_gate(config: ExperimentConfig) -> GateCheck:
+    """Summability of rho^(2/p), which the L^p rates need."""
+    return _mixing_gate(config, 2.0 / max(config.p, 2.0))
+
+
+def _rho1_gate(config: ExperimentConfig) -> GateCheck:
+    r1 = rho_mixing_coefficient(config.model, 1)
+    return _gate(
+        "rho(1) <= 1/4", r1 <= 0.25, f"holds: rho(1)={r1:g}",
+        f"fails: rho(1)={r1:g} > 1/4, so the almost-sure uniform rate is not certified for this model",
+    )
+
+
+def _marginal_gate(name: str, config: ExperimentConfig) -> GateCheck:
+    model = config.model
     sd = model.marginal_sd
     if name == "C1":
         detail = f"(C1) holds: the Gaussian marginal is bounded by {1.0 / (sd * math.sqrt(2 * math.pi)):.6g}"
@@ -301,7 +287,8 @@ def _marginal_gate(name: str, model: ProcessModel) -> GateCheck:
     return GateCheck(name, True, detail)
 
 
-def _kernel_gate(name: str, kernel: KernelSpec) -> GateCheck:
+def _kernel_gate(name: str, config: ExperimentConfig) -> GateCheck:
+    kernel = config.kernel
     fam = kernel.family
     if name == "K1":
         return GateCheck(
@@ -310,20 +297,15 @@ def _kernel_gate(name: str, kernel: KernelSpec) -> GateCheck:
             f"integral of |K| equal to {kernel.l1_norm:g}",
         )
     if name == "K2":
-        if not math.isfinite(kernel.support_radius):
-            return GateCheck(
-                "K2", False,
-                f"(K2) fails: the {fam} kernel is not compactly supported",
-            )
-        if kernel.lipschitz_const is None:
-            return GateCheck(
-                "K2", False,
-                f"(K2) fails: the {fam} kernel is not Lipschitz",
-            )
+        radius, lipschitz = kernel.support_radius, kernel.lipschitz_const
+        if not math.isfinite(radius):
+            return GateCheck("K2", False, f"(K2) fails: the {fam} kernel is not compactly supported")
+        if lipschitz is None:
+            return GateCheck("K2", False, f"(K2) fails: the {fam} kernel is not Lipschitz")
         return GateCheck(
             "K2", True,
-            f"(K2) holds: the {fam} kernel has support radius {kernel.support_radius:g} "
-            f"and Lipschitz constant {kernel.lipschitz_const:g}",
+            f"(K2) holds: the {fam} kernel has support radius {radius:g} "
+            f"and Lipschitz constant {lipschitz:g}",
         )
     if name == "K3":
         return GateCheck(
@@ -332,146 +314,70 @@ def _kernel_gate(name: str, kernel: KernelSpec) -> GateCheck:
             f"equal to {abs_first_moment(kernel):g}",
         )
     # symmetry plus unit mass, needed by the distribution estimators
-    if kernel.is_symmetric and kernel.integrates_to_one:
-        return GateCheck(
-            "K-symmetric", True,
-            f"(K-symmetric) holds: the {fam} kernel is symmetric with unit integral",
-        )
-    return GateCheck(
-        "K-symmetric", False,
-        f"(K-symmetric) fails: the {fam} kernel must be symmetric with unit integral",
+    return _gate(
+        "K-symmetric", kernel.is_symmetric and kernel.integrates_to_one,
+        f"holds: the {fam} kernel is symmetric with unit integral",
+        f"fails: the {fam} kernel must be symmetric with unit integral",
     )
 
 
-def _compact_support_gate(kernel: KernelSpec) -> GateCheck:
-    if math.isfinite(kernel.support_radius):
-        return GateCheck(
-            "K-compact", True,
-            f"(K-compact) holds: the {kernel.family} kernel is supported on "
-            f"[-{kernel.support_radius:g}, {kernel.support_radius:g}]",
-        )
-    return GateCheck(
-        "K-compact", False,
-        f"(K-compact) fails: the {kernel.family} kernel has unbounded support",
+def _compact_support_gate(config: ExperimentConfig) -> GateCheck:
+    kernel = config.kernel
+    return _gate(
+        "K-compact", math.isfinite(kernel.support_radius),
+        f"holds: the {kernel.family} kernel is supported on "
+        f"[-{kernel.support_radius:g}, {kernel.support_radius:g}]",
+        f"fails: the {kernel.family} kernel has unbounded support",
     )
 
 
 def _positive_density_gate(config: ExperimentConfig) -> GateCheck:
     vals = [marginal_density(config.model, x) for x in config.eval_points]
-    if all(v > 1e-300 for v in vals):
-        return GateCheck(
-            "f(x) > 0", True,
-            "(f(x) > 0) holds at every evaluation point",
-        )
-    return GateCheck(
-        "f(x) > 0", False,
-        "(f(x) > 0) fails: the marginal density vanishes at an evaluation point",
+    return _gate(
+        "f(x) > 0", all(v > 1e-300 for v in vals), "holds at every evaluation point",
+        "fails: the marginal density vanishes at an evaluation point",
     )
 
 
 def _cdf_interior_gate(config: ExperimentConfig) -> GateCheck:
     vals = [marginal_cdf(config.model, x) for x in config.eval_points]
-    if all(1e-12 < v < 1.0 - 1e-12 for v in vals):
-        return GateCheck(
-            "0 < F(x) < 1", True, "(0 < F(x) < 1) holds at every evaluation point"
-        )
-    return GateCheck(
-        "0 < F(x) < 1", False,
-        "(0 < F(x) < 1) fails: an evaluation point sits at the edge of the distribution",
+    return _gate(
+        "0 < F(x) < 1", all(1e-12 < v < 1.0 - 1e-12 for v in vals),
+        "holds at every evaluation point",
+        "fails: an evaluation point sits at the edge of the distribution",
     )
 
 
-def _p_gate(p: float) -> GateCheck:
-    if p >= 2.0:
-        return GateCheck("p >= 2", True, f"(p >= 2) holds: p={p:g}")
-    return GateCheck(
-        "p >= 2", False,
-        f"(p >= 2) fails: the moment-rate statements need p >= 2, got p={p:g}",
+def _p_gate(config: ExperimentConfig) -> GateCheck:
+    p = config.p
+    return _gate(
+        "p >= 2", p >= 2.0, f"holds: p={p:g}",
+        f"fails: the moment-rate statements need p >= 2, got p={p:g}",
     )
 
 
-def _markov_gate(model: ProcessModel) -> GateCheck:
-    if model.family in ("iid", "ar1"):
-        return GateCheck(
-            "markov-model", True,
-            f"(markov-model) holds: the {model.family} family is Markov in its own value",
-        )
-    return GateCheck(
-        "markov-model", False,
-        f"(markov-model) fails: the {model.family} family is not Markov in its own value, "
+def _markov_gate(config: ExperimentConfig) -> GateCheck:
+    family = config.model.family
+    return _gate(
+        "markov-model", family in ("iid", "ar1"),
+        f"holds: the {family} family is Markov in its own value",
+        f"fails: the {family} family is not Markov in its own value, "
         "so block anchors have no single-state conditional mean",
     )
 
 
-def _even_p_gate(p: float) -> GateCheck:
-    if float(p).is_integer() and int(p) >= 2 and int(p) % 2 == 0:
-        return GateCheck("p-even", True, f"(p-even) holds: p={int(p)}")
-    return GateCheck(
-        "p-even", False,
-        f"(p-even) fails: the block-moment diagnostic needs an even integer p >= 2, got {p:g}",
+def _even_p_gate(config: ExperimentConfig) -> GateCheck:
+    p = config.p
+    return _gate(
+        "p-even", float(p).is_integer() and int(p) >= 2 and int(p) % 2 == 0,
+        f"holds: p={int(p)}",
+        f"fails: the block-moment diagnostic needs an even integer p >= 2, got {p:g}",
     )
 
 
 def check_gates(config: ExperimentConfig) -> list[GateCheck]:
     """Every named hypothesis for the configured kind, passed or not."""
-    kind = config.kind
-    model = config.model
-    kernel = config.kernel
-    schedule = config.schedule
-    if kind == "clt_density":
-        return [
-            _bandwidth_gate(schedule, "B1"),
-            _marginal_gate("C2", model),
-            _kernel_gate("K1", kernel),
-            _positive_density_gate(config),
-            _mixing_gate(model, 1.0),
-        ]
-    if kind == "clt_cdf_centered":
-        return [
-            _bandwidth_gate(schedule, "B1"),
-            _marginal_gate("C2", model),
-            _kernel_gate("K-symmetric", kernel),
-            _cdf_interior_gate(config),
-            _mixing_gate(model, 1.0),
-        ]
-    if kind == "clt_cdf_true":
-        return [
-            _bandwidth_gate(schedule, "B3"),
-            _marginal_gate("C3", model),
-            _kernel_gate("K-symmetric", kernel),
-            _compact_support_gate(kernel),
-            _cdf_interior_gate(config),
-            _mixing_gate(model, 1.0),
-        ]
-    if kind in RATE_KINDS:
-        gates = [
-            _p_gate(config.p),
-            _bandwidth_gate(schedule, "B1"),
-            _marginal_gate("C1", model),
-            _kernel_gate("K1", kernel),
-            _mixing_gate(model, 2.0 / max(config.p, 2.0)),
-        ]
-        if kind == "rate_sup_lp":
-            gates.append(_positive_density_gate(config))
-        return gates
-    if kind == "uniform_as":
-        return [
-            _bandwidth_gate(schedule, "B2"),
-            _marginal_gate("C1", model),
-            _kernel_gate("K2", kernel),
-            _rho1_gate(model),
-            _mixing_gate(model, 1.0),
-        ]
-    if kind == "bias":
-        return [
-            _marginal_gate("C3", model),
-            _kernel_gate("K3", kernel),
-        ]
-    # moment_bound
-    return [
-        _markov_gate(model),
-        _even_p_gate(config.p),
-    ]
+    return [gate(config) for gate in _KIND_TABLE[config.kind].gates]
 
 
 def enforce_gates(config: ExperimentConfig) -> list[GateCheck]:
@@ -520,89 +426,69 @@ def _run_replicates(count: int, threads: int | None, worker) -> None:
         list(pool.map(run_span, spans))
 
 
-# ---------------------------------------------------------------------------
-# runners
+def _sorted_prefixes(config: ExperimentConfig, threads, sizes, reduce, shape) -> np.ndarray:
+    """out[r, j] = reduce(j, sorted first sizes[j] values of replicate path r).
 
-
-def _require_eval_points(config: ExperimentConfig) -> np.ndarray:
-    if len(config.eval_points) == 0:
-        raise ValueError(f"{config.kind} needs at least one evaluation point")
-    return np.asarray(config.eval_points, dtype=float)
-
-
-def _require_n_count(config: ExperimentConfig, least: int) -> None:
-    if len(config.n_list) < least:
-        raise ValueError(
-            f"{config.kind} needs at least {least} sample sizes for a slope, "
-            f"got {len(config.n_list)}"
-        )
-
-
-def validate_shape(config: ExperimentConfig) -> None:
-    """Kind-specific structural checks that need no simulation.
-
-    Raises ValueError for configs that are syntactically fine but cannot be
-    run (too few sample sizes for a slope, missing evaluation points); gate
-    checks are separate and report named conditions instead.
+    Replicate r draws one path of length sizes[-1] from
+    derive_seed(base_seed, r), so every size reads a prefix of the same path
+    (nested prefixes). Each reduce result has the trailing shape `shape`.
     """
-    if config.kind in CLT_KINDS or config.kind in ("rate_sup_lp", "bias"):
-        _require_eval_points(config)
-    if config.kind in RATE_KINDS or config.kind in ("uniform_as", "bias"):
-        _require_n_count(config, 3)
+    out = np.empty((config.replicates, len(sizes), *shape))
+
+    def worker(r: int) -> None:
+        values = generate_path(config.model, sizes[-1], derive_seed(config.base_seed, r)).values
+        for j, n in enumerate(sizes):
+            out[r, j] = reduce(j, np.sort(values[:n]))
+
+    _run_replicates(config.replicates, threads, worker)
+    return out
 
 
-def run_clt_experiment(config: ExperimentConfig, threads: int | None = 1) -> ExperimentReport:
+# ---------------------------------------------------------------------------
+# kind bodies: each returns the report fields that follow the gates
+
+
+def _run_clt(config: ExperimentConfig, h_list, threads, *, cdf: bool, centered: bool = True) -> dict:
     """Distribution check of the standardized statistic at the largest n.
 
     All replicates are evaluated at every point of eval_points with common
     random numbers; the verdict passes when the KS distance to the standard
     normal stays below 0.05 at every point. Per-point means and variances
     are reported alongside, with the pooled variance (the average of the
-    per-point sample variances) in the summary. The distribution kinds are
+    per-point sample variances) in the summary. The distribution kinds
+    (cdf=True) are centered at E F_n (centered=True) or at the true F, and
     standardized by the long-run variance of the indicator series
     (indicator_long_run_variance), computed once per run.
     """
-    if config.kind not in CLT_KINDS:
-        raise ValueError(f"run_clt_experiment cannot run kind {config.kind!r}")
-    xs_eval = _require_eval_points(config)
-    gates = enforce_gates(config)
+    xs_eval = np.asarray(config.eval_points, dtype=float)
     model, kernel = config.model, config.kernel
-    n = config.n_list[-1]
-    h = bandwidth_at(config.schedule, n)
-
-    if config.kind == "clt_density":
-        centers = np.array([expected_density(model, kernel, h, x) for x in xs_eval])
-        denom = np.sqrt(kernel.l2_norm_sq * marginal_density(model, xs_eval))
-        scale = math.sqrt(n * h)
-    else:
+    n, h = config.n_list[-1], h_list[-1]
+    if cdf:
         fx = marginal_cdf(model, xs_eval)
-        if config.kind == "clt_cdf_centered":
+        if centered:
             centers = np.array([expected_cdf(model, kernel, h, x) for x in xs_eval])
         else:
             centers = fx
         long_run = np.array([indicator_long_run_variance(model, x) for x in xs_eval])
         denom = np.sqrt(long_run)
         scale = math.sqrt(n)
+    else:
+        centers = np.array([expected_density(model, kernel, h, x) for x in xs_eval])
+        denom = np.sqrt(kernel.l2_norm_sq * marginal_density(model, xs_eval))
+        scale = math.sqrt(n * h)
 
-    stats = np.empty((config.replicates, xs_eval.size))
-
-    def worker(r: int) -> None:
-        path = generate_path(model, n, derive_seed(config.base_seed, r))
-        xs = np.sort(path.values)
-        if config.kind == "clt_density":
-            raw = _kernel_window_sums(xs, kernel, h, xs_eval) / (n * h)
-        else:
+    def reduce(j: int, xs: np.ndarray) -> np.ndarray:
+        if cdf:
             raw = np.clip(_cdf_window_sums(xs, kernel, h, xs_eval) / n, 0.0, 1.0)
-        stats[r, :] = scale * (raw - centers) / denom
+        else:
+            raw = _kernel_window_sums(xs, kernel, h, xs_eval) / (n * h)
+        return scale * (raw - centers) / denom
 
-    _run_replicates(config.replicates, threads, worker)
+    stats = _sorted_prefixes(config, threads, (n,), reduce, (xs_eval.size,))[:, 0]
 
     rows = []
-    variances = []
     for i, x in enumerate(xs_eval):
         col = stats[:, i]
-        var = float(col.var(ddof=1))
-        variances.append(var)
         rows.append(
             {
                 "x": float(x),
@@ -610,7 +496,7 @@ def run_clt_experiment(config: ExperimentConfig, threads: int | None = 1) -> Exp
                 "h": h,
                 "ks": ks_statistic(col, ndtr),
                 "mean": float(col.mean()),
-                "variance": var,
+                "variance": float(col.var(ddof=1)),
                 "replicates": config.replicates,
             }
         )
@@ -620,14 +506,13 @@ def run_clt_experiment(config: ExperimentConfig, threads: int | None = 1) -> Exp
         "h": h,
         "max_ks": max_ks,
         "ks_threshold": KS_THRESHOLD,
-        "pooled_variance": float(np.mean(variances)),
+        "pooled_variance": float(np.mean([row["variance"] for row in rows])),
     }
-    verdict = "pass" if max_ks < KS_THRESHOLD else "fail"
     notes = [
         "statistics are centered at exact quadrature expectations, not at sample means",
         "all evaluation points share each replicate path (common random numbers)",
     ]
-    if config.kind != "clt_density" and model.family != "iid":
+    if cdf and model.family != "iid":
         ratios = ", ".join(
             f"{lr / (f * (1.0 - f)):.6g} at x={x:g}" for x, f, lr in zip(xs_eval, fx, long_run)
         )
@@ -636,39 +521,25 @@ def run_clt_experiment(config: ExperimentConfig, threads: int | None = 1) -> Exp
             "F(1-F) + 2 sum_k cov(1{X_0 <= x}, 1{X_k <= x}), not by F(1-F); "
             f"its ratio to F(1-F) is {ratios}"
         )
-    return ExperimentReport(
-        kind=config.kind,
-        config=config_to_dict(config),
-        gates=[g.as_dict() for g in gates],
-        rows=rows,
-        summary=summary,
-        slope=None,
-        theorem_prediction=None,
-        verdict=verdict,
-        notes=notes,
-    )
+    verdict = "pass" if max_ks < KS_THRESHOLD else "fail"
+    return dict(rows=rows, summary=summary, slope=None, theorem_prediction=None,
+                verdict=verdict, notes=notes)
 
 
-def run_rate_experiment(config: ExperimentConfig, threads: int | None = 1) -> ExperimentReport:
+def _run_rate(config: ExperimentConfig, h_list, threads, *, sup: bool) -> dict:
     """Error-vs-n slope reading for the sup or integral L^p deviation.
 
     For each n the error level is the p-th moment reading of the deviation
-    from the exact expectation (maximum over eval_points for the sup kind,
-    trapezoid integral over the grid for the integral kind). The fitted
-    log-log slope must match -(1 - delta)/2 within 0.1.
+    from the exact expectation (maximum over eval_points when sup=True,
+    trapezoid integral over the grid otherwise). The fitted log-log slope
+    must match -(1 - delta)/2 within 0.1.
     """
-    if config.kind not in RATE_KINDS:
-        raise ValueError(f"run_rate_experiment cannot run kind {config.kind!r}")
-    _require_n_count(config, 3)
-    sup_kind = config.kind == "rate_sup_lp"
-    xs_eval = _require_eval_points(config) if sup_kind else config.grid.points
-    gates = enforce_gates(config)
+    xs_eval = np.asarray(config.eval_points, dtype=float) if sup else config.grid.points
     model, kernel = config.model, config.kernel
     p = float(config.p)
     n_list = config.n_list
-    h_list = [bandwidth_at(config.schedule, n) for n in n_list]
 
-    if sup_kind:
+    if sup:
         centers = [
             np.array([expected_density(model, kernel, h, x) for x in xs_eval]) for h in h_list
         ]
@@ -677,30 +548,17 @@ def run_rate_experiment(config: ExperimentConfig, threads: int | None = 1) -> Ex
             expected_density_curve(model, kernel, h, config.grid).values for h in h_list
         ]
 
-    if sup_kind:
-        raw = np.empty((config.replicates, len(n_list), xs_eval.size))
-    else:
-        raw = np.empty((config.replicates, len(n_list)))
-    max_n = n_list[-1]
+    def reduce(j: int, xs: np.ndarray):
+        n, h = n_list[j], h_list[j]
+        fn = _kernel_window_sums(xs, kernel, h, xs_eval) / (n * h)
+        dev = np.abs(fn - centers[j]) ** p
+        return dev if sup else np.trapezoid(dev, xs_eval)
 
-    def worker(r: int) -> None:
-        values = generate_path(model, max_n, derive_seed(config.base_seed, r)).values
-        for j, n in enumerate(n_list):
-            xs = np.sort(values[:n])
-            h = h_list[j]
-            fn = _kernel_window_sums(xs, kernel, h, xs_eval) / (n * h)
-            dev = np.abs(fn - centers[j]) ** p
-            if sup_kind:
-                raw[r, j, :] = dev
-            else:
-                raw[r, j] = np.trapezoid(dev, xs_eval)
-
-    _run_replicates(config.replicates, threads, worker)
+    raw = _sorted_prefixes(config, threads, n_list, reduce, (xs_eval.size,) if sup else ())
 
     rows = []
-    errors = []
     for j, n in enumerate(n_list):
-        if sup_kind:
+        if sup:
             mom = raw[:, j, :].mean(axis=0)
             best = int(np.argmax(mom))
             level = float(mom[best])
@@ -714,17 +572,16 @@ def run_rate_experiment(config: ExperimentConfig, threads: int | None = 1) -> Ex
         error = level ** (1.0 / p)
         # delta method for the p-th root of the estimated moment
         mc_stderr = se_level / p * level ** (1.0 / p - 1.0) if level > 0.0 else 0.0
-        errors.append(error)
         rows.append({"n": n, "h": h_list[j], "error": error, "mc_stderr": mc_stderr, **extra})
 
-    slope = fit_loglog_slope(np.asarray(n_list, dtype=float), np.asarray(errors))
+    errors = np.asarray([row["error"] for row in rows])
+    slope = fit_loglog_slope(np.asarray(n_list, dtype=float), errors)
     prediction = -(1.0 - config.schedule.delta) / 2.0
-    verdict = "pass" if abs(slope["slope"] - prediction) <= RATE_SLOPE_TOL else "fail"
     notes = [
         "deviations are measured against exact quadrature expectations",
         "replicate paths are shared across sample sizes (nested prefixes)",
     ]
-    if not sup_kind:
+    if not sup:
         half = max(abs(config.grid.lo), abs(config.grid.hi)) / model.marginal_sd
         notes.append(
             f"the integral is truncated to the grid span ({half:.3g} marginal sds); "
@@ -736,17 +593,9 @@ def run_rate_experiment(config: ExperimentConfig, threads: int | None = 1) -> Ex
         "theorem_prediction": prediction,
         "slope_tolerance": RATE_SLOPE_TOL,
     }
-    return ExperimentReport(
-        kind=config.kind,
-        config=config_to_dict(config),
-        gates=[g.as_dict() for g in gates],
-        rows=rows,
-        summary=summary,
-        slope=_report_fit(slope),
-        theorem_prediction=prediction,
-        verdict=verdict,
-        notes=notes,
-    )
+    verdict = "pass" if abs(slope["slope"] - prediction) <= RATE_SLOPE_TOL else "fail"
+    return dict(rows=rows, summary=summary, slope=_report_fit(slope),
+                theorem_prediction=prediction, verdict=verdict, notes=notes)
 
 
 def uniform_verdict(n_list, ratios) -> tuple[dict, str]:
@@ -799,7 +648,7 @@ def uniform_verdict(n_list, ratios) -> tuple[dict, str]:
     return summary, "pass" if ok else "fail"
 
 
-def run_uniform_as_experiment(config: ExperimentConfig, threads: int | None = 1) -> ExperimentReport:
+def _run_uniform(config: ExperimentConfig, h_list, threads) -> dict:
     """Boundedness check of sup-deviation over the rate sqrt(|log h|/(n h)).
 
     Each replicate is one path followed along every n in n_list (nested
@@ -808,13 +657,8 @@ def run_uniform_as_experiment(config: ExperimentConfig, threads: int | None = 1)
     largest ratio within 3 times their median ratio and the mean per-path
     slope of log ratio against log n stays within 0.05 of flat.
     """
-    if config.kind != "uniform_as":
-        raise ValueError(f"run_uniform_as_experiment cannot run kind {config.kind!r}")
-    _require_n_count(config, 3)
-    gates = enforce_gates(config)
     model, kernel = config.model, config.kernel
     n_list = config.n_list
-    h_list = [bandwidth_at(config.schedule, n) for n in n_list]
     pts = config.grid.points
     centers = [expected_density_curve(model, kernel, h, config.grid).values for h in h_list]
     # |log h| under the clamped-log convention: never below 1
@@ -822,18 +666,11 @@ def run_uniform_as_experiment(config: ExperimentConfig, threads: int | None = 1)
         math.sqrt(max(abs(math.log(h)), 1.0) / (n * h)) for n, h in zip(n_list, h_list)
     ]
 
-    sups = np.empty((config.replicates, len(n_list)))
-    max_n = n_list[-1]
+    def reduce(j: int, xs: np.ndarray):
+        fn = _kernel_window_sums(xs, kernel, h_list[j], pts) / (n_list[j] * h_list[j])
+        return np.max(np.abs(fn - centers[j]))
 
-    def worker(r: int) -> None:
-        values = generate_path(model, max_n, derive_seed(config.base_seed, r)).values
-        for j, n in enumerate(n_list):
-            xs = np.sort(values[:n])
-            fn = _kernel_window_sums(xs, kernel, h_list[j], pts) / (n * h_list[j])
-            sups[r, j] = np.max(np.abs(fn - centers[j]))
-
-    _run_replicates(config.replicates, threads, worker)
-
+    sups = _sorted_prefixes(config, threads, n_list, reduce, ())
     ratios = sups / np.asarray(rates)
     summary, verdict = uniform_verdict(n_list, ratios)
     rows = [
@@ -852,20 +689,11 @@ def run_uniform_as_experiment(config: ExperimentConfig, threads: int | None = 1)
         "grid maxima are lower bounds for the continuum supremum; the grid must be "
         "fine relative to the smallest bandwidth for the ratios to be meaningful",
     ]
-    return ExperimentReport(
-        kind=config.kind,
-        config=config_to_dict(config),
-        gates=[g.as_dict() for g in gates],
-        rows=rows,
-        summary=summary,
-        slope=_report_fit(primary_fit),
-        theorem_prediction=0.0,
-        verdict=verdict,
-        notes=notes,
-    )
+    return dict(rows=rows, summary=summary, slope=_report_fit(primary_fit),
+                theorem_prediction=0.0, verdict=verdict, notes=notes)
 
 
-def run_bias_experiment(config: ExperimentConfig, threads: int | None = 1) -> ExperimentReport:
+def _run_bias(config: ExperimentConfig, h_list, threads) -> dict:
     """Deterministic scan of the smoothing bias against its first-order bound.
 
     For every (n, x) pair the exact bias E f_n(x) - f(x) is computed by
@@ -874,28 +702,17 @@ def run_bias_experiment(config: ExperimentConfig, threads: int | None = 1) -> Ex
     log h to be at least 0.9 at every evaluation point (second-order kernels
     give about 2).
     """
-    if config.kind != "bias":
-        raise ValueError(f"run_bias_experiment cannot run kind {config.kind!r}")
     del threads  # the scan is quadrature only; nothing to parallelize
-    _require_n_count(config, 3)
-    xs_eval = _require_eval_points(config)
-    gates = enforce_gates(config)
+    xs_eval = np.asarray(config.eval_points, dtype=float)
     model, kernel = config.model, config.kernel
     n_list = config.n_list
-    h_list = [bandwidth_at(config.schedule, n) for n in n_list]
     bound_coef = marginal_density_derivative_sup(model) * abs_first_moment(kernel)
 
     rows = []
-    abs_bias = np.empty((len(n_list), xs_eval.size))
-    within = True
-    for j, n in enumerate(n_list):
-        h = h_list[j]
+    for n, h in zip(n_list, h_list):
         bound = h * bound_coef
-        for i, x in enumerate(xs_eval):
+        for x in xs_eval:
             b = bias(model, kernel, h, float(x))
-            abs_bias[j, i] = abs(b)
-            ok = abs(b) <= bound
-            within = within and ok
             rows.append(
                 {
                     "n": n,
@@ -904,19 +721,17 @@ def run_bias_experiment(config: ExperimentConfig, threads: int | None = 1) -> Ex
                     "bias": b,
                     "abs_bias": abs(b),
                     "bound": bound,
-                    "within_bound": bool(ok),
+                    "within_bound": bool(abs(b) <= bound),
                 }
             )
 
-    h_arr = np.asarray(h_list)
-    slopes = []
-    for i, x in enumerate(xs_eval):
-        fit = fit_loglog_slope(h_arr, abs_bias[:, i])
-        slopes.append({"x": float(x), "slope": fit["slope"]})
+    within = all(row["within_bound"] for row in rows)
+    abs_bias = np.array([row["abs_bias"] for row in rows]).reshape(len(n_list), xs_eval.size)
+    fits = [fit_loglog_slope(np.asarray(h_list), abs_bias[:, i]) for i in range(xs_eval.size)]
+    slopes = [{"x": float(x), "slope": fit["slope"]} for x, fit in zip(xs_eval, fits)]
     min_slope = min(s["slope"] for s in slopes)
     # report the fit at the first eval point as the headline slope
-    headline = fit_loglog_slope(h_arr, abs_bias[:, 0])
-    verdict = "pass" if (within and min_slope >= BIAS_SLOPE_MIN) else "fail"
+    headline = fits[0]
     summary = {
         "all_within_bound": bool(within),
         "min_slope": min_slope,
@@ -928,20 +743,12 @@ def run_bias_experiment(config: ExperimentConfig, threads: int | None = 1) -> Ex
         "slopes are fitted against h, so 2 is the expected reading for "
         "second-order kernels away from inflection points of f",
     ]
-    return ExperimentReport(
-        kind=config.kind,
-        config=config_to_dict(config),
-        gates=[g.as_dict() for g in gates],
-        rows=rows,
-        summary=summary,
-        slope=_report_fit(headline),
-        theorem_prediction=1.0,
-        verdict=verdict,
-        notes=notes,
-    )
+    verdict = "pass" if (within and min_slope >= BIAS_SLOPE_MIN) else "fail"
+    return dict(rows=rows, summary=summary, slope=_report_fit(headline),
+                theorem_prediction=1.0, verdict=verdict, notes=notes)
 
 
-def run_moment_bound_experiment(config: ExperimentConfig, threads: int | None = 1) -> ExperimentReport:
+def _run_moment_bound(config: ExperimentConfig, h_list, threads) -> dict:
     """Block-moment diagnostic across dyadic levels.
 
     n_list is reinterpreted as the list of dyadic levels k; each level gets
@@ -949,10 +756,7 @@ def run_moment_bound_experiment(config: ExperimentConfig, threads: int | None = 
     ratios are finite and either vanish identically (iid) or keep their
     spread max/min within 50.
     """
-    if config.kind != "moment_bound":
-        raise ValueError(f"run_moment_bound_experiment cannot run kind {config.kind!r}")
-    del threads  # level workloads are tiny; keep the sweep sequential
-    gates = enforce_gates(config)
+    del h_list, threads  # no bandwidth; level workloads are tiny, so the sweep is sequential
     p = int(config.p)
     rows = []
     ratios = []
@@ -971,14 +775,11 @@ def run_moment_bound_experiment(config: ExperimentConfig, threads: int | None = 
 
     finite = all(math.isfinite(r) for r in ratios)
     positive = [r for r in ratios if r > 0.0]
-    if not finite:
-        verdict = "fail"
-        spread = math.inf
-    elif not positive:
+    if finite and not positive:
         # iid models: both sides vanish at every level
         verdict = "pass"
         spread = 0.0
-    elif len(positive) == len(ratios):
+    elif finite and len(positive) == len(ratios):
         spread = max(positive) / min(positive)
         verdict = "pass" if spread <= MOMENT_RATIO_SPREAD else "fail"
     else:
@@ -994,31 +795,125 @@ def run_moment_bound_experiment(config: ExperimentConfig, threads: int | None = 
         "n_list entries are dyadic levels k, not sample sizes",
         "conditioning anchors are the observations immediately before each big block",
     ]
+    return dict(rows=rows, summary=summary, slope=None, theorem_prediction=None,
+                verdict=verdict, notes=notes)
+
+
+# ---------------------------------------------------------------------------
+# the kind table and the run skeleton
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """Everything one experiment kind needs; adding a kind adds one entry.
+
+    gates are the kind's hypotheses in report order, each config -> GateCheck.
+    run(config, h_list, threads) returns the report fields after the gates.
+    plot names the plotdata.csv columns: row keys for kinds without a slope,
+    else the x and y of the log-log fit. validate_shape reads the rest.
+    """
+
+    gates: tuple[Callable[[ExperimentConfig], GateCheck], ...]
+    run: Callable[..., dict]
+    plot: tuple[str, ...]
+    needs_points: bool = False
+    least_sizes: int = 1
+    least_replicates: int = 1
+    levels: bool = False  # n_list holds dyadic block levels, not sample sizes
+
+
+# the named conditions of the bandwidth, the marginal and the kernel
+_B1, _B2, _B3 = (partial(_bandwidth_gate, name) for name in ("B1", "B2", "B3"))
+_C1, _C2, _C3 = (partial(_marginal_gate, name) for name in ("C1", "C2", "C3"))
+_K1, _K2, _K3, _K_SYMMETRIC = (
+    partial(_kernel_gate, name) for name in ("K1", "K2", "K3", "K-symmetric")
+)
+_RATE_GATES = (_p_gate, _B1, _C1, _K1, _lp_mixing_gate)
+_CLT_SHAPE = dict(plot=("x", "ks", "mean", "variance"), needs_points=True, least_replicates=100)
+
+_KIND_TABLE: dict[str, _Kind] = {
+    "clt_density": _Kind(
+        gates=(_B1, _C2, _K1, _positive_density_gate, _mixing_gate),
+        run=partial(_run_clt, cdf=False),
+        **_CLT_SHAPE,
+    ),
+    "clt_cdf_centered": _Kind(
+        gates=(_B1, _C2, _K_SYMMETRIC, _cdf_interior_gate, _mixing_gate),
+        run=partial(_run_clt, cdf=True),
+        **_CLT_SHAPE,
+    ),
+    "clt_cdf_true": _Kind(
+        gates=(_B3, _C3, _K_SYMMETRIC, _compact_support_gate, _cdf_interior_gate, _mixing_gate),
+        run=partial(_run_clt, cdf=True, centered=False),
+        **_CLT_SHAPE,
+    ),
+    "rate_sup_lp": _Kind(
+        gates=_RATE_GATES + (_positive_density_gate,),
+        run=partial(_run_rate, sup=True),
+        plot=("n", "error"),
+        needs_points=True,
+        least_sizes=3,
+    ),
+    "rate_integral_lp": _Kind(
+        gates=_RATE_GATES,
+        run=partial(_run_rate, sup=False),
+        plot=("n", "error"),
+        least_sizes=3,
+    ),
+    "uniform_as": _Kind(
+        gates=(_B2, _C1, _K2, _rho1_gate, _mixing_gate),
+        run=_run_uniform,
+        plot=("n", "ratio"),
+        least_sizes=3,
+    ),
+    "bias": _Kind(
+        gates=(_C3, _K3),
+        run=_run_bias,
+        plot=("h", "abs_bias"),
+        needs_points=True,
+        least_sizes=3,
+    ),
+    "moment_bound": _Kind(
+        gates=(_markov_gate, _even_p_gate),
+        run=_run_moment_bound,
+        plot=("k", "ratio"),
+        levels=True,
+    ),
+}
+KINDS = tuple(_KIND_TABLE)
+# the distribution comparisons, which need enough replicates for a KS reading
+CLT_KINDS = tuple(kind for kind, spec in _KIND_TABLE.items() if spec.least_replicates > 1)
+
+
+def validate_shape(config: ExperimentConfig) -> None:
+    """Kind-specific structural checks that need no simulation.
+
+    Raises ValueError for configs that are syntactically fine but cannot be
+    run (missing evaluation points, too few sample sizes for a slope, block
+    levels that hold no usable partition); gate checks are separate and
+    report named conditions instead.
+    """
+    spec = _KIND_TABLE[config.kind]
+    if spec.needs_points and len(config.eval_points) == 0:
+        raise ValueError(f"{config.kind} needs at least one evaluation point")
+    if len(config.n_list) < spec.least_sizes:
+        raise ValueError(
+            f"{config.kind} needs at least {spec.least_sizes} sample sizes for a slope, "
+            f"got {len(config.n_list)}"
+        )
+    if spec.levels:
+        for k in config.n_list:
+            _checked_level(k, config.block_alpha, config.block_beta)
+
+
+def run_experiment(config: ExperimentConfig, threads: int | None = 1) -> ExperimentReport:
+    """Shape checks, gates, the bandwidth per n, then the body for config.kind."""
+    validate_shape(config)
+    gates = enforce_gates(config)
+    h_list = [bandwidth_at(config.schedule, n) for n in config.n_list]
     return ExperimentReport(
         kind=config.kind,
         config=config_to_dict(config),
         gates=[g.as_dict() for g in gates],
-        rows=rows,
-        summary=summary,
-        slope=None,
-        theorem_prediction=None,
-        verdict=verdict,
-        notes=notes,
+        **_KIND_TABLE[config.kind].run(config, h_list, threads),
     )
-
-
-_RUNNERS = {
-    "clt_density": run_clt_experiment,
-    "clt_cdf_centered": run_clt_experiment,
-    "clt_cdf_true": run_clt_experiment,
-    "rate_sup_lp": run_rate_experiment,
-    "rate_integral_lp": run_rate_experiment,
-    "uniform_as": run_uniform_as_experiment,
-    "bias": run_bias_experiment,
-    "moment_bound": run_moment_bound_experiment,
-}
-
-
-def run_experiment(config: ExperimentConfig, threads: int | None = 1) -> ExperimentReport:
-    """Dispatch to the runner for config.kind."""
-    return _RUNNERS[config.kind](config, threads=threads)

@@ -1,11 +1,14 @@
 """Command line behavior: artifacts, exit codes, config parsing."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mixkde
 from mixkde import __version__
 from mixkde.cli import main
 
@@ -208,6 +211,20 @@ def test_missing_config_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_degenerate_block_levels_exit_1(tmp_path, capsys, command):
+    # level k=1 holds no big/small pair with p > q, so no run can use it
+    cfg = _write(tmp_path, PASSING_RUN.replace("run.n_list = 6, 7, 8", "run.n_list = 1, 2, 3")
+                 .replace("run.p = 2", "run.p = 4"))
+    out = tmp_path / "out"
+    argv = [command, str(cfg)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: degenerate blocks at k=1")
+    assert "PASS" not in captured.out and "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_partition_subcommand(tmp_path, capsys):
     out = tmp_path / "part.csv"
     code = main(["partition", "--k", "4", "--alpha", "0.5", "--beta", "0.25", "--out", str(out)])
@@ -244,10 +261,14 @@ def test_version_flag():
 
 
 def test_installed_entry_point():
+    # the fresh interpreter must import the mixkde under test, installed or not
+    package_root = str(Path(mixkde.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "mixkde.cli", "--version"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"mixkde {__version__}"

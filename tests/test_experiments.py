@@ -284,6 +284,31 @@ def test_clt_run_shape_and_determinism():
     assert rep1.config["base_seed"] == 7
 
 
+TINY_RUNS = {
+    "clt_density": dict(n_list=(96,), replicates=100),
+    "clt_cdf_centered": dict(n_list=(96,), replicates=100),
+    "clt_cdf_true": dict(n_list=(96,), replicates=100),
+    "rate_sup_lp": dict(n_list=(64, 128, 256), replicates=5),
+    "rate_integral_lp": dict(n_list=(64, 128, 256), replicates=5, grid=Grid(-2.0, 2.0, 41)),
+    "uniform_as": dict(n_list=(64, 128, 256), replicates=5, grid=Grid(-2.0, 2.0, 41)),
+    "bias": dict(n_list=(64, 128, 256), replicates=1),
+    "moment_bound": dict(n_list=(4, 5, 6), replicates=20),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TINY_RUNS))
+def test_every_kind_is_byte_identical_across_thread_counts(kind):
+    cfg = _config(
+        kind=kind,
+        model=ProcessModel(family="ar1", phi=0.25),
+        kernel=EPAN,
+        schedule=BandwidthSchedule(c=1.0, delta=0.6),
+        eval_points=(-0.5, 0.0, 0.7),
+        **TINY_RUNS[kind],
+    )
+    assert run_experiment(cfg, threads=1).to_json() == run_experiment(cfg, threads=2).to_json()
+
+
 def test_replicate_paths_keyed_by_derived_seed():
     cfg = _config()
     rep = run_experiment(cfg)
