@@ -1,6 +1,6 @@
 """Kernel density and distribution estimation for dependent Gaussian data.
 
-The package pairs exact estimators (finite kernel sums, quadrature
+The package pairs exact estimators (finite kernel sums, exact
 expectations) with a deterministic simulation harness that checks
 distributional limits, convergence rates, almost-sure uniform bounds, and
 block-moment inequalities for iid, AR(1), and moving-average sequences.

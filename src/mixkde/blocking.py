@@ -18,6 +18,8 @@ from .processes import ProcessModel, SamplePath, conditional_mean, generate_path
 from .util import clamped_log, derive_seed
 
 _BRACKET_SCAN_MAX = 64
+# The largest level accepted: a 2^21-value path and fewer than 2^19 blocks.
+MAX_LEVEL = 20
 
 
 def _dyadic_floor(exponent: float) -> int:
@@ -87,14 +89,17 @@ def bracket_threshold(alpha: float, beta: float) -> int:
 def _checked_level(k: int, alpha: float, beta: float) -> tuple[int, int, int]:
     """(p_k, q_k, r_k) of a level that holds a usable partition.
 
-    Rejects parameter order violations, levels too small to hold one
-    big/small pair, and degenerate levels where the big block is not longer
-    than the small one (at k = 1 every admissible (alpha, beta) collapses to
-    p = q = 1, which leaves nothing to distinguish the two roles).
+    Rejects parameter order violations, levels above MAX_LEVEL, levels too
+    small to hold one big/small pair, and degenerate levels where the big
+    block is not longer than the small one (at k = 1 every admissible
+    (alpha, beta) collapses to p = q = 1, which leaves nothing to distinguish
+    the two roles).
     """
     _check_block_params(alpha, beta)
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"level k must be an integer >= 1, got {k!r}")
+    if k > MAX_LEVEL:
+        raise ValueError(f"level k={k} is above the largest level {MAX_LEVEL}")
     p, q, r = _level_sizes(k, alpha, beta)
     if p + q > 2**k:
         raise ValueError(

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .bandwidth import BandwidthSchedule
-from .blocking import build_partition, partition_to_csv
+from .blocking import MAX_LEVEL, build_partition, partition_to_csv
 from .estimator import Grid
 from .experiments import (
     _KIND_TABLE,
@@ -323,6 +323,9 @@ def cmd_validate(config_path) -> int:
 
 
 def cmd_partition(k: int, alpha: float, beta: float, out_path) -> int:
+    if k > MAX_LEVEL:
+        print(f"error: level k={k} is above the largest level {MAX_LEVEL}", file=sys.stderr)
+        return 1
     try:
         partition = build_partition(k, alpha, beta)
     except ValueError as exc:
@@ -367,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("config", help="experiment config file")
 
     p_part = sub.add_parser("partition", help="write one dyadic block partition as CSV")
-    p_part.add_argument("--k", type=int, required=True, help="dyadic level")
+    p_part.add_argument("--k", type=int, required=True, help=f"dyadic level, at most {MAX_LEVEL}")
     p_part.add_argument("--alpha", type=float, required=True, help="big-block exponent")
     p_part.add_argument("--beta", type=float, required=True, help="small-block exponent")
     p_part.add_argument("--out", required=True, help="output CSV path")

@@ -466,14 +466,14 @@ def _run_clt(config: ExperimentConfig, h_list, threads, *, cdf: bool, centered: 
     if cdf:
         fx = marginal_cdf(model, xs_eval)
         if centered:
-            centers = np.array([expected_cdf(model, kernel, h, x) for x in xs_eval])
+            centers = expected_cdf(model, kernel, h, xs_eval)
         else:
             centers = fx
         long_run = np.array([indicator_long_run_variance(model, x) for x in xs_eval])
         denom = np.sqrt(long_run)
         scale = math.sqrt(n)
     else:
-        centers = np.array([expected_density(model, kernel, h, x) for x in xs_eval])
+        centers = expected_density(model, kernel, h, xs_eval)
         denom = np.sqrt(kernel.l2_norm_sq * marginal_density(model, xs_eval))
         scale = math.sqrt(n * h)
 
@@ -539,14 +539,7 @@ def _run_rate(config: ExperimentConfig, h_list, threads, *, sup: bool) -> dict:
     p = float(config.p)
     n_list = config.n_list
 
-    if sup:
-        centers = [
-            np.array([expected_density(model, kernel, h, x) for x in xs_eval]) for h in h_list
-        ]
-    else:
-        centers = [
-            expected_density_curve(model, kernel, h, config.grid).values for h in h_list
-        ]
+    centers = [expected_density(model, kernel, h, xs_eval) for h in h_list]
 
     def reduce(j: int, xs: np.ndarray):
         n, h = n_list[j], h_list[j]
@@ -696,13 +689,13 @@ def _run_uniform(config: ExperimentConfig, h_list, threads) -> dict:
 def _run_bias(config: ExperimentConfig, h_list, threads) -> dict:
     """Deterministic scan of the smoothing bias against its first-order bound.
 
-    For every (n, x) pair the exact bias E f_n(x) - f(x) is computed by
-    quadrature and checked against h * sup|f'| * integral|u K(u)|du. The
+    For every (n, x) pair the exact bias E f_n(x) - f(x) comes from the
+    oracle and is checked against h * sup|f'| * integral|u K(u)|du. The
     verdict additionally requires the fitted slope of log|bias| against
     log h to be at least 0.9 at every evaluation point (second-order kernels
     give about 2).
     """
-    del threads  # the scan is quadrature only; nothing to parallelize
+    del threads  # the scan is one oracle call per bandwidth; nothing to parallelize
     xs_eval = np.asarray(config.eval_points, dtype=float)
     model, kernel = config.model, config.kernel
     n_list = config.n_list
@@ -711,13 +704,12 @@ def _run_bias(config: ExperimentConfig, h_list, threads) -> dict:
     rows = []
     for n, h in zip(n_list, h_list):
         bound = h * bound_coef
-        for x in xs_eval:
-            b = bias(model, kernel, h, float(x))
+        for x, b in zip(xs_eval.tolist(), bias(model, kernel, h, xs_eval).tolist()):
             rows.append(
                 {
                     "n": n,
                     "h": h,
-                    "x": float(x),
+                    "x": x,
                     "bias": b,
                     "abs_bias": abs(b),
                     "bound": bound,

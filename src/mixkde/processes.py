@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.signal import lfilter
 from scipy.special import ndtr, ndtri
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -109,6 +108,7 @@ def generate_path(model: ProcessModel, n: int, seed: int) -> SamplePath:
     if model.family == "iid":
         values = model.innovation_sd * _standard_normals(seed, n)
     elif model.family == "ar1":
+        from scipy.signal import lfilter  # loaded on first use: it dominates import time
         z = _standard_normals(seed, n)
         e = model.innovation_sd * z
         # Exact stationary start: X_0 gets the marginal sd, the recursion

@@ -225,6 +225,26 @@ def test_degenerate_block_levels_exit_1(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k", [1024, 2048])
+@pytest.mark.parametrize("command", ["validate", "run", "partition"])
+def test_block_levels_above_the_largest_exit_1(tmp_path, capsys, command, k):
+    # a sample size typed as a level: 1024 would build about 2^512 blocks, and
+    # from 2048 on 2^(alpha k) overflows a float
+    out = tmp_path / "out"
+    if command == "partition":
+        argv = [command, "--k", str(k), "--alpha", "0.5", "--beta", "0.25", "--out", str(out)]
+    else:
+        cfg = _write(tmp_path, PASSING_RUN.replace("run.n_list = 6, 7, 8", f"run.n_list = 6, 7, {k}")
+                     .replace("run.p = 2", "run.p = 4"))
+        argv = [command, str(cfg)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert f"level k={k} is above the largest level 20" in captured.err
+    assert "PASS" not in captured.out and "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_partition_subcommand(tmp_path, capsys):
     out = tmp_path / "part.csv"
     code = main(["partition", "--k", "4", "--alpha", "0.5", "--beta", "0.25", "--out", str(out)])
@@ -260,15 +280,30 @@ def test_version_flag():
     assert exc.value.code == 0
 
 
-def test_installed_entry_point():
+def _fresh_python(*args) -> subprocess.CompletedProcess:
     # the fresh interpreter must import the mixkde under test, installed or not
     package_root = str(Path(mixkde.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "mixkde.cli", "--version"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_installed_entry_point():
+    proc = _fresh_python("-m", "mixkde.cli", "--version")
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"mixkde {__version__}"
+
+
+def test_cli_import_leaves_out_heavy_scipy_modules():
+    # scipy.signal (for AR(1) paths) loads on first use; scipy.integrate not at all
+    proc = _fresh_python(
+        "-c",
+        "import sys, mixkde.cli; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.integrate') if m in sys.modules))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

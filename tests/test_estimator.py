@@ -233,7 +233,7 @@ def test_cdf_estimate_at_matches_curve():
 
 def test_expected_density_gaussian_closed_form():
     # gaussian kernel on a gaussian marginal: E f_n = N(0, s^2 + h^2) density
-    for h in (0.05, 0.3, 1.0):
+    for h in (0.05, 0.3, 1.0, 1e3, 1e4):
         for x in (-1.2, 0.0, 0.7):
             want = norm.pdf(x, scale=math.hypot(1.0, h))
             assert expected_density(IID, GAUSS, h, x) == pytest.approx(want, abs=1e-10)
@@ -265,18 +265,48 @@ def test_expected_density_mc_cross_check():
 
 
 def test_expected_cdf_dual_route():
-    """Compact-form quadrature agrees with the direct E G_K((x - u)/h) integral."""
-    h, x = 0.35, 0.4
-    for kernel in (GAUSS, EPAN):
-        direct, err = quad(
-            lambda u: kernel_cdf(kernel, (x - u) / h) * marginal_density(AR, u),
-            -10 * AR.marginal_sd,
-            10 * AR.marginal_sd,
-            epsabs=1e-12,
-            limit=400,
-        )
-        assert err < 1e-8
-        assert expected_cdf(AR, kernel, h, x) == pytest.approx(direct, abs=1e-9)
+    """The oracle agrees with the direct integrals of K((u - x)/h)/h and
+    G_K((x - u)/h) against f(u); at large h both integrands are smooth in u."""
+    x = 0.4
+    for kernel in FAMILIES.values():
+        for h in (0.35, 1e3, 1e4):
+            edges = [e for e in (x - h, x, x + h) if abs(e) < 10 * AR.marginal_sd]
+            for oracle, integrand in (
+                (expected_density, lambda u: evaluate(kernel, (u - x) / h) / h),
+                (expected_cdf, lambda u: kernel_cdf(kernel, (x - u) / h)),
+            ):
+                direct, err = quad(
+                    lambda u: integrand(u) * marginal_density(AR, u),
+                    -10 * AR.marginal_sd,
+                    10 * AR.marginal_sd,
+                    points=edges or None,
+                    epsabs=1e-12,
+                    limit=400,
+                )
+                assert err < 1e-8
+                assert oracle(AR, kernel, h, x) == pytest.approx(direct, abs=1e-10)
+
+
+def test_oracle_raises_when_its_rules_disagree(monkeypatch):
+    import mixkde.estimator as estimator
+    from numpy.polynomial.legendre import leggauss
+
+    monkeypatch.setattr(estimator, "_RULES", (leggauss(1), leggauss(2)))
+    with pytest.raises(ArithmeticError, match="rules differ"):
+        expected_density(AR, EPAN, 0.35, 0.4)
+    with pytest.raises(ArithmeticError, match="rules differ"):
+        expected_cdf(AR, EPAN, 0.35, 0.4)
+
+
+def test_oracle_takes_arrays():
+    pts = np.array([[-1.5, 0.0], [0.4, 2.2]])
+    for kernel in FAMILIES.values():
+        for oracle in (expected_density, expected_cdf):
+            got = oracle(AR, kernel, 0.3, pts)
+            assert got.shape == pts.shape
+            want = [[oracle(AR, kernel, 0.3, float(x)) for x in row] for row in pts]
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+            assert isinstance(oracle(AR, kernel, 0.3, 0.4), float)
 
 
 def test_expected_cdf_small_h_limit():
