@@ -1,9 +1,9 @@
 """Command line front end: run experiments, validate configs, dump partitions.
 
 Exit codes: 0 on success (and a passing verdict for `run`), 1 for I/O, usage,
-or config parse problems, 2 when an admissibility gate or partition
-precondition rejects the request, 3 when the experiment ran but its verdict
-failed.
+or config parse problems and for an oracle that fails its accuracy check, 2
+when an admissibility gate or partition precondition rejects the request, 3
+when the experiment ran but its verdict failed.
 
 Config files are flat `key = value` lines with dotted key prefixes; `#`
 starts a comment. run.base_seed is required so no run is ever silently
@@ -282,6 +282,9 @@ def cmd_run(config_path, out_dir, threads: int | None = None) -> int:
     except GateError as exc:
         print(f"gate rejection ({exc.condition}): {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     out = Path(out_dir)
     try:

@@ -245,6 +245,51 @@ def test_block_levels_above_the_largest_exit_1(tmp_path, capsys, command, k):
     assert not out.exists()
 
 
+# A marginal sd of 1e-7 puts densities near 4e6, where the oracle's two
+# Gauss-Legendre rules differ by about 5e-9 from rounding alone.
+TINY_SCALE_RUN = """\
+experiment.kind = clt_density
+model.family = iid
+model.innovation_sd = 1e-7
+kernel.family = epanechnikov
+bandwidth.c = 1e-7
+bandwidth.delta = 0.2
+run.n_list = 500
+run.replicates = 100
+run.eval_points = 0.0
+run.base_seed = 5
+"""
+
+
+def test_tiny_scale_runs_like_unit_scale(tmp_path, capsys):
+    """Scaling the data and the bandwidth by 1e-7 leaves the statistics unchanged."""
+    reports = []
+    for scale in ("1e-7", "1.0"):
+        cfg = _write(tmp_path, TINY_SCALE_RUN.replace("1e-7", scale), name=f"{scale}.cfg")
+        out = tmp_path / scale
+        assert main(["run", str(cfg), "--out", str(out)]) == 3  # the same verdict at both scales
+        assert (out / "manifest.json").is_file()
+        reports.append(json.loads((out / "report.json").read_text()))
+    assert "Traceback" not in capsys.readouterr().err
+    tiny, unit = (report["rows"][0] for report in reports)
+    for key in ("ks", "mean", "variance"):
+        assert tiny[key] == pytest.approx(unit[key], rel=1e-9)
+
+
+def test_oracle_failure_is_an_error_line(tmp_path, capsys, monkeypatch):
+    import mixkde.estimator as estimator
+    from numpy.polynomial.legendre import leggauss
+
+    monkeypatch.setattr(estimator, "_RULES", (leggauss(1), leggauss(2)))
+    cfg = _write(tmp_path, TINY_SCALE_RUN)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Gauss-Legendre rules differ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_partition_subcommand(tmp_path, capsys):
     out = tmp_path / "part.csv"
     code = main(["partition", "--k", "4", "--alpha", "0.5", "--beta", "0.25", "--out", str(out)])

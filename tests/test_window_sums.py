@@ -1,18 +1,21 @@
-"""Compact-kernel window sums against math.fsum of their terms.
+"""Window sums against math.fsum of their terms.
 
 The reference sums the defining terms of each window exactly: the window is
-every X_i with x - h <= X_i <= x + h (bisected the way the estimator does),
-the terms are the kernel's closed forms from mixkde.kernels, and the CDF adds
+every X_i with x - r h <= X_i <= x + r h (bisected the way the estimator
+does), with r = 1 for the compact kernels and r = 8 for the Gaussian; the
+terms are the kernel's closed forms from mixkde.kernels, and the CDF adds
 one for every X_i below the window.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mixkde.estimator as estimator
 from mixkde.estimator import (
     Grid,
     _cdf_window_sums,
@@ -20,27 +23,38 @@ from mixkde.estimator import (
     cdf_estimate,
     density_estimate,
 )
-from mixkde.kernels import evaluate, kernel_cdf, kernel_from_name
-from mixkde.processes import ProcessModel, SamplePath
+from mixkde.kernels import GAUSSIAN, evaluate, kernel_cdf, kernel_from_name
+from mixkde.processes import ProcessModel, SamplePath, generate_path
 
 COMPACT = ("epanechnikov", "triangular", "uniform")
+FAMILIES = COMPACT + ("gaussian",)
 TOL = 1e-9  # in density units (sum / (n h)) or CDF units (sum / n)
 
 
-def _window(xs, h, x):
-    return int(np.searchsorted(xs, x - h, side="left")), int(np.searchsorted(xs, x + h, side="right"))
+def _window(xs, kernel, h, x):
+    r = kernel.effective_radius * h
+    return int(np.searchsorted(xs, x - r, side="left")), int(np.searchsorted(xs, x + r, side="right"))
 
 
 def _fsum_density(xs, kernel, h, x):
-    lo, hi = _window(xs, h, x)
-    # inside the window |u| <= 1 up to rounding; clipping keeps the uniform
+    lo, hi = _window(xs, kernel, h, x)
+    # inside the window |u| <= r up to rounding; clipping keeps the uniform
     # kernel's closed edge
-    return math.fsum(evaluate(kernel, np.clip((xs[lo:hi] - x) / h, -1.0, 1.0)))
+    r = kernel.effective_radius
+    return math.fsum(evaluate(kernel, np.clip((xs[lo:hi] - x) / h, -r, r)))
 
 
 def _fsum_cdf(xs, kernel, h, x):
-    lo, hi = _window(xs, h, x)
+    lo, hi = _window(xs, kernel, h, x)
     return lo + math.fsum(kernel_cdf(kernel, (x - xs[lo:hi]) / h))
+
+
+def _count_hermite_calls(monkeypatch):
+    """Record the form of every call to the Hermite path."""
+    calls = []
+    hermite = estimator._hermite_sums
+    monkeypatch.setattr(estimator, "_hermite_sums", lambda *args: calls.append(args[3]) or hermite(*args))
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -48,18 +62,20 @@ def normals():
     return np.random.default_rng(20260814).standard_normal(2**20)
 
 
-@pytest.mark.parametrize("family", COMPACT)
+@pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("form", ["density", "cdf"])
-def test_large_n_small_h_matches_fsum(normals, family, form):
+def test_large_n_small_h_matches_fsum(normals, family, form, monkeypatch):
     """n = 2^20 with h = n^-delta down to delta = 0.9, on shifted data too.
 
     Prefix sums of raw X, X^2 over the whole sample lose about n eps |X|^2 / h^2
     to rounding; at delta = 0.9, or with the data moved to 1e3, that is larger
-    than the density itself.
+    than the density itself. The Gaussian takes the Hermite path at
+    delta = 0.3 and the direct path below.
     """
     kernel = kernel_from_name(family)
     n = normals.size
     sampled = range(0, 1601, 40)
+    calls = _count_hermite_calls(monkeypatch)
     for shift in (0.0, 10.0, 1e3):
         path = SamplePath(values=normals + shift, model=ProcessModel(family="iid"), seed=0)
         xs = np.sort(path.values)
@@ -75,6 +91,7 @@ def test_large_n_small_h_matches_fsum(normals, family, form):
                 want = [min(1.0, _fsum_cdf(xs, kernel, h, pts[i]) / n) for i in sampled]
             err = max(abs(got[i] - w) for i, w in zip(sampled, want))
             assert err <= TOL, f"shift {shift}, delta {delta}: error {err:.3g} against fsum"
+    assert len(calls) == (3 if family == "gaussian" else 0)
 
 
 @given(
@@ -87,9 +104,14 @@ def test_large_n_small_h_matches_fsum(normals, family, form):
 )
 @settings(max_examples=60, deadline=None)
 @example(n=300, m=5, seed=2, shift=0.0, log_h=math.log10(0.4), ties=False)  # direct
-@example(n=500, m=2000, seed=3, shift=1e3, log_h=-0.5, ties=True)  # prefix sums
+@example(n=500, m=2000, seed=3, shift=1e3, log_h=-0.5, ties=True)  # prefix sums, Hermite
+@example(n=2000, m=2000, seed=4, shift=-1e3, log_h=-3.0, ties=True)  # Hermite, sparse buckets
 def test_window_sums_match_fsum_on_both_paths(n, m, seed, shift, log_h, ties):
-    """Few or many points, small or large h: whichever path the engine takes."""
+    """Few or many points, small or large h: whichever path the engine takes.
+
+    The Gaussian's windows hold up to m n terms here, so it takes the
+    Hermite path (above 20 n) as well as the direct one.
+    """
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(n)
     if ties:  # values and points on one lattice put data on window edges
@@ -100,7 +122,7 @@ def test_window_sums_match_fsum_on_both_paths(n, m, seed, shift, log_h, ties):
     if ties:
         pts = np.round(pts - shift, 1) + shift
     sampled = rng.choice(m, size=min(m, 25), replace=False)
-    for family in COMPACT:
+    for family in FAMILIES:
         kernel = kernel_from_name(family)
         dens = _kernel_window_sums(xs, kernel, h, pts)
         cdf = _cdf_window_sums(xs, kernel, h, pts)
@@ -108,3 +130,56 @@ def test_window_sums_match_fsum_on_both_paths(n, m, seed, shift, log_h, ties):
             x = float(pts[j])
             assert abs(dens[j] - _fsum_density(xs, kernel, h, x)) / (n * h) <= TOL
             assert abs(cdf[j] - _fsum_cdf(xs, kernel, h, x)) / n <= TOL
+
+
+def test_hermite_moments_only_for_reached_buckets(normals, monkeypatch):
+    """n = 2^20 at h = n^-0.9: half the data spread thin, half in a cluster.
+
+    The spread half fills about 400k buckets h wide. A grid over the cluster
+    holds about 40 n terms, so it takes the Hermite path, but reaches only
+    about 540 buckets: the moment table must hold those columns, not one per
+    value (20 n doubles, 168 MB) or one per bucket (65 MB).
+    """
+    n = normals.size
+    h = n**-0.9
+    xs = np.sort(np.concatenate((normals[: n // 2] * 1e-3, normals[n // 2 :])))
+    pts = np.linspace(-1e-3, 1e-3, 4001)
+    calls = _count_hermite_calls(monkeypatch)
+    budget = 20 * n * 8 // 4
+    for form, sums, fsum in (("density", _kernel_window_sums, _fsum_density),
+                             ("cdf", _cdf_window_sums, _fsum_cdf)):
+        tracemalloc.start()
+        try:
+            got = sums(xs, GAUSSIAN, h, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls[-1] == form
+        assert peak < budget, f"{form}: peak {peak / 1e6:.1f} MB"
+        scale = n * h if form == "density" else n
+        for i in range(0, pts.size, 400):
+            assert abs(got[i] - fsum(xs, GAUSSIAN, h, pts[i])) / scale <= TOL
+
+
+def test_few_point_gaussian_sums_take_the_direct_path(monkeypatch):
+    """Three points at n = 10^4 (the Monte Carlo CLT shape) stay on direct slices.
+
+    Their windows hold about 1.85 n terms, below the Hermite crossover of
+    20 n, so the sums are slices of the data evaluated term by term.
+    """
+    n = 10**4
+    h = n**-0.2
+    xs = np.sort(generate_path(ProcessModel(family="ar1", phi=0.5), n, 20260814).values)
+    pts = np.array([-1.0, 0.0, 1.0])
+
+    def hermite(*args):
+        raise AssertionError("three-point Gaussian sums took the Hermite path")
+
+    monkeypatch.setattr(estimator, "_hermite_sums", hermite)
+    dens = _kernel_window_sums(xs, GAUSSIAN, h, pts)
+    cdf = _cdf_window_sums(xs, GAUSSIAN, h, pts)
+    for j, x in enumerate(pts):
+        lo, hi = _window(xs, GAUSSIAN, h, x)
+        u = (xs[lo:hi] - x) / h
+        assert dens[j] == pytest.approx(np.sum(evaluate(GAUSSIAN, u)), rel=1e-15, abs=0.0)
+        assert cdf[j] == pytest.approx(lo + np.sum(kernel_cdf(GAUSSIAN, -u)), rel=1e-15, abs=0.0)
