@@ -51,6 +51,7 @@ from .processes import (
     marginal_density,
     marginal_density_derivative_sup,
     mixing_tail_bound,
+    plackett_lags,
     rho_mixing_coefficient,
 )
 from .util import derive_seed, dumps_json
@@ -812,6 +813,7 @@ class _Kind:
     least_sizes: int = 1
     least_replicates: int = 1
     levels: bool = False  # n_list holds dyadic block levels, not sample sizes
+    long_run: bool = False  # standardized by indicator_long_run_variance
 
 
 # the named conditions of the bandwidth, the marginal and the kernel
@@ -832,11 +834,13 @@ _KIND_TABLE: dict[str, _Kind] = {
     "clt_cdf_centered": _Kind(
         gates=(_B1, _C2, _K_SYMMETRIC, _cdf_interior_gate, _mixing_gate),
         run=partial(_run_clt, cdf=True),
+        long_run=True,
         **_CLT_SHAPE,
     ),
     "clt_cdf_true": _Kind(
         gates=(_B3, _C3, _K_SYMMETRIC, _compact_support_gate, _cdf_interior_gate, _mixing_gate),
         run=partial(_run_clt, cdf=True, centered=False),
+        long_run=True,
         **_CLT_SHAPE,
     ),
     "rate_sup_lp": _Kind(
@@ -882,7 +886,8 @@ def validate_shape(config: ExperimentConfig) -> None:
 
     Raises ValueError for configs that are syntactically fine but cannot be
     run (missing evaluation points, too few sample sizes for a slope, block
-    levels that hold no usable partition); gate checks are separate and
+    levels that hold no usable partition, an AR(1) phi too close to 1 for the
+    long-run variance of a distribution kind); gate checks are separate and
     report named conditions instead.
     """
     spec = _KIND_TABLE[config.kind]
@@ -896,6 +901,8 @@ def validate_shape(config: ExperimentConfig) -> None:
     if spec.levels:
         for k in config.n_list:
             _checked_level(k, config.block_alpha, config.block_beta)
+    if spec.long_run and config.model.family == "ar1":
+        plackett_lags(config.model.phi)
 
 
 def run_experiment(config: ExperimentConfig, threads: int | None = 1) -> ExperimentReport:

@@ -7,7 +7,11 @@ is available in closed form (for the moving average, the figure exposed for
 lags inside the window is the largest absolute cross-correlation over the
 gap; beyond the window it is exactly zero). The signed autocorrelations
 also give the exact long-run variance of the indicator series 1{X_t <= x},
-the scale of the distribution-function CLT under dependence.
+the scale of the distribution-function CLT under dependence: Plackett
+integrals for the moving-average lags and for the AR(1) lags with
+|phi|^k > 1/2, at most 2^20 of them (|phi| < 1 - 6.61e-7), and for the
+later AR(1) lags Mehler's tetrachoric series, summed over the lags in closed
+form and truncated once Cramer's bound on the rest is below 1e-17 F(1-F).
 """
 
 from __future__ import annotations
@@ -217,8 +221,12 @@ def mixing_tail_bound(model: ProcessModel, power: float = 1.0) -> dict:
 # analytic on [0, arcsin rho]; 128 nodes hold the error near 1e-15 even at
 # rho = -(1 - 1e-6), where exp(-z^2/(1 + sin t)) falls off steeply at the end.
 _PLACKETT_NODES, _PLACKETT_WEIGHTS = leggauss(128)
-_LRV_TAIL_TOL = 1e-15
 _LRV_LAG_CHUNK = 4096
+# Plackett integrals cover the lags with |phi|^k > 1/2, at most 2^20 of them,
+# which admits |phi| < 1 - 6.61e-7; a Mehler series covers the rest.
+MAX_PLACKETT_LAGS = 2**20
+# relative truncation error of the Mehler series, against F(1-F)
+_MEHLER_TOL = 1e-17
 
 
 def _plackett_covariances(z: float, rho: np.ndarray) -> np.ndarray:
@@ -233,6 +241,58 @@ def _plackett_covariances(z: float, rho: np.ndarray) -> np.ndarray:
     return half * vals / (2.0 * math.pi)
 
 
+def plackett_lags(phi: float) -> int:
+    """L = floor(ln 2 / -ln|phi|), the AR(1) lags whose covariance is integrated.
+
+    Every later lag has |phi|^k <= 1/2. Raises ValueError when L exceeds
+    MAX_PLACKETT_LAGS, that is for |phi| from about 1 - 6.61e-7 on.
+    """
+    a = abs(phi)
+    if a == 0.0:
+        return 0
+    lags = math.floor(math.log(2.0) / -math.log(a))
+    while a ** (lags + 1) > 0.5:  # guard the rounding of the logs
+        lags += 1
+    if lags > MAX_PLACKETT_LAGS:
+        raise ValueError(
+            f"AR(1) phi={phi!r} needs {lags} Plackett lags for the long-run variance of the "
+            f"indicator series, above the cap of {MAX_PLACKETT_LAGS}: |phi| must stay below "
+            "1 - 6.61e-7"
+        )
+    return lags
+
+
+def _mehler_far_sum(z: float, phi: float, lags: int) -> float:
+    """sum_{k > lags} [Phi_2(z, z; phi^k) - Phi(z)^2] by Mehler's expansion.
+
+    Phi_2(z, z; rho) - Phi(z)^2 = phi(z)^2 sum_{j>=1} h_{j-1}(z)^2 rho^j / j,
+    with h_n = He_n / sqrt(n!), and the geometric sum over the lags gives
+    each j the factor q^(lags+1) / (1 - q), q = phi^j, with |q|^(lags+1) <=
+    2^-j. Cramer's bound |h_n(z)| <= 1.087 e^(z^2/4) puts twice the terms
+    after the J-th below 1.19 e^(-z^2/2) 2^-J / (pi (J+1) (1 - |phi|)); the
+    series stops once that is below _MEHLER_TOL * F(1-F), with F(1-F) taken
+    as Phi(-|z|) / 2, its lower bound, which stays positive where 1 - F
+    rounds to 0. The caller skips the series where phi(z)^2 underflows
+    (|z| > 27.3): the far lags then add less than F(1-F) e^-120.
+    """
+    log_a = math.log(abs(phi))
+    # stop once 2^J (J+1) exceeds this
+    limit = 2.38 * math.exp(-0.5 * z * z) / (
+        math.pi * (1.0 - abs(phi)) * _MEHLER_TOL * float(ndtr(-abs(z))))
+    prev, cur = 0.0, 1.0  # h_{j-2}(z), h_{j-1}(z)
+    total = 0.0
+    j = 1
+    while True:
+        q = phi**j
+        # 1 - q by expm1, so that q near 1 keeps its relative accuracy
+        one_minus_q = -math.expm1(j * log_a) if q > 0.0 else 1.0 - q
+        total += cur * cur / j * phi ** (j * (lags + 1)) / one_minus_q
+        if 2.0**j * (j + 1) > limit:
+            return math.exp(-z * z) / (2.0 * math.pi) * total
+        prev, cur = cur, (z * cur - math.sqrt(j - 1) * prev) / math.sqrt(j)
+        j += 1
+
+
 def indicator_long_run_variance(model: ProcessModel, x: float) -> float:
     """Long-run variance of the indicator series 1{X_t <= x}.
 
@@ -240,10 +300,14 @@ def indicator_long_run_variance(model: ProcessModel, x: float) -> float:
     z = x / marginal_sd and rho_k the signed lag-k autocorrelation (phi^k for
     AR(1), sum_j w_j w_{j+k} / sum_j w_j^2 for a moving average). It is the
     variance in the CLT for sqrt(n)(F_n(x) - F(x)) under summable rho-mixing
-    (Bosq 1998). Each covariance is computed by Plackett's identity with a
-    fixed Gauss-Legendre rule. Moving-average sums are finite. The AR(1) sum
-    stops once the bound |cov_k| <= arcsin|rho_k| / (2 pi) <= |phi|^k / 4
-    puts the omitted tail below 1e-15. iid models return F(1-F) exactly.
+    (Bosq 1998). Moving-average sums are finite, each covariance computed by
+    Plackett's identity with a fixed Gauss-Legendre rule. For AR(1), the
+    plackett_lags(phi) lags with |phi|^k > 1/2 are integrated the same way;
+    the lags beyond add up in closed form in each term of Mehler's
+    tetrachoric series (_mehler_far_sum), truncated with a stated bound below
+    1e-17 F(1-F). The work is O(1 / (1 - |phi|)). plackett_lags raises
+    ValueError for |phi| from about 1 - 6.61e-7 on, where the integrals would
+    pass 2^20 lags. iid models and phi = 0 return F(1-F) exactly.
     """
     fx = marginal_cdf(model, float(x))
     marginal = fx * (1.0 - fx)
@@ -254,16 +318,16 @@ def indicator_long_run_variance(model: ProcessModel, x: float) -> float:
         w = np.asarray(model.weights, dtype=float)
         rho = np.array([float(w[: w.size - k] @ w[k:]) for k in range(1, w.size)]) / float(w @ w)
         return marginal + 2.0 * float(np.sum(_plackett_covariances(z, rho)))
-    # smallest K with tail sum_{k>K} |phi|^k / 4 = |phi|^(K+1) / (4 (1 - |phi|)) < tol
-    a = abs(model.phi)
-    lags = 0
-    if a > 0.0:
-        lags = max(0, math.ceil(math.log(4.0 * _LRV_TAIL_TOL * (1.0 - a)) / math.log(a)))
+    if model.phi == 0.0:
+        return marginal
+    lags = plackett_lags(model.phi)
     total = 0.0
-    # lags go in chunks so that phi near 1 (tens of thousands of lags) stays small in memory
+    # lags go in chunks so that phi near 1 (up to 2^20 lags) stays small in memory
     for start in range(1, lags + 1, _LRV_LAG_CHUNK):
         k = np.arange(start, min(start + _LRV_LAG_CHUNK, lags + 1))
         total += float(np.sum(_plackett_covariances(z, model.phi**k)))
+    if math.exp(-z * z) > 0.0:
+        total += _mehler_far_sum(z, model.phi, lags)
     return marginal + 2.0 * total
 
 

@@ -245,6 +245,38 @@ def test_block_levels_above_the_largest_exit_1(tmp_path, capsys, command, k):
     assert not out.exists()
 
 
+# The rho-summable gate admits this phi, but the long-run variance would need
+# about 6.9e8 Plackett lags, above the cap of 2^20.
+NEAR_UNIT_CDF_RUN = """\
+experiment.kind = clt_cdf_centered
+model.family = ar1
+model.phi = 0.999999999
+kernel.family = epanechnikov
+bandwidth.delta = 0.3
+run.n_list = 1000
+run.replicates = 100
+run.eval_points = 0.5
+run.base_seed = 8
+"""
+
+
+@pytest.mark.parametrize("kind", ["clt_cdf_centered", "clt_cdf_true"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_phi_beyond_the_plackett_lag_cap_exits_1(tmp_path, capsys, command, kind):
+    text = NEAR_UNIT_CDF_RUN.replace("clt_cdf_centered", kind)
+    if kind == "clt_cdf_true":
+        text = text.replace("bandwidth.delta = 0.3", "bandwidth.delta = 0.6")
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "out"
+    argv = [command, str(cfg)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: AR(1) phi=0.999999999 needs ")
+    assert "above the cap of 1048576" in captured.err
+    assert "PASS" not in captured.out and "Traceback" not in captured.err
+    assert not out.exists()
+
+
 # A marginal sd of 1e-7 puts densities near 4e6, where the oracle's two
 # Gauss-Legendre rules differ by about 5e-9 from rounding alone.
 TINY_SCALE_RUN = """\

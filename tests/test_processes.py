@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
+from mixkde import processes
 from mixkde.processes import (
+    MAX_PLACKETT_LAGS,
     ProcessModel,
     conditional_mean,
     generate_path,
@@ -15,6 +18,7 @@ from mixkde.processes import (
     marginal_density,
     marginal_density_derivative_sup,
     mixing_tail_bound,
+    plackett_lags,
     rho_decay,
     rho_mixing_coefficient,
 )
@@ -212,13 +216,78 @@ def test_indicator_long_run_variance_iid_is_marginal_variance():
 
 def test_indicator_long_run_variance_at_the_median_is_an_arcsine_series():
     """At x = 0, Phi_2(0, 0; rho) - 1/4 = arcsin(rho) / (2 pi) exactly (Sheppard)."""
-    for phi, lags in ((0.5, 80), (-0.7, 120), (0.999, 60_000)):
+    for phi, lags in ((0.5, 80), (-0.7, 120), (0.99, 6000), (0.999, 60_000), (-0.999, 60_000)):
         model = ProcessModel(family="ar1", phi=phi)
         series = 0.25 + math.fsum(math.asin(phi**k) for k in range(1, lags)) / math.pi
         assert indicator_long_run_variance(model, 0.0) == pytest.approx(series, rel=1e-12)
     w = np.asarray(MA_ONE.weights)
     series = 0.25 + math.asin(float(w[0] * w[1]) / float(w @ w)) / math.pi
     assert indicator_long_run_variance(MA_ONE, 0.0) == pytest.approx(series, rel=1e-13)
+
+
+_GL_NODES, _GL_WEIGHTS = leggauss(128)
+
+
+def _lag_by_lag_long_run_variance(model: ProcessModel, x: float) -> float:
+    """The AR(1) sum one Plackett integral per lag, until |phi|^k / 4 < 1e-15 bounds the rest."""
+    z = x / model.marginal_sd
+    a = abs(model.phi)
+    lags = math.ceil(math.log(4e-15 * (1.0 - a)) / math.log(a))
+    rho = model.phi ** np.arange(1, lags + 1)
+    half = 0.5 * np.arcsin(rho)
+    t = half[:, None] * (_GL_NODES[None, :] + 1.0)
+    cov = half * (np.exp(-z * z / (1.0 + np.sin(t))) @ _GL_WEIGHTS) / (2.0 * math.pi)
+    f = marginal_cdf(model, x)
+    return f * (1.0 - f) + 2.0 * math.fsum(cov)
+
+
+def test_indicator_long_run_variance_matches_the_lag_by_lag_plackett_sum():
+    """The far lags by Mehler's series agree with integrating every lag."""
+    for phi in (0.9, 0.99, -0.95):
+        model = ProcessModel(family="ar1", phi=phi)
+        for x in (0.3, 1.7, -2.5):
+            assert indicator_long_run_variance(model, x) == pytest.approx(
+                _lag_by_lag_long_run_variance(model, x), rel=1e-13
+            )
+
+
+def test_indicator_long_run_variance_stays_finite_far_out():
+    """Where phi(z)^2 underflows the series is skipped; nothing hangs or turns NaN."""
+    for phi in (0.5, 0.99, -0.95):
+        model = ProcessModel(family="ar1", phi=phi)
+        for z in (30.0, -30.0, 40.0, -40.0, 1e3):
+            x = z * model.marginal_sd
+            value = indicator_long_run_variance(model, x)
+            assert math.isfinite(value)
+            assert value == pytest.approx(_lag_by_lag_long_run_variance(model, x), rel=1e-13)
+    # at phi = 0.5 every covariance is below F(1-F) * e^-150 there
+    x = -30.0 * AR_HALF.marginal_sd
+    F = marginal_cdf(AR_HALF, x)
+    assert indicator_long_run_variance(AR_HALF, x) == F * (1.0 - F)
+
+
+def test_indicator_long_run_variance_integrates_only_the_near_lags(monkeypatch):
+    seen = []
+    plackett = processes._plackett_covariances
+
+    def counted(z, rho):
+        seen.append(rho.size)
+        return plackett(z, rho)
+
+    monkeypatch.setattr(processes, "_plackett_covariances", counted)
+    indicator_long_run_variance(ProcessModel(family="ar1", phi=0.9999), 0.4)
+    # the lags with 0.9999^k > 1/2; integrating until 0.9999^k / 4 < 1e-15 took 423608
+    assert 0 < sum(seen) <= 6932
+
+
+def test_plackett_lags_are_capped():
+    assert plackett_lags(0.5) == 1 and plackett_lags(-0.99) == 68 and plackett_lags(0.0) == 0
+    assert plackett_lags(1.0 - 6.62e-7) <= MAX_PLACKETT_LAGS
+    for phi in (1.0 - 6.61e-7, -(1.0 - 1e-7), 0.999999999):
+        with pytest.raises(ValueError, match="Plackett lags"):
+            plackett_lags(phi)
+        with pytest.raises(ValueError, match="Plackett lags"):
+            indicator_long_run_variance(ProcessModel(family="ar1", phi=phi), 0.5)
 
 
 def test_indicator_long_run_variance_is_even_in_x():
