@@ -27,9 +27,9 @@ from .util import clamped_log
 SLOWLY_VARYING = ("one", "log", "invlog")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BandwidthSchedule:
-    c: float
+    c: float = 1.0
     delta: float
     slowly_varying: str = "one"
 

@@ -1,9 +1,9 @@
 """Command line front end: run experiments, validate configs, dump partitions.
 
-Exit codes: 0 on success (and a passing verdict for `run`), 1 for I/O, usage,
-or config parse problems and for an oracle that fails its accuracy check, 2
-when an admissibility gate or partition precondition rejects the request, 3
-when the experiment ran but its verdict failed.
+Exit codes: 0 on success (and a passing verdict for `run`); 1 for I/O, usage or
+config problems, an oracle that fails its accuracy check and any other
+ValueError a run meets; 2 when an admissibility gate or partition precondition
+rejects the request; 3 when the experiment ran but its verdict failed.
 
 Config files are flat `key = value` lines with dotted key prefixes; `#`
 starts a comment. run.base_seed is required so no run is ever silently
@@ -17,12 +17,13 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .bandwidth import BandwidthSchedule
 from .blocking import MAX_LEVEL, build_partition, partition_to_csv
-from .estimator import Grid
+from .estimator import DEFAULT_GRID
 from .experiments import (
     _KIND_TABLE,
     ExperimentConfig,
@@ -52,28 +53,6 @@ class _CliUsageError(Exception):
     pass
 
 
-_KNOWN_KEYS = (
-    "experiment.kind",
-    "model.family",
-    "model.phi",
-    "model.weights",
-    "model.innovation_sd",
-    "kernel.family",
-    "bandwidth.c",
-    "bandwidth.delta",
-    "bandwidth.slowly_varying",
-    "grid.lo",
-    "grid.hi",
-    "grid.m",
-    "run.n_list",
-    "run.replicates",
-    "run.eval_points",
-    "run.p",
-    "run.base_seed",
-    "block.alpha",
-    "block.beta",
-)
-
 _REQUIRED_KEYS = (
     "experiment.kind",
     "model.family",
@@ -97,12 +76,16 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
             raise ConfigError(f"{origin}:{lineno}: empty key or value in {raw.strip()!r}")
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{origin}:{lineno}: unknown key {key!r}")
         if key in table:
             raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r}")
         table[key] = value
     return table
+
+
+def _conv_text(key: str, value: str) -> str:
+    return value
 
 
 def _conv_float(key: str, value: str) -> float:
@@ -122,18 +105,39 @@ def _conv_int(key: str, value: str) -> int:
         raise ConfigError(f"key {key!r}: expected an integer, got {value!r}") from None
 
 
-def _conv_float_list(key: str, value: str) -> tuple[float, ...]:
-    items = [item.strip() for item in value.split(",") if item.strip()]
-    if not items:
-        raise ConfigError(f"key {key!r}: expected a comma-separated list, got {value!r}")
-    return tuple(_conv_float(key, item) for item in items)
+def _list_of(convert):
+    def conv(key: str, value: str) -> tuple:
+        items = [item.strip() for item in value.split(",") if item.strip()]
+        if not items:
+            raise ConfigError(f"key {key!r}: expected a comma-separated list, got {value!r}")
+        return tuple(convert(key, item) for item in items)
+    return conv
 
 
-def _conv_int_list(key: str, value: str) -> tuple[int, ...]:
-    items = [item.strip() for item in value.split(",") if item.strip()]
-    if not items:
-        raise ConfigError(f"key {key!r}: expected a comma-separated list, got {value!r}")
-    return tuple(_conv_int(key, item) for item in items)
+# Every config key: the dataclass field it sets and the converter of its text.
+# A key the file leaves out is not passed on, so the field's default applies;
+# a partly given grid is filled from DEFAULT_GRID.
+_KEYS = {
+    "experiment.kind": ("kind", _conv_text),
+    "model.family": ("family", _conv_text),
+    "model.phi": ("phi", _conv_float),
+    "model.weights": ("weights", _list_of(_conv_float)),
+    "model.innovation_sd": ("innovation_sd", _conv_float),
+    "kernel.family": ("kernel", lambda key, value: kernel_from_name(value)),
+    "bandwidth.c": ("c", _conv_float),
+    "bandwidth.delta": ("delta", _conv_float),
+    "bandwidth.slowly_varying": ("slowly_varying", _conv_text),
+    "grid.lo": ("lo", _conv_float),
+    "grid.hi": ("hi", _conv_float),
+    "grid.m": ("m", _conv_int),
+    "run.n_list": ("n_list", _list_of(_conv_int)),
+    "run.replicates": ("replicates", _conv_int),
+    "run.base_seed": ("base_seed", _conv_int),
+    "run.eval_points": ("eval_points", _list_of(_conv_float)),
+    "run.p": ("p", _conv_float),
+    "block.alpha": ("block_alpha", _conv_float),
+    "block.beta": ("block_beta", _conv_float),
+}
 
 
 def build_config(table: dict[str, str]) -> ExperimentConfig:
@@ -142,56 +146,24 @@ def build_config(table: dict[str, str]) -> ExperimentConfig:
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
 
-    family = table["model.family"]
+    def given(*sections: str) -> dict:
+        return {
+            field: convert(key, table[key])
+            for key, (field, convert) in _KEYS.items()
+            if key in table and key.split(".", 1)[0] in sections
+        }
+
     try:
-        model = ProcessModel(
-            family=family,
-            phi=_conv_float("model.phi", table["model.phi"]) if "model.phi" in table else 0.0,
-            weights=(
-                _conv_float_list("model.weights", table["model.weights"])
-                if "model.weights" in table
-                else ()
-            ),
-            innovation_sd=(
-                _conv_float("model.innovation_sd", table["model.innovation_sd"])
-                if "model.innovation_sd" in table
-                else 1.0
-            ),
-        )
-        kernel = kernel_from_name(table["kernel.family"])
-        schedule = BandwidthSchedule(
-            c=_conv_float("bandwidth.c", table.get("bandwidth.c", "1.0")),
-            delta=_conv_float("bandwidth.delta", table["bandwidth.delta"]),
-            slowly_varying=table.get("bandwidth.slowly_varying", "one"),
-        )
-        grid = Grid(
-            lo=_conv_float("grid.lo", table.get("grid.lo", "-2.0")),
-            hi=_conv_float("grid.hi", table.get("grid.hi", "2.0")),
-            m=_conv_int("grid.m", table.get("grid.m", "401")),
-        )
-        config = ExperimentConfig(
-            kind=table["experiment.kind"],
-            model=model,
-            kernel=kernel,
-            schedule=schedule,
-            n_list=_conv_int_list("run.n_list", table["run.n_list"]),
-            replicates=_conv_int("run.replicates", table["run.replicates"]),
-            base_seed=_conv_int("run.base_seed", table["run.base_seed"]),
-            grid=grid,
-            eval_points=(
-                _conv_float_list("run.eval_points", table["run.eval_points"])
-                if "run.eval_points" in table
-                else ()
-            ),
-            p=_conv_float("run.p", table.get("run.p", "2.0")),
-            block_alpha=_conv_float("block.alpha", table.get("block.alpha", "0.5")),
-            block_beta=_conv_float("block.beta", table.get("block.beta", "0.25")),
-        )
+        model = ProcessModel(**given("model"))
+        kernel = given("kernel")
+        schedule = BandwidthSchedule(**given("bandwidth"))
+        grid = replace(DEFAULT_GRID, **given("grid"))
+        rest = given("experiment", "run", "block")
+        return ExperimentConfig(model=model, schedule=schedule, grid=grid, **kernel, **rest)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return config
 
 
 def parse_config_file(path) -> ExperimentConfig:
@@ -282,7 +254,7 @@ def cmd_run(config_path, out_dir, threads: int | None = None) -> int:
     except GateError as exc:
         print(f"gate rejection ({exc.condition}): {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

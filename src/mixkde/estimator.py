@@ -78,7 +78,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr
 
-from .kernels import KernelSpec, evaluate
+from .kernels import KernelSpec, evaluate, horner
 from .processes import (
     ProcessModel,
     SamplePath,
@@ -199,7 +199,7 @@ def _window_sums(xs: np.ndarray, kernel: KernelSpec, h: float, pts: np.ndarray, 
     else:
         edges = [kernel.pieces[0].lo] + [piece.hi for piece in kernel.pieces]
         coefs = [getattr(piece, form) for piece in kernel.pieces]
-        terms = [partial(_horner, coef) for coef in coefs]
+        terms = [partial(horner, coef) for coef in coefs]
         per_value = _DIRECT_TERMS_PER_VALUE
     # piece p holds the X_i with edges[p] <= u < edges[p + 1]; the last one is closed
     bounds = np.array([
@@ -211,14 +211,6 @@ def _window_sums(xs: np.ndarray, kernel: KernelSpec, h: float, pts: np.ndarray, 
     if kernel.pieces is None:
         return _hermite_sums(xs, h, pts, form, reach)
     return _prefix_sums(xs, h, pts, bounds, coefs), bounds[0]
-
-
-def _horner(coefs, u: np.ndarray) -> np.ndarray:
-    out = np.full(u.shape, coefs[-1])
-    for c in coefs[-2::-1]:
-        out *= u
-        out += c
-    return out
 
 
 def _runs(sizes: np.ndarray):
@@ -541,7 +533,7 @@ def _expected(model: ProcessModel, kernel: KernelSpec, h: float, x, form: str):
             mid = a + (2 * k + 1) * half
             for acc, (nodes, weights) in zip(sums, _RULES):
                 u = mid[:, None] + half[:, None] * nodes
-                values = _horner(coef, u) * marginal_density(model, pts[:, None] + h * u)
+                values = horner(coef, u) * marginal_density(model, pts[:, None] + h * u)
                 acc += values @ weights * half
     coarse, fine = sums
     if form == "cdf":
@@ -607,34 +599,26 @@ def lp_deviation(a: EstimateCurve, b: EstimateCurve, p: float) -> float:
     return float(np.trapezoid(diff, a.grid.points)) ** (1.0 / p)
 
 
-def clt_statistic(
-    path: SamplePath, kernel: KernelSpec, h: float, x: float, model: ProcessModel | None = None
-) -> float:
+def clt_statistic(path: SamplePath, kernel: KernelSpec, h: float, x: float) -> float:
     """sqrt(n h) (f_n(x) - E f_n(x)) / sqrt(|K|_2^2 f(x)).
 
     Centered at the exact expectation, so the statistic is mean-zero at every
     finite n and its limit law is standard normal when the usual bandwidth
     and dependence conditions hold.
     """
-    m = model if model is not None else path.model
-    fx = marginal_density(m, x)
+    fx = marginal_density(path.model, x)
     if not fx > 1e-300:
         raise ValueError(f"marginal density vanishes at x={x:g}")
     xs = _sorted_values(path)
     _check_h(h, xs)
     n = xs.size
     fn = _kernel_window_sums(xs, kernel, h, np.asarray([float(x)]))[0] / (n * h)
-    center = expected_density(m, kernel, h, x)
+    center = expected_density(path.model, kernel, h, x)
     return math.sqrt(n * h) * (fn - center) / math.sqrt(kernel.l2_norm_sq * fx)
 
 
 def cdf_clt_statistic(
-    path: SamplePath,
-    kernel: KernelSpec,
-    h: float,
-    x: float,
-    center: str = "expected_fnk",
-    model: ProcessModel | None = None,
+    path: SamplePath, kernel: KernelSpec, h: float, x: float, center: str = "expected_fnk"
 ) -> float:
     """sqrt(n) (F_n(x) - center) / sigma_LR(x).
 
@@ -646,7 +630,7 @@ def cdf_clt_statistic(
     """
     if center not in CDF_CENTERS:
         raise ValueError(f"center must be one of {CDF_CENTERS}, got {center!r}")
-    m = model if model is not None else path.model
+    m = path.model
     fx = marginal_cdf(m, x)
     if not (1e-12 < fx < 1.0 - 1e-12):
         raise ValueError(f"F(x) = {fx:g} is too close to 0 or 1 for standardization")

@@ -33,6 +33,7 @@ from scipy.special import ndtr
 from .bandwidth import BandwidthSchedule, bandwidth_at, check_conditions
 from .blocking import _checked_level, moment_bound_check
 from .estimator import (
+    _H_RANGE_FLOOR,
     DEFAULT_GRID,
     Grid,
     _cdf_window_sums,
@@ -42,7 +43,7 @@ from .estimator import (
     expected_density,
     expected_density_curve,
 )
-from .kernels import KernelSpec, abs_first_moment
+from .kernels import KernelSpec
 from .processes import (
     ProcessModel,
     generate_path,
@@ -312,7 +313,7 @@ def _kernel_gate(name: str, config: ExperimentConfig) -> GateCheck:
         return GateCheck(
             "K3", True,
             f"(K3) holds: the {fam} kernel is bounded with integral of |x K(x)| "
-            f"equal to {abs_first_moment(kernel):g}",
+            f"equal to {kernel.abs_first_moment:g}",
         )
     # symmetry plus unit mass, needed by the distribution estimators
     return _gate(
@@ -700,7 +701,7 @@ def _run_bias(config: ExperimentConfig, h_list, threads) -> dict:
     xs_eval = np.asarray(config.eval_points, dtype=float)
     model, kernel = config.model, config.kernel
     n_list = config.n_list
-    bound_coef = marginal_density_derivative_sup(model) * abs_first_moment(kernel)
+    bound_coef = marginal_density_derivative_sup(model) * kernel.abs_first_moment
 
     rows = []
     for n, h in zip(n_list, h_list):
@@ -887,8 +888,9 @@ def validate_shape(config: ExperimentConfig) -> None:
     Raises ValueError for configs that are syntactically fine but cannot be
     run (missing evaluation points, too few sample sizes for a slope, block
     levels that hold no usable partition, an AR(1) phi too close to 1 for the
-    long-run variance of a distribution kind); gate checks are separate and
-    report named conditions instead.
+    long-run variance of a distribution kind, a bandwidth h_n that overflows
+    or falls below _H_RANGE_FLOOR marginal sds); gate checks are separate
+    and report named conditions instead.
     """
     spec = _KIND_TABLE[config.kind]
     if spec.needs_points and len(config.eval_points) == 0:
@@ -903,6 +905,15 @@ def validate_shape(config: ExperimentConfig) -> None:
             _checked_level(k, config.block_alpha, config.block_beta)
     if spec.long_run and config.model.family == "ar1":
         plackett_lags(config.model.phi)
+    sd = config.model.marginal_sd
+    for n in () if spec.levels else config.n_list:
+        try:
+            h = bandwidth_at(config.schedule, n)
+        except OverflowError:
+            h = math.inf
+        if not (math.isfinite(h) and h >= _H_RANGE_FLOOR * sd):
+            raise ValueError(f"bandwidth h_n = {h:g} at n = {n} must be finite and at least "
+                             f"{_H_RANGE_FLOOR:g} times the marginal sd {sd:g}")
 
 
 def run_experiment(config: ExperimentConfig, threads: int | None = 1) -> ExperimentReport:

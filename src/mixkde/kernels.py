@@ -1,7 +1,8 @@
 """Kernel families, their integrated forms, and the constants the limits use.
 
-Four classical second-order kernels are provided. Their norms and Lipschitz
-constants are stored in closed form rather than recomputed by quadrature, so
+Four classical second-order kernels are provided. A compact kernel's K and
+G_K are its polynomial pieces, which the window sums and the oracle use too;
+the Gaussian keeps its closed forms. Constants are stored in closed form, so
 every normalization downstream is bit-stable; the test suite checks the stored
 numbers against adaptive quadrature.
 """
@@ -40,8 +41,9 @@ class PolyPiece(NamedTuple):
 class KernelSpec:
     """A kernel and the analytic constants consumed by the limit theorems.
 
-    lipschitz_const is None when the kernel has no finite Lipschitz constant
-    (the uniform kernel jumps at its support edge); callers that need
+    abs_first_moment is the integral of |u| K(u), used by first-order bias
+    bounds. lipschitz_const is None when the kernel has no finite Lipschitz
+    constant (the uniform kernel jumps at its support edge); callers that need
     smoothness must treat None as "not Lipschitz" and refuse. pieces covers
     the support of a compact kernel with polynomial pieces, in increasing u;
     it is None for the Gaussian.
@@ -49,6 +51,7 @@ class KernelSpec:
 
     family: str
     l1_norm: float
+    abs_first_moment: float
     l2_norm_sq: float
     sup_norm: float
     support_radius: float
@@ -66,6 +69,7 @@ class KernelSpec:
 GAUSSIAN = KernelSpec(
     family="gaussian",
     l1_norm=1.0,
+    abs_first_moment=math.sqrt(2.0 / math.pi),
     l2_norm_sq=1.0 / (2.0 * math.sqrt(math.pi)),
     sup_norm=1.0 / _SQRT_2PI,
     support_radius=math.inf,
@@ -76,6 +80,7 @@ GAUSSIAN = KernelSpec(
 EPANECHNIKOV = KernelSpec(
     family="epanechnikov",
     l1_norm=1.0,
+    abs_first_moment=0.375,
     l2_norm_sq=0.6,
     sup_norm=0.75,
     support_radius=1.0,
@@ -86,6 +91,7 @@ EPANECHNIKOV = KernelSpec(
 TRIANGULAR = KernelSpec(
     family="triangular",
     l1_norm=1.0,
+    abs_first_moment=1.0 / 3.0,
     l2_norm_sq=2.0 / 3.0,
     sup_norm=1.0,
     support_radius=1.0,
@@ -99,6 +105,7 @@ TRIANGULAR = KernelSpec(
 UNIFORM = KernelSpec(
     family="uniform",
     l1_norm=1.0,
+    abs_first_moment=0.5,
     l2_norm_sq=0.5,
     sup_norm=0.5,
     support_radius=1.0,
@@ -122,39 +129,41 @@ def kernel_from_name(name: str) -> KernelSpec:
         raise ValueError(f"unknown kernel family {name!r}; expected one of: {known}") from None
 
 
+def horner(coefs, u: np.ndarray) -> np.ndarray:
+    """The polynomial with ascending coefficients coefs at each u."""
+    out = np.full(u.shape, coefs[-1])
+    for c in coefs[-2::-1]:
+        out *= u
+        out += c
+    return out
+
+
+def _from_pieces(pieces: tuple[PolyPiece, ...], u, form: str, below: float, above: float):
+    """The pieces' `form` polynomial at u; `below` left of the support, `above` right of it."""
+    u = np.asarray(u, dtype=float)
+    # clipped first, so that +-inf reaches Horner's rule as a support edge
+    v = np.clip(u, pieces[0].lo, pieces[-1].hi)
+    out = horner(getattr(pieces[0], form), v)
+    for piece in pieces[1:]:
+        np.copyto(out, horner(getattr(piece, form), v), where=v >= piece.lo)
+    np.copyto(out, below, where=u < pieces[0].lo)
+    np.copyto(out, above, where=u > pieces[-1].hi)
+    return out if out.ndim else float(out)
+
+
 def evaluate(kernel: KernelSpec, u):
     """K(u) for a scalar or array argument; exactly zero outside the support."""
-    u = np.asarray(u, dtype=float)
-    fam = kernel.family
-    if fam == "gaussian":
-        out = np.exp(-0.5 * u * u) / _SQRT_2PI
-    elif fam == "epanechnikov":
-        out = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
-    elif fam == "triangular":
-        out = np.maximum(0.0, 1.0 - np.abs(u))
-    elif fam == "uniform":
-        out = np.where(np.abs(u) <= 1.0, 0.5, 0.0)
-    else:  # pragma: no cover - specs are built by this module
-        raise ValueError(f"unknown kernel family {fam!r}")
+    if kernel.pieces is not None:
+        return _from_pieces(kernel.pieces, u, "density", 0.0, 0.0)
+    out = np.exp(-0.5 * np.square(u, dtype=float)) / _SQRT_2PI
     return out if out.ndim else float(out)
 
 
 def kernel_cdf(kernel: KernelSpec, u):
-    """G_K(u) = integral of K over (-inf, u], in closed form per family."""
-    u = np.asarray(u, dtype=float)
-    fam = kernel.family
-    if fam == "gaussian":
-        out = ndtr(u)
-    elif fam == "epanechnikov":
-        v = np.clip(u, -1.0, 1.0)
-        out = 0.5 + 0.75 * v - 0.25 * v**3
-    elif fam == "triangular":
-        v = np.clip(u, -1.0, 1.0)
-        out = np.where(v <= 0.0, 0.5 * (1.0 + v) ** 2, 0.5 + v - 0.5 * v * v)
-    elif fam == "uniform":
-        out = np.clip(0.5 * (u + 1.0), 0.0, 1.0)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown kernel family {fam!r}")
+    """G_K(u) = integral of K over (-inf, u]; the cdf pieces hold G_K(-u)."""
+    if kernel.pieces is not None:
+        return _from_pieces(kernel.pieces, -np.asarray(u, dtype=float), "cdf", 1.0, 0.0)
+    out = ndtr(np.asarray(u, dtype=float))
     return out if out.ndim else float(out)
 
 
@@ -167,17 +176,3 @@ def kernel_constants(kernel: KernelSpec) -> dict:
         "support_radius": kernel.support_radius,
         "lipschitz_const": kernel.lipschitz_const,
     }
-
-
-def abs_first_moment(kernel: KernelSpec) -> float:
-    """integral of |u| K(u) du, used by first-order bias bounds."""
-    fam = kernel.family
-    if fam == "gaussian":
-        return math.sqrt(2.0 / math.pi)
-    if fam == "epanechnikov":
-        return 0.375
-    if fam == "triangular":
-        return 1.0 / 3.0
-    if fam == "uniform":
-        return 0.5
-    raise ValueError(f"unknown kernel family {fam!r}")  # pragma: no cover

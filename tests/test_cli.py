@@ -10,7 +10,7 @@ import pytest
 
 import mixkde
 from mixkde import __version__
-from mixkde.cli import main
+from mixkde.cli import build_config, main, parse_config_text
 
 PASSING_RUN = """\
 # quick dyadic moment check, deterministic
@@ -275,6 +275,76 @@ def test_phi_beyond_the_plackett_lag_cap_exits_1(tmp_path, capsys, command, kind
     assert "above the cap of 1048576" in captured.err
     assert "PASS" not in captured.out and "Traceback" not in captured.err
     assert not out.exists()
+
+
+# Bandwidths the schedule family admits but no sum can use: h_n overflows to
+# inf (the bias kind has no B1 gate), is 0.0, or is subnormal, where the
+# oracle's panels overflow.
+BANDWIDTH_RUNS = {
+    "inf": ("bias", "1e308", "-1", "256, 512, 1024", 1, "inf at n = 256"),
+    "zero": ("clt_density", "5e-324", "0.9", "1000", 100, "0 at n = 1000"),
+    "subnormal": ("clt_density", "1e-320", "0.9", "1000", 100, "1.97626e-323 at n = 1000"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BANDWIDTH_RUNS))
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_unusable_bandwidths_exit_1(tmp_path, capsys, command, case):
+    kind, c, delta, n_list, replicates, fragment = BANDWIDTH_RUNS[case]
+    cfg = _write(tmp_path, (
+        f"experiment.kind = {kind}\nmodel.family = iid\nkernel.family = gaussian\n"
+        f"bandwidth.c = {c}\nbandwidth.delta = {delta}\nrun.n_list = {n_list}\n"
+        f"run.replicates = {replicates}\nrun.eval_points = 0.0\nrun.base_seed = 7\n"
+    ))
+    out = tmp_path / "out"
+    argv = [command, str(cfg)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: bandwidth h_n = {fragment} must be finite and at "
+                                   "least 1e-12 times the marginal sd 1")
+    assert "PASS" not in captured.out and "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_value_error_in_a_run_is_an_error_line(tmp_path, capsys):
+    # f and E f_n underflow to 0 at x = 60, so the bias slope has no log-log fit
+    cfg = _write(tmp_path, (
+        "experiment.kind = bias\nmodel.family = iid\nkernel.family = epanechnikov\n"
+        "bandwidth.delta = 0.3\nrun.n_list = 256, 512, 1024\nrun.replicates = 1\n"
+        "run.eval_points = 0.5, 60.0\nrun.base_seed = 7\n"
+    ))
+    assert main(["validate", str(cfg)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: log-log fit needs positive xs and ys\n"
+    assert not out.exists()
+
+
+REQUIRED_ONLY = """\
+experiment.kind = clt_density
+model.family = iid
+kernel.family = gaussian
+bandwidth.delta = 0.3
+run.n_list = 256
+run.replicates = 100
+run.base_seed = 1
+"""
+
+
+def test_required_keys_only_resolve_to_the_readme_defaults():
+    config = build_config(parse_config_text(REQUIRED_ONLY))
+    model = config.model
+    assert (model.phi, model.weights, model.innovation_sd) == (0.0, (), 1.0)
+    assert (config.schedule.c, config.schedule.slowly_varying) == (1.0, "one")
+    assert (config.grid.lo, config.grid.hi, config.grid.m) == (-2.0, 2.0, 401)
+    assert (config.eval_points, config.p) == ((), 2.0)
+    assert (config.block_alpha, config.block_beta) == (0.5, 0.25)
+
+
+def test_a_partly_given_grid_keeps_the_other_defaults():
+    config = build_config(parse_config_text(REQUIRED_ONLY + "grid.m = 11\ngrid.hi = 3\n"))
+    assert (config.grid.lo, config.grid.hi, config.grid.m) == (-2.0, 3.0, 11)
 
 
 # A marginal sd of 1e-7 puts densities near 4e6, where the oracle's two

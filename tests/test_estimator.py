@@ -341,10 +341,9 @@ def test_bias_second_order_at_symmetry_point():
 
 
 def test_bias_within_first_order_bound():
-    from mixkde.kernels import abs_first_moment
     from mixkde.processes import marginal_density_derivative_sup
 
-    coef = marginal_density_derivative_sup(IID) * abs_first_moment(GAUSS)
+    coef = marginal_density_derivative_sup(IID) * GAUSS.abs_first_moment
     for h in (0.05, 0.1, 0.2, 0.4):
         for x in (-1.5, -0.5, 0.3, 1.1):
             assert abs(bias(IID, GAUSS, h, x)) <= h * coef

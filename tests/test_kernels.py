@@ -11,7 +11,6 @@ from scipy.integrate import quad
 from mixkde.kernels import (
     FAMILIES,
     GAUSSIAN_TAIL_RADIUS,
-    abs_first_moment,
     evaluate,
     kernel_cdf,
     kernel_constants,
@@ -74,8 +73,8 @@ def test_abs_first_moment_matches_quadrature(family):
     # split at 0 so |u| stays smooth on each panel
     left, _ = quad(lambda u: -u * evaluate(kernel, u), lo, 0.0, epsabs=1e-12)
     right, _ = quad(lambda u: u * evaluate(kernel, u), 0.0, hi, epsabs=1e-12)
-    assert abs_first_moment(kernel) == pytest.approx(left + right, abs=1e-8)
-    assert abs_first_moment(kernel) == pytest.approx(
+    assert kernel.abs_first_moment == pytest.approx(left + right, abs=1e-8)
+    assert kernel.abs_first_moment == pytest.approx(
         EXPECTED_ABS_FIRST_MOMENT[family], abs=0.0
     )
 
@@ -169,17 +168,12 @@ def test_lipschitz_bound(family, a, b):
 
 
 @pytest.mark.parametrize("family", COMPACT_FAMILIES)
-def test_polynomial_pieces_match_closed_forms(family):
+def test_polynomial_pieces_tile_the_support(family):
+    """The pieces define K and G_K; the tests above check them against quadrature."""
     kernel = kernel_from_name(family)
     pieces = kernel.pieces
     assert pieces[0].lo == -kernel.support_radius and pieces[-1].hi == kernel.support_radius
     assert all(a.hi == b.lo for a, b in zip(pieces, pieces[1:]))
-    for piece in pieces:
-        u = np.linspace(piece.lo, piece.hi, 101)
-        assert np.allclose(np.polynomial.polynomial.polyval(u, piece.density), evaluate(kernel, u),
-                           rtol=0.0, atol=1e-15)
-        assert np.allclose(np.polynomial.polynomial.polyval(u, piece.cdf), kernel_cdf(kernel, -u),
-                           rtol=0.0, atol=1e-15)
     assert kernel_from_name("gaussian").pieces is None
 
 
