@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -506,7 +506,12 @@ def cdf_estimate_at(path: SamplePath, kernel: KernelSpec, h: float, x: float) ->
     return min(1.0, max(0.0, val))
 
 
-_RULES = (leggauss(16), leggauss(32))  # the oracle's coarse and fine rules
+@cache
+def _rules() -> tuple:
+    """The oracle's coarse and fine Gauss-Legendre rules, built on first use."""
+    return leggauss(16), leggauss(32)
+
+
 _ORACLE_TOL = 1e-10
 _MARGINAL_RADIUS = 40.0
 
@@ -521,7 +526,8 @@ def _expected(model: ProcessModel, kernel: KernelSpec, h: float, x, form: str):
     pts = x.ravel()
     s = model.marginal_sd
     limit = _MARGINAL_RADIUS * s
-    sums = [np.zeros(pts.size) for _ in _RULES]
+    rules = _rules()
+    sums = [np.zeros(pts.size) for _ in rules]
     for piece in kernel.pieces:
         coef = getattr(piece, form)
         # the piece, clipped to |x + h u| <= limit
@@ -531,7 +537,7 @@ def _expected(model: ProcessModel, kernel: KernelSpec, h: float, x, form: str):
         half = 0.5 * (b - a) / panels
         for k in range(panels):
             mid = a + (2 * k + 1) * half
-            for acc, (nodes, weights) in zip(sums, _RULES):
+            for acc, (nodes, weights) in zip(sums, rules):
                 u = mid[:, None] + half[:, None] * nodes
                 values = horner(coef, u) * marginal_density(model, pts[:, None] + h * u)
                 acc += values @ weights * half

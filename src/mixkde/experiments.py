@@ -21,8 +21,6 @@ worker-thread count.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable
@@ -44,18 +42,20 @@ from .estimator import (
     expected_density_curve,
 )
 from .kernels import KernelSpec
+from .processes import generate_path  # noqa: F401  (perfbench/spans.py traces this name)
 from .processes import (
     ProcessModel,
-    generate_path,
+    generate_paths,
     indicator_long_run_variance,
     marginal_cdf,
     marginal_density,
     marginal_density_derivative_sup,
     mixing_tail_bound,
+    paths_per_block,
     plackett_lags,
     rho_mixing_coefficient,
 )
-from .util import derive_seed, dumps_json
+from .util import _run_replicates, derive_seed, dumps_json
 
 KS_THRESHOLD = 0.05
 RATE_SLOPE_TOL = 0.1
@@ -394,55 +394,27 @@ def enforce_gates(config: ExperimentConfig) -> list[GateCheck]:
 # replicate scheduling
 
 
-def resolve_threads(threads: int | None) -> int:
-    """0 or None means one worker per CPU; otherwise the explicit cap."""
-    if threads is None:
-        threads = 0
-    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 0:
-        raise ValueError(f"threads must be an integer >= 0, got {threads!r}")
-    if threads == 0:
-        return os.cpu_count() or 1
-    return threads
-
-
-def _run_replicates(count: int, threads: int | None, worker) -> None:
-    """Run worker(i) for i in range(count), possibly on a thread pool.
-
-    The pool never has more threads than CPUs or replicates. Each worker
-    call must write only its own output slots; results are aggregated by
-    index afterwards, so any thread count gives identical bytes.
-    """
-    t = min(resolve_threads(threads), count, os.cpu_count() or 1)
-    if t <= 1:
-        for i in range(count):
-            worker(i)
-        return
-    bounds = np.linspace(0, count, t + 1).astype(int)
-    spans = [(int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if b > a]
-
-    def run_span(span):
-        for i in range(span[0], span[1]):
-            worker(i)
-
-    with ThreadPoolExecutor(max_workers=t) as pool:
-        list(pool.map(run_span, spans))
-
-
 def _sorted_prefixes(config: ExperimentConfig, threads, sizes, reduce, shape) -> np.ndarray:
     """out[r, j] = reduce(j, sorted first sizes[j] values of replicate path r).
 
     Replicate r draws one path of length sizes[-1] from
     derive_seed(base_seed, r), so every size reads a prefix of the same path
     (nested prefixes). Each reduce result has the trailing shape `shape`.
+    The pool gets blocks of paths_per_block replicates, drawn together.
     """
-    out = np.empty((config.replicates, len(sizes), *shape))
+    count, model = config.replicates, config.model
+    out = np.empty((count, len(sizes), *shape))
+    rows = paths_per_block(model, sizes[-1])
 
-    def worker(r: int) -> None:
-        values = generate_path(config.model, sizes[-1], derive_seed(config.base_seed, r)).values
-        for j, n in enumerate(sizes):
-            out[r, j] = reduce(j, np.sort(values[:n]))
+    def worker(block: int) -> None:
+        lo = block * rows
+        seeds = [derive_seed(config.base_seed, r) for r in range(lo, min(lo + rows, count))]
+        for r, values in enumerate(generate_paths(model, sizes[-1], seeds), lo):
+            for j, n in enumerate(sizes):
+                # each sorted prefix is freed before the next one is sorted
+                out[r, j] = reduce(j, np.sort(values[:n]))
 
-    _run_replicates(config.replicates, threads, worker)
+    _run_replicates(-(-count // rows), threads, worker)
     return out
 
 
@@ -750,7 +722,7 @@ def _run_moment_bound(config: ExperimentConfig, h_list, threads) -> dict:
     ratios are finite and either vanish identically (iid) or keep their
     spread max/min within 50.
     """
-    del h_list, threads  # no bandwidth; level workloads are tiny, so the sweep is sequential
+    del h_list  # levels, not sample sizes: no bandwidth
     p = int(config.p)
     rows = []
     ratios = []
@@ -763,6 +735,7 @@ def _run_moment_bound(config: ExperimentConfig, h_list, threads) -> dict:
             config.block_beta,
             config.replicates,
             derive_seed(config.base_seed, int(k)),
+            threads=threads,
         )
         ratios.append(res["ratio"])
         rows.append(res)

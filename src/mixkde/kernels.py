@@ -21,6 +21,9 @@ from scipy.special import ndtr
 GAUSSIAN_TAIL_RADIUS = 8.0
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# exp(-u^2/2) underflows to 0 from |u| = 38.6 on; |u| is clipped here first
+# so that u^2 stays finite
+_GAUSSIAN_CLIP = 40.0
 
 
 class PolyPiece(NamedTuple):
@@ -155,7 +158,8 @@ def evaluate(kernel: KernelSpec, u):
     """K(u) for a scalar or array argument; exactly zero outside the support."""
     if kernel.pieces is not None:
         return _from_pieces(kernel.pieces, u, "density", 0.0, 0.0)
-    out = np.exp(-0.5 * np.square(u, dtype=float)) / _SQRT_2PI
+    u = np.clip(np.asarray(u, dtype=float), -_GAUSSIAN_CLIP, _GAUSSIAN_CLIP)
+    out = np.exp(-0.5 * np.square(u)) / _SQRT_2PI
     return out if out.ndim else float(out)
 
 

@@ -1,9 +1,18 @@
 """Stationary Gaussian sequence models with known dependence decay.
 
 Three families are built in: iid Gaussians, the stationary AR(1) recursion,
-and finite moving averages. All are centered Gaussian, so the marginal law is
-known exactly and the maximal-correlation coefficient between past and future
-is available in closed form (for the moving average, the figure exposed for
+and finite moving averages. A path keyed by a 64-bit seed is the Philox
+stream with that key, read as uniforms and turned into normals by the
+inverse CDF, then filtered; this draw contract fixes every bit. Paths are
+drawn in blocks (generate_paths): one Philox, re-keyed for each path,
+fills a block of at most _BLOCK_VALUES values, and the inverse CDF, the
+scaling and the AR(1) filter run once per block. A longer path is drawn
+alone in pieces of that size, the filter state carried across. A block
+draw gives each path the bits it has when drawn alone (generate_path).
+
+All are centered Gaussian, so the marginal law is known exactly and the
+maximal-correlation coefficient between past and future is available in
+closed form (for the moving average, the figure exposed for
 lags inside the window is the largest absolute cross-correlation over the
 gap; beyond the window it is exactly zero). The signed autocorrelations
 also give the exact long-run variance of the indicator series 1{X_t <= x},
@@ -18,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -27,6 +37,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # random() can return 0.0, which ndtri maps to -inf; clamp one ulp above.
 _U_MIN = 2.0**-53
+# The most values one block draw holds; a longer path is drawn in pieces of it.
+_BLOCK_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -89,16 +101,82 @@ class SamplePath:
         return self.values.size
 
 
-def _standard_normals(seed: int, count: int) -> np.ndarray:
-    """`count` standard normals from the Philox stream keyed by `seed`.
+def _rekey(bit_generator: np.random.Philox, seed: int) -> None:
+    """Reset `bit_generator` to Philox(key=seed) at counter 0, buffer empty.
 
-    One uniform is consumed per normal, by inverse CDF, so the draw count is
-    deterministic and a longer request extends a shorter one exactly.
+    The state setter gives the bits of a new Philox(key=seed) without the OS
+    entropy its constructor draws for a seed sequence it then discards.
     """
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))
-    u = gen.random(count)
-    np.maximum(u, _U_MIN, out=u)
-    return ndtri(u)
+    bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed & 0xFFFFFFFFFFFFFFFF, 0)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def paths_per_block(model: ProcessModel, n: int) -> int:
+    """How many length-n paths of `model` one block draw holds (at least 1)."""
+    return max(1, _BLOCK_VALUES // (n + model.window_order))
+
+
+def generate_paths(model: ProcessModel, n: int, seeds) -> np.ndarray:
+    """Row r holds X_0..X_{n-1} of the path keyed by seeds[r].
+
+    Each row equals generate_path(model, n, seeds[r]).values bit for bit.
+    Rows go in blocks of paths_per_block(model, n): the block's uniforms
+    come from one Philox re-keyed per row, then the clamp, ndtri, scaling
+    and the AR(1) filter each run once on the block. A longer path is drawn
+    alone, in pieces of _BLOCK_VALUES values, the filter state carried from
+    piece to piece.
+    """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"path length must be an integer >= 1, got {n!r}")
+    if model.family == "ar1":
+        from scipy.signal import lfilter  # loaded on first use: it dominates import time
+    seeds = [int(s) for s in seeds]
+    q = model.window_order
+    width = n + q  # innovations per path
+    rows = paths_per_block(model, n)
+    out = np.empty((len(seeds), n))
+    # a moving average's innovations, q more than its values, need a buffer
+    eps = np.empty((min(len(seeds), rows), width)) if q else None
+    gen = np.random.Generator(np.random.Philox(0))
+    for lo in range(0, len(seeds), rows):
+        group = seeds[lo : lo + rows]
+        block = out[lo : lo + len(group)] if eps is None else eps[: len(group)]
+        zi = np.zeros((len(group), 1))  # AR(1) filter state
+        # one piece covers the block unless the block is one long path
+        for start in range(0, width, _BLOCK_VALUES):
+            piece = block[:, start : start + _BLOCK_VALUES]
+            for row, seed in zip(piece, group):
+                if start == 0:
+                    _rekey(gen.bit_generator, seed)
+                gen.random(out=row)
+            # One uniform per normal, by inverse CDF, so the draw count is
+            # deterministic and a longer path extends a shorter one exactly.
+            np.maximum(piece, _U_MIN, out=piece)
+            ndtri(piece, out=piece)
+            if model.family == "ar1" and start == 0:
+                # Exact stationary start: X_0 gets the marginal sd, the
+                # recursion X_t = phi X_{t-1} + e_t does the rest. For phi = 0
+                # the filter is the identity and the path is bitwise the iid path.
+                piece[:, 1:] *= model.innovation_sd
+                piece[:, 0] *= model.marginal_sd
+            else:
+                piece *= model.innovation_sd
+            if model.family == "ar1":
+                piece[...], zi = lfilter([1.0], [1.0, -model.phi], piece, axis=1, zi=zi)
+        if q:
+            w = np.asarray(model.weights, dtype=float)
+            # X_t = sum_j w_j eps_{t-j}; the q warm-up innovations make X_0
+            # stationary, and index t never touches innovations past t, so the
+            # prefix property carries over from the innovation stream.
+            for r, row in enumerate(block, lo):
+                out[r] = np.convolve(row, w, mode="full")[q : q + n]
+    return out
 
 
 def generate_path(model: ProcessModel, n: int, seed: int) -> SamplePath:
@@ -107,28 +185,7 @@ def generate_path(model: ProcessModel, n: int, seed: int) -> SamplePath:
     The same (model, n, seed) triple always produces the same bits, and the
     first m values of a length-n path equal the length-m path for m <= n.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"path length must be an integer >= 1, got {n!r}")
-    if model.family == "iid":
-        values = model.innovation_sd * _standard_normals(seed, n)
-    elif model.family == "ar1":
-        from scipy.signal import lfilter  # loaded on first use: it dominates import time
-        z = _standard_normals(seed, n)
-        e = model.innovation_sd * z
-        # Exact stationary start: X_0 gets the marginal sd, the recursion
-        # X_t = phi X_{t-1} + e_t does the rest. For phi = 0 the filter is
-        # the identity and the path is bitwise the iid path.
-        e[0] = model.marginal_sd * z[0]
-        values = lfilter([1.0], [1.0, -model.phi], e)
-    else:
-        q = model.window_order
-        eps = model.innovation_sd * _standard_normals(seed, n + q)
-        w = np.asarray(model.weights, dtype=float)
-        # X_t = sum_j w_j eps_{t-j}; the q warm-up innovations make X_0
-        # stationary, and index t never touches innovations past t, so the
-        # prefix property carries over from the innovation stream.
-        values = np.convolve(eps, w, mode="full")[q : q + n]
-    return SamplePath(values=values, model=model, seed=seed)
+    return SamplePath(values=generate_paths(model, n, (seed,))[0], model=model, seed=seed)
 
 
 def marginal_density(model: ProcessModel, x):
@@ -217,10 +274,17 @@ def mixing_tail_bound(model: ProcessModel, power: float = 1.0) -> dict:
     return {"partial_sum": total, "first_omitted_term": first_omitted}
 
 
-# Gauss-Legendre rule for the Plackett integrals below. The integrand is
-# analytic on [0, arcsin rho]; 128 nodes hold the error near 1e-15 even at
-# rho = -(1 - 1e-6), where exp(-z^2/(1 + sin t)) falls off steeply at the end.
-_PLACKETT_NODES, _PLACKETT_WEIGHTS = leggauss(128)
+@cache
+def _plackett_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule for the Plackett integrals below, built on first use.
+
+    The integrand is analytic on [0, arcsin rho]; 128 nodes hold the error
+    near 1e-15 even at rho = -(1 - 1e-6), where exp(-z^2/(1 + sin t)) falls
+    off steeply at the end.
+    """
+    return leggauss(128)
+
+
 _LRV_LAG_CHUNK = 4096
 # Plackett integrals cover the lags with |phi|^k > 1/2, at most 2^20 of them,
 # which admits |phi| < 1 - 6.61e-7; a Mehler series covers the rest.
@@ -235,9 +299,10 @@ def _plackett_covariances(z: float, rho: np.ndarray) -> np.ndarray:
     Plackett's identity, with r = sin t, gives the exact integral
     (1/2pi) int_0^{arcsin rho} exp(-z^2 / (1 + sin t)) dt.
     """
+    nodes, weights = _plackett_rule()
     half = 0.5 * np.arcsin(rho)
-    t = half[:, None] * (_PLACKETT_NODES[None, :] + 1.0)
-    vals = np.exp(-z * z / (1.0 + np.sin(t))) @ _PLACKETT_WEIGHTS
+    t = half[:, None] * (nodes[None, :] + 1.0)
+    vals = np.exp(-z * z / (1.0 + np.sin(t))) @ weights
     return half * vals / (2.0 * math.pi)
 
 
@@ -309,11 +374,11 @@ def indicator_long_run_variance(model: ProcessModel, x: float) -> float:
     ValueError for |phi| from about 1 - 6.61e-7 on, where the integrals would
     pass 2^20 lags. iid models and phi = 0 return F(1-F) exactly.
     """
-    fx = marginal_cdf(model, float(x))
-    marginal = fx * (1.0 - fx)
+    z = float(x) / model.marginal_sd
+    # F(1-F) as Phi(z) Phi(-z): symmetric in z, and 1 - F loses no digits
+    marginal = float(ndtr(z) * ndtr(-z))
     if model.family == "iid":
         return marginal
-    z = float(x) / model.marginal_sd
     if model.family == "ma":
         w = np.asarray(model.weights, dtype=float)
         rho = np.array([float(w[: w.size - k] @ w[k:]) for k in range(1, w.size)]) / float(w @ w)

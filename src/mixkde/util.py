@@ -1,9 +1,12 @@
-"""Shared helpers: seed derivation, the log convention, deterministic serialization."""
+"""Shared helpers: seed derivation, the replicate pool, the log convention,
+deterministic serialization."""
 
 from __future__ import annotations
 
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -28,6 +31,40 @@ def derive_seed(base_seed: int, index: int) -> int:
     if index < 0:
         raise ValueError(f"work-unit index must be >= 0, got {index}")
     return splitmix64((base_seed + index * _GOLDEN) & _MASK64)
+
+
+def resolve_threads(threads: int | None) -> int:
+    """0 or None means one worker per CPU; otherwise the explicit cap."""
+    if threads is None:
+        threads = 0
+    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 0:
+        raise ValueError(f"threads must be an integer >= 0, got {threads!r}")
+    if threads == 0:
+        return os.cpu_count() or 1
+    return threads
+
+
+def _run_replicates(count: int, threads: int | None, worker) -> None:
+    """Run worker(i) for i in range(count), possibly on a thread pool.
+
+    The pool never has more threads than CPUs or replicates. Each worker
+    call must write only its own output slots; results are aggregated by
+    index afterwards, so any thread count gives identical bytes.
+    """
+    t = min(resolve_threads(threads), count, os.cpu_count() or 1)
+    if t <= 1:
+        for i in range(count):
+            worker(i)
+        return
+    bounds = [count * i // t for i in range(t + 1)]
+    spans = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+
+    def run_span(span):
+        for i in range(span[0], span[1]):
+            worker(i)
+
+    with ThreadPoolExecutor(max_workers=t) as pool:
+        list(pool.map(run_span, spans))
 
 
 def clamped_log(x: float) -> float:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mixkde
-from mixkde import __version__
+from mixkde import __version__, processes
 from mixkde.cli import build_config, main, parse_config_text
 
 PASSING_RUN = """\
@@ -382,7 +382,7 @@ def test_oracle_failure_is_an_error_line(tmp_path, capsys, monkeypatch):
     import mixkde.estimator as estimator
     from numpy.polynomial.legendre import leggauss
 
-    monkeypatch.setattr(estimator, "_RULES", (leggauss(1), leggauss(2)))
+    monkeypatch.setattr(estimator, "_rules", lambda: (leggauss(1), leggauss(2)))
     cfg = _write(tmp_path, TINY_SCALE_RUN)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 1
@@ -454,3 +454,59 @@ def test_cli_import_leaves_out_heavy_scipy_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Under 2^10-value blocks: clt 101 paths of 200 values in 21 blocks of at most
+# 5; rate_sup_lp 1101 MA innovations per path in pieces of 1024 and 77;
+# moment_bound levels of 64, 128 and 256 values in blocks of 16, 8 and 4
+# paths, the last block of each level short.
+SMALL_BLOCK_RUNS = {
+    "clt_cdf_centered": """\
+experiment.kind = clt_cdf_centered
+model.family = ar1
+model.phi = 0.5
+kernel.family = epanechnikov
+bandwidth.delta = 0.3
+run.n_list = 200
+run.replicates = 101
+run.eval_points = 0.0, 0.5
+run.base_seed = 5
+""",
+    "rate_sup_lp": """\
+experiment.kind = rate_sup_lp
+model.family = ma
+model.weights = 1.0, 0.5
+kernel.family = epanechnikov
+bandwidth.delta = 0.3
+run.n_list = 256, 512, 1100
+run.replicates = 4
+run.eval_points = 0.0
+run.base_seed = 6
+""",
+    "moment_bound": """\
+experiment.kind = moment_bound
+model.family = ar1
+model.phi = 0.25
+kernel.family = gaussian
+bandwidth.delta = 0.2
+run.n_list = 5, 6, 7
+run.replicates = 30
+run.p = 2
+run.base_seed = 7
+""",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL_BLOCK_RUNS))
+def test_small_blocks_keep_report_bytes(tmp_path, monkeypatch, kind):
+    cfg = _write(tmp_path, SMALL_BLOCK_RUNS[kind])
+
+    def report(name, threads):
+        out = tmp_path / name
+        assert main(["run", str(cfg), "--out", str(out), "--threads", threads]) in (0, 3)
+        return (out / "report.json").read_bytes()
+
+    want = report("default", "1")
+    monkeypatch.setattr(processes, "_BLOCK_VALUES", 2**10)
+    for threads in ("1", "2"):
+        assert report(f"small-{threads}", threads) == want

@@ -291,7 +291,7 @@ def test_oracle_raises_when_its_rules_disagree(monkeypatch):
     import mixkde.estimator as estimator
     from numpy.polynomial.legendre import leggauss
 
-    monkeypatch.setattr(estimator, "_RULES", (leggauss(1), leggauss(2)))
+    monkeypatch.setattr(estimator, "_rules", lambda: (leggauss(1), leggauss(2)))
     with pytest.raises(ArithmeticError, match="rules differ"):
         expected_density(AR, EPAN, 0.35, 0.4)
     with pytest.raises(ArithmeticError, match="rules differ"):

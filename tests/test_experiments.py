@@ -15,8 +15,8 @@ from mixkde.processes import (
     indicator_long_run_variance,
     marginal_cdf,
 )
-from mixkde.util import derive_seed
-from mixkde import experiments
+from mixkde.util import derive_seed, resolve_threads
+from mixkde import experiments, util
 from mixkde.experiments import (
     CLT_KINDS,
     GateError,
@@ -24,7 +24,6 @@ from mixkde.experiments import (
     check_gates,
     fit_loglog_slope,
     ks_statistic,
-    resolve_threads,
     run_experiment,
     uniform_verdict,
     validate_shape,
@@ -258,8 +257,8 @@ def test_replicate_pool_is_capped_at_cpu_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", InlinePool)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(util, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(util.os, "cpu_count", lambda: 3)
     done = []
     experiments._run_replicates(2000, 5000, done.append)
     assert pools == [3]

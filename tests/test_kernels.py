@@ -1,6 +1,7 @@
 """Kernel constants against quadrature oracles, plus shape properties."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -222,3 +223,17 @@ def test_evaluate_vectorized():
     kernel = kernel_from_name("triangular")
     out = evaluate(kernel, np.array([-2.0, -0.5, 0.0, 0.5, 2.0]))
     assert out.tolist() == [0.0, 0.5, 1.0, 0.5, 0.0]
+
+
+def test_gaussian_evaluate_far_out_raises_no_warning():
+    kernel = kernel_from_name("gaussian")
+    far = [1e200, -1e200, math.inf, -math.inf]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [evaluate(kernel, u) for u in far] == [0.0] * 4
+        assert evaluate(kernel, np.array(far)).tolist() == [0.0] * 4
+    # bit for bit the closed form inside the clip, 0 beyond it
+    us = np.linspace(-45.0, 45.0, 9001)
+    with np.errstate(under="ignore"):
+        want = np.exp(-0.5 * np.square(us)) / math.sqrt(2.0 * math.pi)
+    assert np.array_equal(evaluate(kernel, us), want)

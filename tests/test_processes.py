@@ -1,11 +1,13 @@
 """Path generation, marginals, and mixing coefficients for the built-in models."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from mixkde import processes
 from mixkde.processes import (
@@ -22,6 +24,7 @@ from mixkde.processes import (
     rho_decay,
     rho_mixing_coefficient,
 )
+from mixkde.util import derive_seed
 
 IID = ProcessModel(family="iid")
 AR_HALF = ProcessModel(family="ar1", phi=0.5)
@@ -47,6 +50,81 @@ def test_ar1_phi_zero_equals_iid():
     a = generate_path(ProcessModel(family="ar1", phi=0.0), 512, seed=3).values
     b = generate_path(IID, 512, seed=3).values
     assert np.array_equal(a, b)
+
+
+# The draw contract: SplitMix64 keys -> Philox -> inverse-CDF normals -> the
+# model's filter. Digests of two keyed paths per model and length; lengths
+# straddle one block (2^16 values) and cover a long path drawn in pieces.
+DRAW_MODELS = {
+    "iid": IID,
+    "ar1-0.5": AR_HALF,
+    "ar1--0.9-sd2": ProcessModel(family="ar1", phi=-0.9, innovation_sd=2.0),
+    "ma": ProcessModel(family="ma", weights=(1.0, 0.5, -0.25)),
+}
+DRAW_KEYS = (derive_seed(20260814, 0), derive_seed(20260814, 1))
+DRAW_DIGESTS = {
+    ("iid", 1): "baeec706a7901fbcae494ef799f5e62db3f494a64c21c78b3c3e5b748ea2b05e",
+    ("iid", 5): "1cafc16c5016fa138a44e6d792c0751f284b89692748322b2c6323dde275c849",
+    ("iid", 65535): "b33d71f5e03011162cff5a3ffd28945a4f768195120adec6d1eae14d2d2a60f2",
+    ("iid", 65536): "0bd8c9947622c3bcbb22d6a1a9f202090876c038d324e05e5ed6b2869d4f35c6",
+    ("iid", 65537): "7f90b5c0a37287b0d1441cc80ad7bfb91f14831c627ca3cfc8ffc1aecf0f15f1",
+    ("iid", 131072): "ea95a5e22a089bf7aaa826c19dfc81ef2a6d11c5fed5f0ee9fabe71665417084",
+    ("iid", 1048579): "d96077d66abb7b05f75329440a5723cb17e3454d7a6b1a3cbda934278d55b1d9",
+    ("ar1-0.5", 1): "e2aff119a2427af59386e5ee43faca333f0ecf5a24e44c66ecf8c0719195c786",
+    ("ar1-0.5", 5): "ef278f636cb979ecafd8c5a3d6ef8144181008a114963f3220c5a588fad9e7eb",
+    ("ar1-0.5", 65535): "7d3bedb79fbfb5668b003eb4d8f92a680666c5c801a01edb565afc7bde32cdba",
+    ("ar1-0.5", 65536): "de3054acc8509149a16c57f30dc0fab7cf63e188c8dc974ce7d5e64eca3a5809",
+    ("ar1-0.5", 65537): "1500c793ab40c1ee0fc5561134abc3211fb436785825cd3601918c5a40150012",
+    ("ar1-0.5", 131072): "97c708dd3103883041494668ff4f6539ab445043f91b5829a851100d4bc62698",
+    ("ar1-0.5", 1048579): "53572a34efdb3444f749a41f5c19992f53139b3ae78c9b2bc359d3ee3d6b1589",
+    ("ar1--0.9-sd2", 1): "9d679318ecf2d291d6f1d0f9acd0cdc0e74fd6a69000afa70f5d8ca0b98cf0f9",
+    ("ar1--0.9-sd2", 5): "c3739627f3a633c8afedf78a8826d012026934919ac4665f835be9195ebfdf13",
+    ("ar1--0.9-sd2", 65535): "4a475c907f9c83c7a80af6c6753ca8052a84c0f60ce32f9a453d31c967988f49",
+    ("ar1--0.9-sd2", 65536): "80adffdbc562f5f12a65dd632447d2942e1594aa7dce9f78a4233aaa246ef8a0",
+    ("ar1--0.9-sd2", 65537): "aab77330c76f48b9a50a6738cee3b42150ed484e559b4a891221c88f20712a79",
+    ("ar1--0.9-sd2", 131072): "ef88244c8f250d832d8c91fb8f7e8a737d69da5123b4906cad16381a9f621238",
+    ("ar1--0.9-sd2", 1048579): "c2ff1a5dacc5916d01e99da085f23d70bcfdde32e6a56d2a6b2dcfcb3892540e",
+    ("ma", 1): "bec57799641a927cf490f2d33626edc766979440d17883766a39f178ad7227e1",
+    ("ma", 5): "0e433d0822f59586abffd6debc51213317f933e40da9d8f5d3ff3b0f9a1604b4",
+    ("ma", 65535): "383b9393b447808726f306e9f06206dd4d0d721de8bed3188b8c4ee43aab686d",
+    ("ma", 65536): "5ceb5de02e38ccefb452166c133dce75ae4d24b940a89a1ef3cba4a529c23cb7",
+    ("ma", 65537): "ed79d9d9e06dae0a69d59a903646fda132e955b57f2b9694636d093b71a089c4",
+    ("ma", 131072): "9b45a00224042ae5456db0f862ed7d0ff9efb58ad9740c75b9d1bf8f62f7ceba",
+    ("ma", 1048579): "ac293c21f1d49ef1d21fee7df5147207aceead66dd5a03704458ba0bc6065997",
+}
+
+
+@pytest.mark.parametrize("label, n", sorted(DRAW_DIGESTS))
+def test_draw_contract_bits(label, n):
+    digest = hashlib.sha256()
+    for key in DRAW_KEYS:
+        digest.update(generate_path(DRAW_MODELS[label], n, key).values.astype("<f8").tobytes())
+    assert digest.hexdigest() == DRAW_DIGESTS[label, n]
+
+
+@pytest.mark.parametrize("block_values", [None, 2**10])
+def test_generate_paths_rows_equal_single_paths(monkeypatch, block_values):
+    models = [*DRAW_MODELS.values(), ProcessModel(family="ar1", phi=0.0)]
+    lengths = (1, 100, 1021, 1024, 3000)
+    seeds = [derive_seed(5, r) for r in range(23)]
+    # single paths at the default block size, each one piece
+    want = {(i, n): [generate_path(model, n, seed).values for seed in seeds]
+            for i, model in enumerate(models) for n in lengths}
+    if block_values is not None:
+        # blocks of 10 rows at n = 100, the last one short; 3000 values in 3 pieces
+        monkeypatch.setattr(processes, "_BLOCK_VALUES", block_values)
+        assert processes.paths_per_block(IID, 100) == 10
+        assert processes.paths_per_block(IID, 3000) == 1
+    for i, model in enumerate(models):
+        for n in lengths:
+            rows = processes.generate_paths(model, n, seeds)
+            assert rows.shape == (len(seeds), n)
+            for row, single in zip(rows, want[i, n]):
+                assert np.array_equal(row, single)
+
+
+def test_generate_paths_takes_no_seeds():
+    assert processes.generate_paths(AR_HALF, 7, []).shape == (0, 7)
 
 
 def test_sample_mean_near_zero():
@@ -210,8 +288,20 @@ def test_conditional_mean_rejects_ma():
 def test_indicator_long_run_variance_iid_is_marginal_variance():
     for x in (-1.3, 0.0, 0.5, 2.0):
         F = marginal_cdf(IID, x)
-        assert indicator_long_run_variance(IID, x) == F * (1.0 - F)
-        assert indicator_long_run_variance(ProcessModel(family="ar1", phi=0.0), x) == F * (1.0 - F)
+        # F(1-F) is formed as Phi(x) Phi(-x), which keeps it even in x
+        marginal = float(ndtr(x) * ndtr(-x))
+        assert marginal == pytest.approx(F * (1.0 - F), rel=1e-15)
+        assert indicator_long_run_variance(IID, x) == marginal
+        assert indicator_long_run_variance(ProcessModel(family="ar1", phi=0.0), x) == marginal
+
+
+def test_indicator_long_run_variance_is_symmetric_far_out():
+    """At +-30 sds, F(1-F) is Phi(-30) on both sides, not 0 where F rounds to 1."""
+    for model in (IID, AR_HALF, MA_ONE, ProcessModel(family="ar1", phi=-0.9)):
+        x = 30.0 * model.marginal_sd
+        right, left = indicator_long_run_variance(model, x), indicator_long_run_variance(model, -x)
+        assert right == left
+        assert right == pytest.approx(float(ndtr(-30.0)), rel=1e-13)
 
 
 def test_indicator_long_run_variance_at_the_median_is_an_arcsine_series():
