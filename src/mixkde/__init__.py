@@ -9,7 +9,7 @@ block-moment inequalities for iid, AR(1), and moving-average sequences.
 __version__ = "0.1.0"
 
 from .bandwidth import BandwidthSchedule, ConditionVerdict, bandwidth_at, check_conditions
-from .blocking import BlockPartition, block_sums, bracket_threshold, build_partition, moment_bound_check
+from .blocking import BlockPartition, bracket_threshold, build_partition
 from .estimator import (
     DEFAULT_GRID,
     EstimateCurve,
@@ -21,7 +21,6 @@ from .estimator import (
     density_estimate,
     expected_cdf,
     expected_density,
-    lp_deviation,
     sup_deviation,
 )
 from .experiments import (
@@ -31,6 +30,7 @@ from .experiments import (
     check_gates,
     fit_loglog_slope,
     ks_statistic,
+    moment_bound_check,
     run_experiment,
 )
 from .kernels import (
@@ -41,7 +41,6 @@ from .kernels import (
     KernelSpec,
     evaluate,
     kernel_cdf,
-    kernel_constants,
     kernel_from_name,
 )
 from .processes import (
@@ -74,7 +73,6 @@ __all__ = [
     "UNIFORM",
     "bandwidth_at",
     "bias",
-    "block_sums",
     "bracket_threshold",
     "build_partition",
     "cdf_clt_statistic",
@@ -91,10 +89,8 @@ __all__ = [
     "generate_path",
     "indicator_long_run_variance",
     "kernel_cdf",
-    "kernel_constants",
     "kernel_from_name",
     "ks_statistic",
-    "lp_deviation",
     "marginal_cdf",
     "marginal_density",
     "moment_bound_check",

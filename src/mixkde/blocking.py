@@ -1,4 +1,4 @@
-"""Dyadic big/small block partitions and a Markov block-moment diagnostic.
+"""Dyadic big/small block partitions, the blocks of the moment_bound kind.
 
 Each dyadic level k splits the index window [2^k, 2^{k+1}) into r_k pairs of
 a big block of length p_k = [2^{alpha k}] followed by a small block of length
@@ -12,13 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .processes import generate_path  # noqa: F401  (perfbench/spans.py traces this name)
-from .processes import (
-    ProcessModel, SamplePath, conditional_mean, generate_paths, paths_per_block, rho_decay,
-)
-from .util import _run_replicates, clamped_log, derive_seed
 
 _BRACKET_SCAN_MAX = 64
 # The largest level accepted: a 2^21-value path and fewer than 2^19 blocks.
@@ -159,30 +153,6 @@ def partition_to_csv(partition: BlockPartition, path) -> None:
             fh.write(f"small,{m},{s},{e}\n")
 
 
-def block_sums(path: SamplePath, partition: BlockPartition, transform=None):
-    """Per-block sums (big, small) of transform(X_t) over the level window.
-
-    transform maps an ndarray elementwise (identity when None). The small
-    array has one extra entry for the trailing block; an empty tail sums to
-    exactly 0. The blocks tile the window, so big.sum() + small.sum() equals
-    the window total: bit for bit whenever the additions are exact (integer
-    values), and to the last few ulps for general floats, where summation
-    order is the only difference.
-    """
-    lo, hi = partition.window
-    if len(path) < hi:
-        raise ValueError(
-            f"path of length {len(path)} is too short for level k={partition.k}, "
-            f"which needs indices up to {hi - 1}"
-        )
-    vals = path.values if transform is None else np.asarray(transform(path.values))
-    # per-block direct sums: no shared accumulator, so integer-valued inputs
-    # satisfy the cover identity bit for bit
-    big = np.array([float(np.sum(vals[s:e])) for s, e in partition.big_blocks])
-    small = np.array([float(np.sum(vals[s:e])) for s, e in partition.small_blocks])
-    return big, small
-
-
 def _interpolated_gap(beta: float, x: float) -> float:
     """q(x) for real x >= 0: linear between the integer gap lengths q_j."""
     j = math.floor(x)
@@ -192,93 +162,3 @@ def _interpolated_gap(beta: float, x: float) -> float:
         return float(qj)
     qj1 = _dyadic_floor(beta * (j + 1))
     return qj + frac * (qj1 - qj)
-
-
-def moment_bound_check(
-    model: ProcessModel,
-    p: int,
-    k: int,
-    alpha: float,
-    beta: float,
-    replicates: int,
-    base_seed: int,
-    threads: int | None = 1,
-) -> dict:
-    """Monte Carlo comparison of a conditional-moment sum against its bound.
-
-    For each replicate path, G = sum_m E[xi_m | anchor_m] where xi_m is the
-    m-th big-block sum and the anchor is the observation immediately before
-    that block (the Markov state, which is why only iid and ar1 models are
-    accepted). The estimated E|G|^p is compared against the bound shape
-
-        (log 2 r_k)^p [ (sum_m rho(q(m/2))^2 |xi_m|_2^2)^{p/2}
-                        + sum_m rho(q(m/2))^{2/(p-1)} |xi_m|_p^p ]
-
-    with block moments estimated from the same replicates, rho the model's
-    real-lag decay, q(.) the interpolated gap length, and log the clamped
-    convention. Returns lhs_estimate, rhs_bound_shape, and their ratio
-    (defined as 0 when both sides vanish, as for iid models). The paths are
-    drawn in blocks on up to `threads` workers (0 or None: one per CPU);
-    the sums run in replicate order afterwards, so the result does not
-    depend on the thread count.
-    """
-    if model.family not in ("iid", "ar1"):
-        raise ValueError("moment_bound_check needs a Markov model (iid or ar1)")
-    if not isinstance(p, int) or isinstance(p, bool) or p < 2 or p % 2 != 0:
-        raise ValueError(f"moment order p must be an even integer >= 2, got {p!r}")
-    if not isinstance(replicates, int) or isinstance(replicates, bool) or replicates < 1:
-        raise ValueError(f"replicates must be an integer >= 1, got {replicates!r}")
-    part = build_partition(k, alpha, beta)
-    n = 2 ** (k + 1)
-    starts = np.array([s for s, _ in part.big_blocks], dtype=np.int64)
-    ends = np.array([e for _, e in part.big_blocks], dtype=np.int64)
-    anchors = starts - 1
-    # E[xi_m | X_{s-1}] = X_{s-1} * sum_{j=1..p_k} E[X_{t+j} | X_t = 1]
-    coef = sum(conditional_mean(model, 1.0, j) for j in range(1, part.p_k + 1))
-
-    g = [0.0] * replicates
-    xi = np.empty((replicates, part.r_k))
-    rows = paths_per_block(model, n)
-
-    def draw(block: int) -> None:
-        lo = block * rows
-        seeds = [derive_seed(base_seed, r) for r in range(lo, min(lo + rows, replicates))]
-        for r, values in enumerate(generate_paths(model, n, seeds), lo):
-            cs = np.concatenate(([0.0], np.cumsum(values)))
-            xi[r] = cs[ends] - cs[starts]
-            g[r] = coef * float(values[anchors].sum())
-
-    _run_replicates(-(-replicates // rows), threads, draw)
-    lhs_acc = 0.0
-    sq_acc = np.zeros(part.r_k)
-    pp_acc = np.zeros(part.r_k)
-    for rep in range(replicates):
-        lhs_acc += abs(g[rep]) ** p
-        sq_acc += xi[rep] * xi[rep]
-        pp_acc += np.abs(xi[rep]) ** p
-
-    lhs = lhs_acc / replicates
-    xi_sq = sq_acc / replicates
-    xi_pp = pp_acc / replicates
-    gaps = np.array([_interpolated_gap(beta, 0.5 * m) for m in range(1, part.r_k + 1)])
-    rho = np.array([rho_decay(model, g) for g in gaps])
-    log_factor = clamped_log(2.0 * part.r_k) ** p
-    rhs = log_factor * (
-        float((rho * rho) @ xi_sq) ** (p / 2.0) + float((rho ** (2.0 / (p - 1))) @ xi_pp)
-    )
-    if lhs == 0.0 and rhs == 0.0:
-        ratio = 0.0
-    elif rhs == 0.0:
-        ratio = math.inf
-    else:
-        ratio = lhs / rhs
-    return {
-        "lhs_estimate": lhs,
-        "rhs_bound_shape": rhs,
-        "ratio": ratio,
-        "k": k,
-        "p_k": part.p_k,
-        "q_k": part.q_k,
-        "r_k": part.r_k,
-        "replicates": replicates,
-    }

@@ -1,13 +1,9 @@
 """Command line front end: run experiments, validate configs, dump partitions.
 
-Exit codes: 0 on success (and a passing verdict for `run`); 1 for I/O, usage or
-config problems, an oracle that fails its accuracy check and any other
-ValueError a run meets; 2 when an admissibility gate or partition precondition
-rejects the request; 3 when the experiment ran but its verdict failed.
-
-Config files are flat `key = value` lines with dotted key prefixes; `#`
-starts a comment. run.base_seed is required so no run is ever silently
-nondeterministic. Lists are comma separated. See the README for the schema.
+Exit codes (README "Exit codes"): 0 on success, 1 for usage, I/O and config
+errors and for an ArithmeticError, MemoryError or ValueError a run meets, 2
+for a gate or partition rejection, 3 for a failed verdict. Config files are
+flat `key = value` lines; README "Config reference" has the schema.
 """
 
 from __future__ import annotations
@@ -254,8 +250,8 @@ def cmd_run(config_path, out_dir, threads: int | None = None) -> int:
     except GateError as exc:
         print(f"gate rejection ({exc.condition}): {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ArithmeticError, MemoryError, ValueError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
     out = Path(out_dir)

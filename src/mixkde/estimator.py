@@ -1,71 +1,14 @@
 """Density and distribution estimators, exact centerings, and deviations.
 
-The density estimate at x is (1/(n h)) sum_i K((X_i - x)/h) and the
-distribution estimate is (1/n) sum_i G_K((x - X_i)/h); both are computed as
-exact finite sums, windowed by the kernel support (for the Gaussian, see
-"reach" below). The centerings E f_n(x) and E F_n(x) are exact expectations
-under the N(0, s^2) marginal, from one oracle (_expected):
-
-- Gaussian kernel: X + h Z is N(0, s^2 + h^2), whose density and CDF they
-  are; the windowed sums differ from these by at most phi(8) = 5.1e-15
-  per term.
-- compact kernels: E f_n(x) integrates the window sums' pieces P(u),
-  u = (X - x)/h, against f(x + h u) du; E F_n(x) is F(x + h lo) plus h
-  times that integral of the CDF pieces. Panels are at most one sd wide and
-  stop at |x + h u| = 40 s, where f underflows (at most about 80 per piece
-  at any h). Gauss-Legendre rules of 16 and 32 nodes on the same panels
-  must agree within 1e-10 times max(1, the largest value), or
-  ArithmeticError is raised.
-
-Window sums come from one engine with two paths for every kernel. A compact
-kernel is given by the polynomial pieces of K and G_K stored on its
-KernelSpec; the Gaussian by exp(-u^2/2)/sqrt(2 pi) and Phi(-u) on the
-direct path and by a Hermite series on the grid path.
-
-- direct: when the windows of all m points hold at most 2n terms in total
-  (20n for the Gaussian), every term is evaluated and each window is
-  summed pairwise. Few points (the CLT and rate_sup_lp kinds) and small h
-  land here. The error is that of pairwise summation, about
-  eps (3 + log2 W) W for a window of W terms. The Gaussian window is
-  |X_i - x| <= 8h.
-- prefix (compact kernels): the sorted data are cut into value buckets 4h
-  wide and recentred on each bucket's centre; moments sum t^j (j <= 3) come
-  from running sums that restart in every bucket, and are shifted
-  binomially to each x. This costs O(n + m log n), for densities and CDFs
-  alike. A window touches at most two buckets, and for each the error is
-  at most about 36 eps (s + log2 N) N, where N counts the bucket's values,
-  s the window bounds inside it, and 36 bounds sum_k |c_k| 5^k over the
-  pieces' coefficients (|t| <= 2h and |x - centre| <= 3h). In density units
-  N/(n h) stays near 4 times the local density (in CDF units N/n <= 1), so
-  the bound does not grow with n, 1/h or the data's offset from zero.
-- Hermite (Gaussian): the sorted data are cut into value buckets h wide,
-  numbered floor((X - X_0)/h), with t = (X - c)/h in [-1/2, 1/2] about each
-  bucket's centre c. Each bucket some point reaches gets the moments
-  M_k = sum t^k/k!, k < 20 (Greengard and Strain 1991). With s = (x - c)/h,
-  a bucket adds phi(s) sum_k He_k(s) M_k to the density sum and
-  Phi(s) M_0 - phi(s) sum_k He_(k-1)(s) M_k to the CDF sum. By Cramer's
-  bound |He_k(s)| phi(s) <= 0.434 sqrt(k!), the first omitted term is at most
-  about 0.434 0.5^20/sqrt(20!) = 2.7e-16 per value. The reach of x is every
-  bucket that meets [x - 8h, x + 8h], so it holds every value within 8h and
-  none beyond 9h; values between 8h and 9h add terms of at most
-  phi(8) = 5.1e-15 (density) or Phi(-8) = 6.2e-16 (CDF) each that the
-  direct window leaves out, and every value in a bucket below the reach
-  counts 1 to the CDF. The moments cost about 20 passes over the values in
-  reached buckets, the series about 80 flops per point and bucket.
-
-At n = 2^20, h = n^-delta for delta in {0.3, 0.5, 0.7, 0.9} and data shifted
-by 0, 10 and 1e3, densities and CDFs at sampled points of a 1601-point grid
-were within 2e-15 of a math.fsum of their terms (for the Gaussian, within
-6e-16 of the 8h window's). The 2n crossover is about where the direct and
-prefix paths cost the same: on a 1601-point grid the prefix path was faster
-above about 1.4n terms at n = 2^20, 2n at n = 2^17 and 5n at n = 2^14. The
-Gaussian's 20n comes from the series length, since its moments cost about
-20 passes over the data, and it is conservative: over an AR(1) path of
-n = 2^17 (best of 3) the Hermite path took 3-7 ms at 50 to 1601 points,
-while direct sums at 16n terms took 8 ms (density) and 43 ms (CDF), so the
-costs crossed near 6n terms for the density and below 1.2n for the CDF. Any
-crossover of at least 3n keeps sums at 3 or fewer points direct at every n;
-a 3-point CLT sum at n = 10^4 holds about 1.85n terms.
+density_estimate and cdf_estimate give (1/(n h)) sum_i K((X_i - x)/h) and
+(1/n) sum_i G_K((x - X_i)/h) on a grid, as exact finite sums; the runners
+take the raw sums at any points of sorted data from _kernel_window_sums and
+_cdf_window_sums. One engine (_window_sums) computes them by a direct, a
+prefix (compact kernels) or a Hermite (Gaussian) path, chosen from the
+input alone. The exact centerings E f_n(x) and E F_n(x) under the
+N(0, s^2) marginal come from one oracle (_expected), which raises
+ArithmeticError when its 16- and 32-node rules disagree. README "Window
+sums" and "Oracles" give each path's error bound and the crossovers.
 """
 
 from __future__ import annotations
@@ -86,7 +29,6 @@ from .processes import (
     marginal_cdf,
     marginal_density,
 )
-from .util import fmt_float
 
 STRATEGIES = ("direct", "binned")
 CDF_CENTERS = ("expected_fnk", "true_f")
@@ -125,13 +67,6 @@ class EstimateCurve:
     values: np.ndarray
     kind: str  # "density" or "cdf"
 
-    def to_csv(self, path) -> None:
-        pts = self.grid.points
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("x,value\n")
-            for x, v in zip(pts, self.values):
-                fh.write(f"{fmt_float(x)},{fmt_float(v)}\n")
-
 
 def _check_h(h: float, values: np.ndarray | None = None) -> None:
     if not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0.0):
@@ -143,10 +78,6 @@ def _check_h(h: float, values: np.ndarray | None = None) -> None:
                 f"bandwidth {h:g} is below {_H_RANGE_FLOOR:g} of the data range {rng:g}; "
                 "sums of point spikes are not a usable estimate"
             )
-
-
-def _sorted_values(path: SamplePath) -> np.ndarray:
-    return np.sort(path.values)
 
 
 def _kernel_window_sums(xs: np.ndarray, kernel: KernelSpec, h: float, pts: np.ndarray) -> np.ndarray:
@@ -165,7 +96,7 @@ def _cdf_window_sums(xs: np.ndarray, kernel: KernelSpec, h: float, pts: np.ndarr
     return below + sums
 
 
-# The window-sum engine (see the module docstring). A compact kernel is a
+# The window-sum engine (README "Window sums"). A compact kernel is a
 # polynomial in u = (X_i - x)/h on each of its pieces, so a window sum is a
 # sum of polynomial values over an index range of the sorted data. Windows
 # holding at most this many terms per data value, in total over all points,
@@ -450,7 +381,7 @@ def density_estimate(
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    xs = _sorted_values(path)
+    xs = np.sort(path.values)
     _check_h(h, xs)
     n = xs.size
     if strategy == "direct":
@@ -489,21 +420,11 @@ def cdf_estimate(path: SamplePath, kernel: KernelSpec, h: float, grid: Grid = DE
     """
     if not (kernel.is_symmetric and kernel.integrates_to_one):
         raise ValueError("cdf_estimate needs a symmetric kernel with unit mass")
-    xs = _sorted_values(path)
+    xs = np.sort(path.values)
     _check_h(h, xs)
     values = _cdf_window_sums(xs, kernel, h, grid.points) / xs.size
     np.clip(values, 0.0, 1.0, out=values)
     return EstimateCurve(grid=grid, values=values, kind="cdf")
-
-
-def cdf_estimate_at(path: SamplePath, kernel: KernelSpec, h: float, x: float) -> float:
-    """The distribution estimate at a single point."""
-    if not (kernel.is_symmetric and kernel.integrates_to_one):
-        raise ValueError("cdf_estimate needs a symmetric kernel with unit mass")
-    xs = _sorted_values(path)
-    _check_h(h, xs)
-    val = _cdf_window_sums(xs, kernel, h, np.asarray([float(x)]))[0] / xs.size
-    return min(1.0, max(0.0, val))
 
 
 @cache
@@ -517,7 +438,7 @@ _MARGINAL_RADIUS = 40.0
 
 
 def _expected(model: ProcessModel, kernel: KernelSpec, h: float, x, form: str):
-    """E f_n(x) (form "density") or E F_n(x) ("cdf"); see the module docstring."""
+    """E f_n(x) (form "density") or E F_n(x) ("cdf"); see README "Oracles"."""
     _check_h(h)
     x = np.asarray(x, dtype=float)
     if kernel.pieces is None:
@@ -580,11 +501,6 @@ def bias(model: ProcessModel, kernel: KernelSpec, h: float, x):
     return _expected(model, kernel, h, x, "density") - marginal_density(model, x)
 
 
-def _check_same_grid(a: EstimateCurve, b: EstimateCurve) -> None:
-    if a.grid != b.grid:
-        raise ValueError("curves live on different grids")
-
-
 def sup_deviation(a: EstimateCurve, b: EstimateCurve) -> float:
     """max_j |a_j - b_j| over the shared grid.
 
@@ -592,17 +508,9 @@ def sup_deviation(a: EstimateCurve, b: EstimateCurve) -> float:
     gap is at most spacing times the sum of the two curves' Lipschitz
     constants (for a density estimate, at most lipschitz_const/h^2 each).
     """
-    _check_same_grid(a, b)
+    if a.grid != b.grid:
+        raise ValueError("curves live on different grids")
     return float(np.max(np.abs(a.values - b.values)))
-
-
-def lp_deviation(a: EstimateCurve, b: EstimateCurve, p: float) -> float:
-    """(integral |a - b|^p dx)^{1/p} over the grid span, by the trapezoid rule."""
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and p >= 1.0):
-        raise ValueError(f"p must be a finite number >= 1, got {p!r}")
-    _check_same_grid(a, b)
-    diff = np.abs(a.values - b.values) ** p
-    return float(np.trapezoid(diff, a.grid.points)) ** (1.0 / p)
 
 
 def clt_statistic(path: SamplePath, kernel: KernelSpec, h: float, x: float) -> float:
@@ -615,7 +523,7 @@ def clt_statistic(path: SamplePath, kernel: KernelSpec, h: float, x: float) -> f
     fx = marginal_density(path.model, x)
     if not fx > 1e-300:
         raise ValueError(f"marginal density vanishes at x={x:g}")
-    xs = _sorted_values(path)
+    xs = np.sort(path.values)
     _check_h(h, xs)
     n = xs.size
     fn = _kernel_window_sums(xs, kernel, h, np.asarray([float(x)]))[0] / (n * h)
@@ -640,6 +548,10 @@ def cdf_clt_statistic(
     fx = marginal_cdf(m, x)
     if not (1e-12 < fx < 1.0 - 1e-12):
         raise ValueError(f"F(x) = {fx:g} is too close to 0 or 1 for standardization")
-    fn = cdf_estimate_at(path, kernel, h, x)
+    if not (kernel.is_symmetric and kernel.integrates_to_one):
+        raise ValueError("cdf_clt_statistic needs a symmetric kernel with unit mass")
+    xs = np.sort(path.values)
+    _check_h(h, xs)
+    fn = min(1.0, max(0.0, _cdf_window_sums(xs, kernel, h, np.asarray([float(x)]))[0] / xs.size))
     c = expected_cdf(m, kernel, h, x) if center == "expected_fnk" else fx
-    return math.sqrt(len(path)) * (fn - c) / math.sqrt(indicator_long_run_variance(m, x))
+    return math.sqrt(xs.size) * (fn - c) / math.sqrt(indicator_long_run_variance(m, x))

@@ -1,21 +1,13 @@
 """Simulation experiments with named admissibility gates and fixed verdicts.
 
-Eight experiment kinds are supported: three central-limit checks (density,
-distribution with exact centering, distribution against the true F), two
-convergence-rate readings (sup and integral L^p), an almost-sure uniform
-ratio check, a bias scan, and the block-moment diagnostic. Every kind runs
-behind gates named after the conditions they enforce (B1/B2/B3 for the
-bandwidth schedule, C1/C2/C3 for the marginal density, K1/K2/K3 for the
-kernel, plus dependence-decay summability); a failed gate raises GateError
-rather than producing a report, and conditions that hold automatically for
-the built-in models are still recorded so reports list every hypothesis.
-One table (_KIND_TABLE) describes each kind, and run_experiment runs every
-kind through the same steps.
-
-Reports are deterministic: replicate r of a run draws its path from
-derive_seed(base_seed, r), each replicate writes only its own result slots,
-and aggregation happens in index order, so the bytes do not depend on the
-worker-thread count.
+One table (_KIND_TABLE) describes each of the eight kinds: its gates, its
+shape needs, its run body and its plotdata.csv columns, and run_experiment
+runs every kind through the same steps. A failed gate raises GateError
+instead of producing a report. Every Monte Carlo kind draws replicate r's
+path from derive_seed(base_seed, r) on one pool (_each_path), each
+replicate writes only its own slots, and aggregation runs in index order,
+so reports do not depend on the thread count. See README "Library layout"
+and "Admissibility gates".
 """
 
 from __future__ import annotations
@@ -29,7 +21,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .bandwidth import BandwidthSchedule, bandwidth_at, check_conditions
-from .blocking import _checked_level, moment_bound_check
+from .blocking import _checked_level, _interpolated_gap, build_partition
 from .estimator import (
     _H_RANGE_FLOOR,
     DEFAULT_GRID,
@@ -45,6 +37,7 @@ from .kernels import KernelSpec
 from .processes import generate_path  # noqa: F401  (perfbench/spans.py traces this name)
 from .processes import (
     ProcessModel,
+    conditional_mean,
     generate_paths,
     indicator_long_run_variance,
     marginal_cdf,
@@ -53,9 +46,10 @@ from .processes import (
     mixing_tail_bound,
     paths_per_block,
     plackett_lags,
+    rho_decay,
     rho_mixing_coefficient,
 )
-from .util import _run_replicates, derive_seed, dumps_json
+from .util import _run_replicates, clamped_log, derive_seed, dumps_json
 
 KS_THRESHOLD = 0.05
 RATE_SLOPE_TOL = 0.1
@@ -394,27 +388,38 @@ def enforce_gates(config: ExperimentConfig) -> list[GateCheck]:
 # replicate scheduling
 
 
-def _sorted_prefixes(config: ExperimentConfig, threads, sizes, reduce, shape) -> np.ndarray:
-    """out[r, j] = reduce(j, sorted first sizes[j] values of replicate path r).
+def _each_path(model: ProcessModel, n: int, count: int, base_seed: int, threads, each) -> None:
+    """each(r, values) for r < count, values the length-n path of derive_seed(base_seed, r).
 
-    Replicate r draws one path of length sizes[-1] from
-    derive_seed(base_seed, r), so every size reads a prefix of the same path
-    (nested prefixes). Each reduce result has the trailing shape `shape`.
     The pool gets blocks of paths_per_block replicates, drawn together.
+    each(r, ...) must write only replicate r's slots.
     """
-    count, model = config.replicates, config.model
-    out = np.empty((count, len(sizes), *shape))
-    rows = paths_per_block(model, sizes[-1])
+    rows = paths_per_block(model, n)
 
     def worker(block: int) -> None:
         lo = block * rows
-        seeds = [derive_seed(config.base_seed, r) for r in range(lo, min(lo + rows, count))]
-        for r, values in enumerate(generate_paths(model, sizes[-1], seeds), lo):
-            for j, n in enumerate(sizes):
-                # each sorted prefix is freed before the next one is sorted
-                out[r, j] = reduce(j, np.sort(values[:n]))
+        seeds = [derive_seed(base_seed, r) for r in range(lo, min(lo + rows, count))]
+        for r, values in enumerate(generate_paths(model, n, seeds), lo):
+            each(r, values)
 
     _run_replicates(-(-count // rows), threads, worker)
+
+
+def _sorted_prefixes(config: ExperimentConfig, threads, sizes, reduce, shape) -> np.ndarray:
+    """out[r, j] = reduce(j, sorted first sizes[j] values of replicate path r).
+
+    Replicate r draws one path of length sizes[-1], so every size reads a
+    prefix of the same path (nested prefixes). Each reduce result has the
+    trailing shape `shape`.
+    """
+    out = np.empty((config.replicates, len(sizes), *shape))
+
+    def each(r: int, values: np.ndarray) -> None:
+        for j, n in enumerate(sizes):
+            # each sorted prefix is freed before the next one is sorted
+            out[r, j] = reduce(j, np.sort(values[:n]))
+
+    _each_path(config.model, sizes[-1], config.replicates, config.base_seed, threads, each)
     return out
 
 
@@ -569,14 +574,10 @@ def uniform_verdict(n_list, ratios) -> tuple[dict, str]:
     """Summary fields and verdict for the almost-sure uniform bound.
 
     ratios[r, j] is path r's grid sup-deviation over the rate at n_list[j].
-    The theorem promises an almost-sure O-bound: each path's ratio stays
-    bounded, with no trend in n. Boundedness is read per path: a path is
-    bounded when its largest ratio is at most 3 times its median ratio, and
-    at least 95 percent of paths must be bounded. The trend is read on the
-    run: the mean of the per-path log-log slopes must lie within 0.05 of
-    flat. A single path's slope carries Monte Carlo noise comparable to that
-    tolerance, so asking every path to be flat would fail a correct rate by
-    chance; the mean has standard error SD/sqrt(paths) instead.
+    A path is bounded when its largest ratio is at most 3 times its median
+    ratio. The run passes when at least 95 percent of paths are bounded and
+    the mean of the per-path log-log slopes lies within 0.05 of flat; README
+    "Testing" (criteria 5 and 6) says why the trend is read on the mean.
     """
     ratios = np.asarray(ratios, dtype=float)
     n_arr = np.asarray(n_list, dtype=float)
@@ -619,10 +620,8 @@ def _run_uniform(config: ExperimentConfig, h_list, threads) -> dict:
     """Boundedness check of sup-deviation over the rate sqrt(|log h|/(n h)).
 
     Each replicate is one path followed along every n in n_list (nested
-    prefixes, as an almost-sure statement is about one path). The verdict
-    (uniform_verdict) passes when at least 95 percent of paths keep their
-    largest ratio within 3 times their median ratio and the mean per-path
-    slope of log ratio against log n stays within 0.05 of flat.
+    prefixes, as an almost-sure statement is about one path); the verdict
+    is uniform_verdict's.
     """
     model, kernel = config.model, config.kernel
     n_list = config.n_list
@@ -712,6 +711,91 @@ def _run_bias(config: ExperimentConfig, h_list, threads) -> dict:
     verdict = "pass" if (within and min_slope >= BIAS_SLOPE_MIN) else "fail"
     return dict(rows=rows, summary=summary, slope=_report_fit(headline),
                 theorem_prediction=1.0, verdict=verdict, notes=notes)
+
+
+def moment_bound_check(
+    model: ProcessModel,
+    p: int,
+    k: int,
+    alpha: float,
+    beta: float,
+    replicates: int,
+    base_seed: int,
+    threads: int | None = 1,
+) -> dict:
+    """Monte Carlo comparison of a conditional-moment sum against its bound.
+
+    For each replicate path, G = sum_m E[xi_m | anchor_m] where xi_m is the
+    m-th big-block sum of the level-k partition and the anchor is the
+    observation immediately before that block (the Markov state, which is
+    why only iid and ar1 models are accepted). The estimated E|G|^p is
+    compared against the bound shape
+
+        (log 2 r_k)^p [ (sum_m rho(q(m/2))^2 |xi_m|_2^2)^{p/2}
+                        + sum_m rho(q(m/2))^{2/(p-1)} |xi_m|_p^p ]
+
+    with block moments estimated from the same replicates, rho the model's
+    real-lag decay, q(.) the interpolated gap length, and log the clamped
+    convention. Returns lhs_estimate, rhs_bound_shape, and their ratio
+    (defined as 0 when both sides vanish, as for iid models). The paths run
+    on the replicate pool and the sums in replicate order afterwards, so the
+    result does not depend on the thread count.
+    """
+    if model.family not in ("iid", "ar1"):
+        raise ValueError("moment_bound_check needs a Markov model (iid or ar1)")
+    if not isinstance(p, int) or isinstance(p, bool) or p < 2 or p % 2 != 0:
+        raise ValueError(f"moment order p must be an even integer >= 2, got {p!r}")
+    if not isinstance(replicates, int) or isinstance(replicates, bool) or replicates < 1:
+        raise ValueError(f"replicates must be an integer >= 1, got {replicates!r}")
+    part = build_partition(k, alpha, beta)
+    starts = np.array([s for s, _ in part.big_blocks], dtype=np.int64)
+    ends = np.array([e for _, e in part.big_blocks], dtype=np.int64)
+    anchors = starts - 1
+    # E[xi_m | X_{s-1}] = X_{s-1} * sum_{j=1..p_k} E[X_{t+j} | X_t = 1]
+    coef = sum(conditional_mean(model, 1.0, j) for j in range(1, part.p_k + 1))
+
+    g = [0.0] * replicates
+    xi = np.empty((replicates, part.r_k))
+
+    def each(r: int, values: np.ndarray) -> None:
+        cs = np.concatenate(([0.0], np.cumsum(values)))
+        xi[r] = cs[ends] - cs[starts]
+        g[r] = coef * float(values[anchors].sum())
+
+    _each_path(model, 2 ** (k + 1), replicates, base_seed, threads, each)
+    lhs_acc = 0.0
+    sq_acc = np.zeros(part.r_k)
+    pp_acc = np.zeros(part.r_k)
+    for rep in range(replicates):
+        lhs_acc += abs(g[rep]) ** p
+        sq_acc += xi[rep] * xi[rep]
+        pp_acc += np.abs(xi[rep]) ** p
+
+    lhs = lhs_acc / replicates
+    xi_sq = sq_acc / replicates
+    xi_pp = pp_acc / replicates
+    gaps = np.array([_interpolated_gap(beta, 0.5 * m) for m in range(1, part.r_k + 1)])
+    rho = np.array([rho_decay(model, g) for g in gaps])
+    log_factor = clamped_log(2.0 * part.r_k) ** p
+    rhs = log_factor * (
+        float((rho * rho) @ xi_sq) ** (p / 2.0) + float((rho ** (2.0 / (p - 1))) @ xi_pp)
+    )
+    if lhs == 0.0 and rhs == 0.0:
+        ratio = 0.0
+    elif rhs == 0.0:
+        ratio = math.inf
+    else:
+        ratio = lhs / rhs
+    return {
+        "lhs_estimate": lhs,
+        "rhs_bound_shape": rhs,
+        "ratio": ratio,
+        "k": k,
+        "p_k": part.p_k,
+        "q_k": part.q_k,
+        "r_k": part.r_k,
+        "replicates": replicates,
+    }
 
 
 def _run_moment_bound(config: ExperimentConfig, h_list, threads) -> dict:

@@ -170,13 +170,3 @@ def kernel_cdf(kernel: KernelSpec, u):
     out = ndtr(np.asarray(u, dtype=float))
     return out if out.ndim else float(out)
 
-
-def kernel_constants(kernel: KernelSpec) -> dict:
-    """The stored analytic constants, keyed by name."""
-    return {
-        "l1_norm": kernel.l1_norm,
-        "l2_norm_sq": kernel.l2_norm_sq,
-        "sup_norm": kernel.sup_norm,
-        "support_radius": kernel.support_radius,
-        "lipschitz_const": kernel.lipschitz_const,
-    }

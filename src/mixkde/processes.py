@@ -1,26 +1,13 @@
 """Stationary Gaussian sequence models with known dependence decay.
 
-Three families are built in: iid Gaussians, the stationary AR(1) recursion,
-and finite moving averages. A path keyed by a 64-bit seed is the Philox
-stream with that key, read as uniforms and turned into normals by the
-inverse CDF, then filtered; this draw contract fixes every bit. Paths are
-drawn in blocks (generate_paths): one Philox, re-keyed for each path,
-fills a block of at most _BLOCK_VALUES values, and the inverse CDF, the
-scaling and the AR(1) filter run once per block. A longer path is drawn
-alone in pieces of that size, the filter state carried across. A block
-draw gives each path the bits it has when drawn alone (generate_path).
-
-All are centered Gaussian, so the marginal law is known exactly and the
-maximal-correlation coefficient between past and future is available in
-closed form (for the moving average, the figure exposed for
-lags inside the window is the largest absolute cross-correlation over the
-gap; beyond the window it is exactly zero). The signed autocorrelations
-also give the exact long-run variance of the indicator series 1{X_t <= x},
-the scale of the distribution-function CLT under dependence: Plackett
-integrals for the moving-average lags and for the AR(1) lags with
-|phi|^k > 1/2, at most 2^20 of them (|phi| < 1 - 6.61e-7), and for the
-later AR(1) lags Mehler's tetrachoric series, summed over the lags in closed
-form and truncated once Cramer's bound on the rest is below 1e-17 F(1-F).
+iid Gaussians, the stationary AR(1) recursion and finite moving averages,
+all centered, so the marginal law, the maximal-correlation coefficients and
+the long-run variance of 1{X_t <= x} are known exactly. The draw contract
+fixes every bit: the path keyed by a 64-bit seed is the Philox stream with
+that key, read as uniforms, turned into normals by the inverse CDF, then
+filtered. generate_paths draws many paths in blocks, each row with the bits
+it has when drawn alone (generate_path). See README "Library layout" and
+"Testing" (criterion 2).
 """
 
 from __future__ import annotations
@@ -362,17 +349,11 @@ def indicator_long_run_variance(model: ProcessModel, x: float) -> float:
     """Long-run variance of the indicator series 1{X_t <= x}.
 
     sigma_LR^2(x) = F(1-F) + 2 sum_{k>=1} [Phi_2(z, z; rho_k) - F^2], with
-    z = x / marginal_sd and rho_k the signed lag-k autocorrelation (phi^k for
-    AR(1), sum_j w_j w_{j+k} / sum_j w_j^2 for a moving average). It is the
-    variance in the CLT for sqrt(n)(F_n(x) - F(x)) under summable rho-mixing
-    (Bosq 1998). Moving-average sums are finite, each covariance computed by
-    Plackett's identity with a fixed Gauss-Legendre rule. For AR(1), the
-    plackett_lags(phi) lags with |phi|^k > 1/2 are integrated the same way;
-    the lags beyond add up in closed form in each term of Mehler's
-    tetrachoric series (_mehler_far_sum), truncated with a stated bound below
-    1e-17 F(1-F). The work is O(1 / (1 - |phi|)). plackett_lags raises
-    ValueError for |phi| from about 1 - 6.61e-7 on, where the integrals would
-    pass 2^20 lags. iid models and phi = 0 return F(1-F) exactly.
+    z = x / marginal_sd and rho_k the signed lag-k autocorrelation, by
+    Plackett integrals and, for the far AR(1) lags, a Mehler series
+    (_mehler_far_sum) truncated below 1e-17 F(1-F). iid models and phi = 0
+    return F(1-F) exactly. plackett_lags raises ValueError for |phi| from
+    about 1 - 6.61e-7 on.
     """
     z = float(x) / model.marginal_sd
     # F(1-F) as Phi(z) Phi(-z): symmetric in z, and 1 - F loses no digits

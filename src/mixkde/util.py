@@ -47,24 +47,18 @@ def resolve_threads(threads: int | None) -> int:
 def _run_replicates(count: int, threads: int | None, worker) -> None:
     """Run worker(i) for i in range(count), possibly on a thread pool.
 
-    The pool never has more threads than CPUs or replicates. Each worker
-    call must write only its own output slots; results are aggregated by
-    index afterwards, so any thread count gives identical bytes.
+    The pool never has more threads than CPUs or replicates, and hands out
+    one index at a time. Each worker call must write only its own output
+    slots; results are aggregated by index afterwards, so any thread count
+    gives identical bytes.
     """
     t = min(resolve_threads(threads), count, os.cpu_count() or 1)
     if t <= 1:
         for i in range(count):
             worker(i)
         return
-    bounds = [count * i // t for i in range(t + 1)]
-    spans = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
-
-    def run_span(span):
-        for i in range(span[0], span[1]):
-            worker(i)
-
     with ThreadPoolExecutor(max_workers=t) as pool:
-        list(pool.map(run_span, spans))
+        list(pool.map(worker, range(count)))
 
 
 def clamped_log(x: float) -> float:

@@ -2,18 +2,11 @@
 
 import math
 
-import numpy as np
 import pytest
 
-from mixkde.blocking import (
-    BlockPartition,
-    block_sums,
-    bracket_threshold,
-    build_partition,
-    moment_bound_check,
-    partition_to_csv,
-)
-from mixkde.processes import ProcessModel, SamplePath, generate_path
+from mixkde.blocking import BlockPartition, bracket_threshold, build_partition, partition_to_csv
+from mixkde.experiments import moment_bound_check
+from mixkde.processes import ProcessModel
 
 IID = ProcessModel(family="iid")
 AR_QUARTER = ProcessModel(family="ar1", phi=0.25)
@@ -27,10 +20,6 @@ GRID = [
 ]
 
 
-def _arange_path(n):
-    return SamplePath(values=np.arange(n, dtype=float), model=IID, seed=0)
-
-
 def test_worked_example_level_4():
     part = build_partition(4, 0.5, 0.25)
     assert (part.p_k, part.q_k, part.r_k) == (4, 2, 2)
@@ -40,13 +29,6 @@ def test_worked_example_level_4():
     # trailing block absorbs the remainder: 16 - 2*6 = 4 indices
     tail = part.small_blocks[-1]
     assert tail[1] - tail[0] == 4
-
-
-def test_worked_example_sums():
-    part = build_partition(4, 0.5, 0.25)
-    big, small = block_sums(_arange_path(32), part)
-    assert big.tolist() == [70.0, 94.0]
-    assert small.tolist() == [41.0, 53.0, 118.0]
 
 
 @pytest.mark.parametrize("k,alpha,beta", GRID)
@@ -94,54 +76,6 @@ def test_block_order_interleaves():
         seq.extend([(bs, be), (ss, se)])
     seq.append(part.small_blocks[-1])
     assert all(a[1] == b[0] for a, b in zip(seq, seq[1:]))
-
-
-def test_block_sums_constant_maps():
-    part = build_partition(6, 0.5, 0.25)
-    path = generate_path(IID, 2**7, seed=9)
-    big, small = block_sums(path, part, transform=lambda v: np.zeros_like(v))
-    assert not big.any() and not small.any()
-    big, small = block_sums(path, part, transform=lambda v: np.ones_like(v))
-    assert np.all(big == part.p_k)
-    assert np.all(small[:-1] == part.q_k)
-    tail_s, tail_e = part.small_blocks[-1]
-    assert small[-1] == tail_e - tail_s
-
-
-def test_cover_identity_exact_on_integers():
-    """Small integers sum without rounding, so the identity is bitwise."""
-    for k in (4, 6, 9):
-        part = build_partition(k, 0.5, 0.25)
-        rng = np.random.default_rng(k)
-        vals = rng.integers(-50, 50, size=2 ** (k + 1)).astype(float)
-        path = SamplePath(values=vals, model=IID, seed=0)
-        big, small = block_sums(path, part)
-        lo, hi = part.window
-        assert big.sum() + small.sum() == vals[lo:hi].sum()
-
-
-def test_cover_identity_float_paths():
-    for k in (6, 10, 12):
-        part = build_partition(k, 0.5, 0.25)
-        path = generate_path(AR_QUARTER, 2 ** (k + 1), seed=k)
-        big, small = block_sums(path, part)
-        lo, hi = part.window
-        total = path.values[lo:hi].sum()
-        scale = np.abs(path.values[lo:hi]).sum()
-        assert abs((big.sum() + small.sum()) - total) <= 1e-14 * scale
-
-
-def test_block_sums_transform_applies_elementwise():
-    part = build_partition(4, 0.5, 0.25)
-    big, small = block_sums(_arange_path(32), part, transform=lambda v: v * v)
-    want_big = [float(sum(i * i for i in range(s, e))) for s, e in part.big_blocks]
-    assert big.tolist() == want_big
-
-
-def test_block_sums_rejects_short_path():
-    part = build_partition(6, 0.5, 0.25)
-    with pytest.raises(ValueError, match="too short"):
-        block_sums(generate_path(IID, 100, seed=1), part)
 
 
 def test_partition_rejections():

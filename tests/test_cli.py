@@ -392,6 +392,25 @@ def test_oracle_failure_is_an_error_line(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("exc,line", [
+    (MemoryError("Unable to allocate 7.28 TiB"), "error: Unable to allocate 7.28 TiB"),
+    (MemoryError(), "error: MemoryError"),
+], ids=["message", "bare"])
+def test_memory_error_is_an_error_line(tmp_path, capsys, monkeypatch, exc, line):
+    import mixkde.cli as cli
+
+    def run_experiment(config, threads):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    cfg = _write(tmp_path, TINY_SCALE_RUN)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [line]
+    assert not out.exists()
+
+
 def test_partition_subcommand(tmp_path, capsys):
     out = tmp_path / "part.csv"
     code = main(["partition", "--k", "4", "--alpha", "0.5", "--beta", "0.25", "--out", str(out)])

@@ -15,13 +15,11 @@ from mixkde.estimator import (
     binned_accuracy_bound,
     cdf_clt_statistic,
     cdf_estimate,
-    cdf_estimate_at,
     clt_statistic,
     density_estimate,
     expected_cdf,
     expected_density,
     expected_density_curve,
-    lp_deviation,
     sup_deviation,
 )
 from mixkde.kernels import FAMILIES, evaluate, kernel_cdf, kernel_from_name
@@ -156,17 +154,6 @@ def test_location_equivariance():
     assert np.max(np.abs(base.values - moved.values)) < 1e-9
 
 
-def test_curve_csv_format(tmp_path):
-    curve = density_estimate(_path_from([0.0]), GAUSS, 1.0, Grid(0.0, 1.0, 2))
-    out = tmp_path / "curve.csv"
-    curve.to_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "x,value"
-    x, v = lines[1].split(",")
-    assert float(x) == 0.0
-    assert float(v) == curve.values[0]
-
-
 # ---------------------------------------------------------------------------
 # cdf estimates
 
@@ -174,7 +161,8 @@ def test_curve_csv_format(tmp_path):
 def test_cdf_single_point_midpoint():
     for family in sorted(FAMILIES):
         kernel = kernel_from_name(family)
-        assert cdf_estimate_at(_path_from([0.0]), kernel, 1.0, 0.0) == pytest.approx(0.5, abs=1e-14)
+        curve = cdf_estimate(_path_from([0.0]), kernel, 1.0, Grid(-1.0, 1.0, 3))
+        assert curve.values[1] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_cdf_terminal_values():
@@ -218,13 +206,13 @@ def test_cdf_equals_integral_of_density():
 
 
 def test_cdf_estimate_at_matches_curve():
+    """A point's value does not depend on the grid that holds it."""
     path = generate_path(IID, 300, seed=2)
     grid = Grid(-1.0, 1.0, 5)
     curve = cdf_estimate(path, EPAN, 0.4, grid)
     for j, x in enumerate(grid.points):
-        assert cdf_estimate_at(path, EPAN, 0.4, float(x)) == pytest.approx(
-            curve.values[j], abs=1e-15
-        )
+        lone = cdf_estimate(path, EPAN, 0.4, Grid(float(x), float(x) + 1.0, 2))
+        assert lone.values[0] == pytest.approx(curve.values[j], abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +347,6 @@ def test_deviation_trivia():
     b = EstimateCurve(grid=grid, values=np.full(101, 0.3 + 0.01), kind="density")
     assert sup_deviation(a, a) == 0.0
     assert sup_deviation(a, b) == pytest.approx(0.01, abs=1e-15)
-    for p in (1.0, 2.0, 4.0):
-        # constant gap on a unit-length span: the L^p norm equals the gap
-        assert lp_deviation(a, b, p) == pytest.approx(0.01, abs=1e-12)
 
 
 def test_sup_deviation_grows_under_refinement():
@@ -380,22 +365,11 @@ def test_sup_deviation_grows_under_refinement():
     assert d_fine >= d_coarse - 1e-15
 
 
-def test_l2_bounded_by_sup_times_sqrt_span():
-    path = generate_path(IID, 500, seed=19)
-    grid = Grid(-2.0, 2.0, 401)
-    a = density_estimate(path, EPAN, 0.2, grid)
-    b = expected_density_curve(IID, EPAN, 0.2, grid)
-    l2 = lp_deviation(a, b, 2.0)
-    assert l2 <= sup_deviation(a, b) * math.sqrt(grid.hi - grid.lo) + 1e-15
-
-
 def test_deviation_errors():
     a = EstimateCurve(grid=Grid(0.0, 1.0, 11), values=np.zeros(11), kind="density")
     b = EstimateCurve(grid=Grid(0.0, 1.0, 21), values=np.zeros(21), kind="density")
     with pytest.raises(ValueError, match="different grids"):
         sup_deviation(a, b)
-    with pytest.raises(ValueError):
-        lp_deviation(a, a, 0.5)
 
 
 # ---------------------------------------------------------------------------

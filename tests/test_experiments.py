@@ -16,7 +16,7 @@ from mixkde.processes import (
     marginal_cdf,
 )
 from mixkde.util import derive_seed, resolve_threads
-from mixkde import experiments, util
+from mixkde import experiments, processes, util
 from mixkde.experiments import (
     CLT_KINDS,
     GateError,
@@ -263,6 +263,28 @@ def test_replicate_pool_is_capped_at_cpu_count(monkeypatch):
     experiments._run_replicates(2000, 5000, done.append)
     assert pools == [3]
     assert sorted(done) == list(range(2000))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_each_path_rows_match_single_draws_across_blocks(threads):
+    n = 2**14  # 4 paths per block: 14 replicates are 3 full blocks and one of 2
+    assert processes.paths_per_block(AR_HALF, n) == 4
+    rows = [None] * 14
+
+    def each(r, values):
+        rows[r] = values.copy()
+
+    experiments._each_path(AR_HALF, n, 14, 99, threads, each)
+    for r, values in enumerate(rows):
+        assert np.array_equal(values, generate_path(AR_HALF, n, derive_seed(99, r)).values)
+
+
+def test_moment_bound_check_same_across_thread_counts():
+    # k = 12 draws paths of 2^13 values, 8 per block: 20 replicates are 3 blocks
+    assert processes.paths_per_block(AR_HALF, 2**13) == 8
+    one = experiments.moment_bound_check(AR_HALF, 2, 12, 0.5, 0.25, 20, 5, threads=1)
+    two = experiments.moment_bound_check(AR_HALF, 2, 12, 0.5, 0.25, 20, 5, threads=2)
+    assert one == two
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from mixkde.kernels import (
     GAUSSIAN_TAIL_RADIUS,
     evaluate,
     kernel_cdf,
-    kernel_constants,
     kernel_from_name,
 )
 
@@ -201,17 +200,6 @@ def test_effective_radius():
     for family in COMPACT_FAMILIES:
         kernel = kernel_from_name(family)
         assert kernel.effective_radius == kernel.support_radius
-
-
-def test_kernel_constants_keys():
-    consts = kernel_constants(kernel_from_name("epanechnikov"))
-    assert consts == {
-        "l1_norm": 1.0,
-        "l2_norm_sq": 0.6,
-        "sup_norm": 0.75,
-        "support_radius": 1.0,
-        "lipschitz_const": 1.5,
-    }
 
 
 def test_unknown_family_rejected():

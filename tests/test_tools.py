@@ -34,3 +34,14 @@ def test_report_hashes_runs_two_configs(tmp_path):
     proc = _tool("--diff", str(out), str(out))
     assert proc.returncode == 0, proc.stderr
     assert "2 of 2 configs identical; 0 exit codes differ" in proc.stdout
+
+    # one flipped file hash is a difference, though every exit code agrees
+    flipped = json.loads(out.read_text())
+    sha = flipped[LABELS[0]]["files"]["report.json"]
+    flipped[LABELS[0]]["files"]["report.json"] = ("0" if sha[0] != "0" else "1") + sha[1:]
+    other = tmp_path / "flipped.json"
+    other.write_text(json.dumps(flipped))
+    proc = _tool("--diff", str(out), str(other))
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert f"{LABELS[0]}: files report.json" in proc.stdout
+    assert "1 of 2 configs identical; 0 exit codes differ" in proc.stdout

@@ -16,7 +16,8 @@ be compared value by value.
 --src picks the checkout whose `mixkde` runs (default: this checkout's
 src/). --only keeps the configs whose label contains one of its strings.
 --diff prints, per config, what differs between two outputs, and per kind
-the largest relative difference of the report numbers.
+the largest relative difference of the report numbers; it exits 1 when any
+config's exit codes, validate output or bundle files differ.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def _relative(a: list[float], b: list[float]) -> float:
 
 
 def diff(before: dict, after: dict) -> int:
-    """Print what differs; return the number of configs whose exit codes differ."""
+    """Print what differs; return the number of configs that are not identical."""
     moved: dict[str, float] = {}
     codes = 0
     for label in sorted(before.keys() | after.keys()):
@@ -159,7 +160,7 @@ def diff(before: dict, after: dict) -> int:
     print(f"{same} of {len(before)} configs identical; {codes} exit codes differ")
     for kind, rel in sorted(moved.items()):
         print(f"  {kind}: largest relative difference {rel:.3g}")
-    return codes
+    return len(before.keys() | after.keys()) - same
 
 
 def main(argv=None) -> int:
