@@ -257,6 +257,8 @@ def cmd_run(config_path, out_dir, threads: int | None = None) -> int:
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
+        # the manifest marks a bundle complete: drop an older run's before writing
+        (out / MANIFEST_NAME).unlink(missing_ok=True)
         (out / REPORT_NAME).write_text(report.to_json(), encoding="utf-8")
         _write_rows_csv(out / PER_N_NAME, report.rows)
         _write_rows_csv(out / PLOTDATA_NAME, _plotdata_rows(report))

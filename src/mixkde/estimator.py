@@ -68,11 +68,15 @@ class EstimateCurve:
     kind: str  # "density" or "cdf"
 
 
-def _check_h(h: float, values: np.ndarray | None = None) -> None:
+def _check_h(h: float, xs: np.ndarray | None = None) -> None:
+    """Reject h unless finite, positive and, given xs sorted ascending, above its range floor.
+
+    A NaN sorts last, so the range xs[-1] - xs[0] is NaN and the check passes.
+    """
     if not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0.0):
         raise ValueError(f"bandwidth must be a positive finite number, got {h!r}")
-    if values is not None and values.size > 1:
-        rng = float(values.max() - values.min())
+    if xs is not None and xs.size > 1:
+        rng = float(xs[-1] - xs[0])
         if rng > 0.0 and h < _H_RANGE_FLOOR * rng:
             raise ValueError(
                 f"bandwidth {h:g} is below {_H_RANGE_FLOOR:g} of the data range {rng:g}; "
@@ -233,8 +237,9 @@ def _prefix_sums(xs, h, pts, bounds, coefs) -> np.ndarray:
     point = np.concatenate((point, point[over]))
 
     # every part is a run of the stretches between consecutive cuts
-    cuts = np.unique(np.concatenate((starts, a, e)))
+    cuts = np.sort(np.concatenate((starts, a, e)))
     cuts = cuts[: np.searchsorted(cuts, n)]
+    cuts = cuts[np.append(True, cuts[1:] != cuts[:-1])]
     first = np.searchsorted(cuts, starts)  # first stretch of each bucket
     last = np.append(first[1:], cuts.size) - 1
     sa, se, sb = np.searchsorted(cuts, a), np.searchsorted(cuts, e), first[bucket]
@@ -243,14 +248,15 @@ def _prefix_sums(xs, h, pts, bounds, coefs) -> np.ndarray:
     degree = max(len(c) for c in coefs) - 1
     moments = np.empty((degree + 1, a.size))
     moments[0] = e - a
-    for j in range(degree, 0, -1):
-        y = t  # j = 1 sums t itself
-        if j > 1:
-            y = t * t
-            for _ in range(j - 2):
-                y *= t
+    # t^j in ascending j: t, t*t, (t*t)*t; t is private, so degree 2 squares
+    # it in place and degree 3 keeps one power array beside it
+    y = t
+    for j in range(1, degree + 1):
+        if j == 2:
+            y = np.multiply(t, t, out=t if degree == 2 else None)
+        elif j > 2:
+            y *= t
         stretch = np.add.reduceat(y, cuts)
-        del y
         totals = np.add.reduceat(stretch, first)
         # each bucket's last stretch absorbs the bucket total, so the running
         # sum comes back to (nearly) zero as the next bucket starts
@@ -258,6 +264,7 @@ def _prefix_sums(xs, h, pts, bounds, coefs) -> np.ndarray:
         run = np.concatenate(([0.0], np.cumsum(stretch)))
         moments[j] = np.where(at_end, totals[bucket] - (run[sa] - run[sb]), run[se] - run[sa])
         moments[j] /= h**j
+    del t, y
 
     d = (centers[bucket] - pts[point]) / h
     table = np.zeros((len(coefs), degree + 1))

@@ -411,6 +411,25 @@ def test_memory_error_is_an_error_line(tmp_path, capsys, monkeypatch, exc, line)
     assert not out.exists()
 
 
+def test_failed_write_leaves_no_manifest(tmp_path, capsys, monkeypatch):
+    """A rerun whose write fails must not leave its report beside the old manifest."""
+    import mixkde.cli as cli
+
+    cfg = _write(tmp_path, PASSING_RUN)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert (out / "manifest.json").is_file()
+    capsys.readouterr()
+
+    def write_rows_csv(path, rows):
+        raise OSError(f"disk full writing {path.name}")
+
+    monkeypatch.setattr(cli, "_write_rows_csv", write_rows_csv)
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: disk full writing per_n.csv"]
+    assert not (out / "manifest.json").exists()
+
+
 def test_partition_subcommand(tmp_path, capsys):
     out = tmp_path / "part.csv"
     code = main(["partition", "--k", "4", "--alpha", "0.5", "--beta", "0.25", "--out", str(out)])

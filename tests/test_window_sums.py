@@ -7,6 +7,7 @@ terms are the kernel's closed forms from mixkde.kernels, and the CDF adds
 one for every X_i below the window.
 """
 
+import hashlib
 import math
 import tracemalloc
 
@@ -183,3 +184,76 @@ def test_few_point_gaussian_sums_take_the_direct_path(monkeypatch):
         u = (xs[lo:hi] - x) / h
         assert dens[j] == pytest.approx(np.sum(evaluate(GAUSSIAN, u)), rel=1e-15, abs=0.0)
         assert cdf[j] == pytest.approx(lo + np.sum(kernel_cdf(GAUSSIAN, -u)), rel=1e-15, abs=0.0)
+
+
+# The uniform_as grid (acceptance criterion 6): 3267 points at spacing 0.005
+# over +-8 marginal sds of AR(1) phi = 0.2, at h = n^-0.3
+UNIFORM_AS_HALF = 8.0 / math.sqrt(1.0 - 0.2**2)
+UNIFORM_AS_POINTS = 3267
+PREFIX_CASES = {"n=2^12": (2**12, False), "n=2^20": (2**20, False), "ties": (2**12, True)}
+PREFIX_DIGESTS = {
+    ("n=2^12", "epanechnikov"): "382ac9f6b9acfa341dfacca126c82ebfec1a308c5f39b6ca46a821bbbeddc988",
+    ("n=2^12", "triangular"): "73cf648eed6df50e3a74583d4a1ae4dbcbc14e9ce1d8d3ca5bc8699f263e7bd1",
+    ("n=2^12", "uniform"): "a57b6e22a5241f486f949e1879893acd164474ffbc5ef1692d4c933572bc41a1",
+    ("n=2^20", "epanechnikov"): "ecf86610431d26ab39eec211681c27d2a2f6fcde792efb12d2e4d554be62632b",
+    ("n=2^20", "triangular"): "e6aeb0144edbccdbb2816c36ab0cf7ca630dc177ceb7b9027eef2b5d10b54f83",
+    ("n=2^20", "uniform"): "945561e69e04f0e0014f5eea431ac54b8b9576998dcf3ebcb42494614fd505a1",
+    ("ties", "epanechnikov"): "347b4e928d26cd0ebf40e0fa87bca90f22131e7eecb95830794841341207063e",
+    ("ties", "triangular"): "258f9113925c7f3a7c5cda19cc5ca690e811ecc5f82e732bc7d95394e4f11d55",
+    ("ties", "uniform"): "0e14d016128c32d79b0103ff05b877982bc38db169984a38dd5030d4591aee52",
+}
+
+
+def _uniform_as_shape(normals, case):
+    n, ties = PREFIX_CASES[case]
+    values, pts = normals[:n], np.linspace(-UNIFORM_AS_HALF, UNIFORM_AS_HALF, UNIFORM_AS_POINTS)
+    if ties:  # values and points on one lattice put data on window edges
+        values, pts = np.round(values, 1), np.round(pts, 1)
+    return np.sort(values), n**-0.3, pts
+
+
+def _count_prefix_calls(monkeypatch):
+    calls = []
+    prefix = estimator._prefix_sums
+    monkeypatch.setattr(estimator, "_prefix_sums", lambda *args: calls.append(1) or prefix(*args))
+    return calls
+
+
+@pytest.mark.parametrize("case", PREFIX_CASES)
+@pytest.mark.parametrize("family", COMPACT)
+def test_prefix_path_bits(normals, case, family, monkeypatch):
+    """The prefix path's density and CDF sums keep their bits (sha256 of both)."""
+    xs, h, pts = _uniform_as_shape(normals, case)
+    kernel = kernel_from_name(family)
+    calls = _count_prefix_calls(monkeypatch)
+    digest = hashlib.sha256()
+    for sums in (_kernel_window_sums, _cdf_window_sums):
+        digest.update(sums(xs, kernel, h, pts).astype("<f8").tobytes())
+    assert len(calls) == 2
+    assert digest.hexdigest() == PREFIX_DIGESTS[case, family]
+
+
+@pytest.mark.parametrize("family", COMPACT)
+@pytest.mark.parametrize("form", ["density", "cdf"])
+def test_prefix_scratch_stays_near_one_power_array(normals, family, form, monkeypatch):
+    """n = 2^20 on the uniform_as grid: t itself and at most one power beside it.
+
+    The recentred values t take 8 n bytes. A form of degree <= 2 squares t in
+    place; the Epanechnikov CDF (degree 3) holds one more power array. The
+    caller's sorted data must come back untouched.
+    """
+    xs, h, pts = _uniform_as_shape(normals, "n=2^20")
+    kept = xs.copy()
+    kernel = kernel_from_name(family)
+    sums = _kernel_window_sums if form == "density" else _cdf_window_sums
+    arrays = 2 if (family, form) == ("epanechnikov", "cdf") else 1
+    calls = _count_prefix_calls(monkeypatch)
+    tracemalloc.start()
+    try:
+        sums(xs, kernel, h, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [1]
+    assert peak < (arrays + 0.25) * 8 * xs.size, f"peak {peak / (8 * xs.size):.2f} x 8n"
+    assert np.array_equal(xs, kept)
