@@ -21,7 +21,6 @@ from .estimator import (
     density_estimate,
     expected_cdf,
     expected_density,
-    sup_deviation,
 )
 from .experiments import (
     ExperimentConfig,
@@ -96,5 +95,4 @@ __all__ = [
     "moment_bound_check",
     "rho_mixing_coefficient",
     "run_experiment",
-    "sup_deviation",
 ]

@@ -49,7 +49,9 @@ class ConditionVerdict:
     condition: str
     passed: bool
     detail: str
-    witness: str | None = None
+
+    def as_dict(self) -> dict:
+        return {"condition": self.condition, "passed": self.passed, "detail": self.detail}
 
 
 def bandwidth_at(schedule: BandwidthSchedule, n: int) -> float:
@@ -113,13 +115,10 @@ def _check_b3(schedule: BandwidthSchedule) -> ConditionVerdict:
             "B3", False,
             f"(B3) fails: delta={d:g} <= 1/2 leaves no room for sqrt(n)*omega(n)*h_n -> 0",
         )
-    expo = (d - 0.5) / 2.0
-    witness = f"omega(n) = n^{expo:g}"
     return ConditionVerdict(
         "B3", True,
-        f"(B3) holds: delta={d:g} > 1/2 with witness {witness}, "
+        f"(B3) holds: delta={d:g} > 1/2 with witness omega(n) = n^{(d - 0.5) / 2.0:g}, "
         "which diverges while sqrt(n)*omega(n)*h_n -> 0",
-        witness=witness,
     )
 
 

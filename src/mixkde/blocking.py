@@ -44,11 +44,6 @@ class BlockPartition:
     big_blocks: tuple[tuple[int, int], ...]
     small_blocks: tuple[tuple[int, int], ...]
     bracket_ok: bool
-    bracket_k0: int
-
-    @property
-    def window(self) -> tuple[int, int]:
-        return (2**self.k, 2 ** (self.k + 1))
 
 
 def _check_block_params(alpha: float, beta: float) -> None:
@@ -126,7 +121,6 @@ def build_partition(k: int, alpha: float, beta: float) -> BlockPartition:
         small.append((start + p, start + p + q))
     tail_start = base + r * (p + q)
     small.append((tail_start, 2 * base))
-    k0 = bracket_threshold(alpha, beta)
     target = 2.0 ** ((1.0 - alpha) * k)
     ok = 0.5 * target <= r <= 2.0 * target
     return BlockPartition(
@@ -139,7 +133,6 @@ def build_partition(k: int, alpha: float, beta: float) -> BlockPartition:
         big_blocks=tuple(big),
         small_blocks=tuple(small),
         bracket_ok=ok,
-        bracket_k0=k0,
     )
 
 

@@ -27,7 +27,6 @@ from .experiments import (
     check_gates,
     config_to_dict,
     run_experiment,
-    validate_shape,
 )
 from .kernels import kernel_from_name
 from .processes import ProcessModel
@@ -240,8 +239,7 @@ def cmd_run(config_path, out_dir, threads: int | None = None) -> int:
     try:
         threads = _resolve_cli_threads(threads)
         config = parse_config_file(config_path)
-        validate_shape(config)
-    except (OSError, ConfigError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -282,8 +280,7 @@ def cmd_run(config_path, out_dir, threads: int | None = None) -> int:
 def cmd_validate(config_path) -> int:
     try:
         config = parse_config_file(config_path)
-        validate_shape(config)
-    except (OSError, ConfigError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     checks = check_gates(config)

@@ -1,4 +1,4 @@
-"""Density and distribution estimators, exact centerings, and deviations.
+"""Density and distribution estimators, exact centerings, and CLT statistics.
 
 density_estimate and cdf_estimate give (1/(n h)) sum_i K((X_i - x)/h) and
 (1/n) sum_i G_K((x - X_i)/h) on a grid, as exact finite sums; the runners
@@ -31,7 +31,6 @@ from .processes import (
 )
 
 STRATEGIES = ("direct", "binned")
-CDF_CENTERS = ("expected_fnk", "true_f")
 
 # Relative floor below which a bandwidth cannot resolve distinct data points.
 _H_RANGE_FLOOR = 1e-12
@@ -65,7 +64,6 @@ DEFAULT_GRID = Grid(-2.0, 2.0, 401)
 class EstimateCurve:
     grid: Grid
     values: np.ndarray
-    kind: str  # "density" or "cdf"
 
 
 def _check_h(h: float, xs: np.ndarray | None = None) -> None:
@@ -393,7 +391,7 @@ def density_estimate(
     n = xs.size
     if strategy == "direct":
         values = _kernel_window_sums(xs, kernel, h, grid.points) / (n * h)
-        return EstimateCurve(grid=grid, values=values, kind="density")
+        return EstimateCurve(grid=grid, values=values)
 
     if kernel.lipschitz_const is None:
         raise ValueError(
@@ -416,7 +414,7 @@ def density_estimate(
     offsets = np.arange(-m_taps, m_taps + 1, dtype=float)
     taps = evaluate(kernel, offsets * spacing / h)
     values = np.convolve(counts, taps, mode="same") / (n * h)
-    return EstimateCurve(grid=grid, values=values, kind="density")
+    return EstimateCurve(grid=grid, values=values)
 
 
 def cdf_estimate(path: SamplePath, kernel: KernelSpec, h: float, grid: Grid = DEFAULT_GRID) -> EstimateCurve:
@@ -431,7 +429,7 @@ def cdf_estimate(path: SamplePath, kernel: KernelSpec, h: float, grid: Grid = DE
     _check_h(h, xs)
     values = _cdf_window_sums(xs, kernel, h, grid.points) / xs.size
     np.clip(values, 0.0, 1.0, out=values)
-    return EstimateCurve(grid=grid, values=values, kind="cdf")
+    return EstimateCurve(grid=grid, values=values)
 
 
 @cache
@@ -500,24 +498,12 @@ def expected_density_curve(
 ) -> EstimateCurve:
     """E f_n over a whole grid."""
     values = _expected(model, kernel, h, grid.points, "density")
-    return EstimateCurve(grid=grid, values=values, kind="density")
+    return EstimateCurve(grid=grid, values=values)
 
 
 def bias(model: ProcessModel, kernel: KernelSpec, h: float, x):
     """E f_n(x) - f(x), the exact smoothing bias at a scalar or array x."""
     return _expected(model, kernel, h, x, "density") - marginal_density(model, x)
-
-
-def sup_deviation(a: EstimateCurve, b: EstimateCurve) -> float:
-    """max_j |a_j - b_j| over the shared grid.
-
-    This is a lower bound for the continuum supremum; the discretization
-    gap is at most spacing times the sum of the two curves' Lipschitz
-    constants (for a density estimate, at most lipschitz_const/h^2 each).
-    """
-    if a.grid != b.grid:
-        raise ValueError("curves live on different grids")
-    return float(np.max(np.abs(a.values - b.values)))
 
 
 def clt_statistic(path: SamplePath, kernel: KernelSpec, h: float, x: float) -> float:
@@ -538,19 +524,14 @@ def clt_statistic(path: SamplePath, kernel: KernelSpec, h: float, x: float) -> f
     return math.sqrt(n * h) * (fn - center) / math.sqrt(kernel.l2_norm_sq * fx)
 
 
-def cdf_clt_statistic(
-    path: SamplePath, kernel: KernelSpec, h: float, x: float, center: str = "expected_fnk"
-) -> float:
-    """sqrt(n) (F_n(x) - center) / sigma_LR(x).
+def cdf_clt_statistic(path: SamplePath, kernel: KernelSpec, h: float, x: float) -> float:
+    """sqrt(n) (F_n(x) - E F_n(x)) / sigma_LR(x).
 
     sigma_LR^2(x) is the long-run variance of the indicator series
     1{X_t <= x} (indicator_long_run_variance), the limit variance of
     sqrt(n)(F_n(x) - F(x)) under summable dependence; for iid models it is
-    F(x)(1 - F(x)). center "expected_fnk" uses the exact E F_n(x); "true_f"
-    uses F(x) itself, which folds the smoothing bias into the statistic.
+    F(x)(1 - F(x)).
     """
-    if center not in CDF_CENTERS:
-        raise ValueError(f"center must be one of {CDF_CENTERS}, got {center!r}")
     m = path.model
     fx = marginal_cdf(m, x)
     if not (1e-12 < fx < 1.0 - 1e-12):
@@ -560,5 +541,5 @@ def cdf_clt_statistic(
     xs = np.sort(path.values)
     _check_h(h, xs)
     fn = min(1.0, max(0.0, _cdf_window_sums(xs, kernel, h, np.asarray([float(x)]))[0] / xs.size))
-    c = expected_cdf(m, kernel, h, x) if center == "expected_fnk" else fx
+    c = expected_cdf(m, kernel, h, x)
     return math.sqrt(xs.size) * (fn - c) / math.sqrt(indicator_long_run_variance(m, x))

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr
 
-from .bandwidth import BandwidthSchedule, bandwidth_at, check_conditions
+from .bandwidth import BandwidthSchedule, ConditionVerdict, bandwidth_at, check_conditions
 from .blocking import _checked_level, _interpolated_gap, build_partition
 from .estimator import (
     _H_RANGE_FLOOR,
@@ -70,17 +70,14 @@ class GateError(Exception):
 
 
 @dataclass(frozen=True)
-class GateCheck:
-    condition: str
-    passed: bool
-    detail: str
-
-    def as_dict(self) -> dict:
-        return {"condition": self.condition, "passed": self.passed, "detail": self.detail}
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment, admitted only when its kind can run it.
+
+    Construction raises ValueError for a malformed field and for a config
+    that breaks an admission rule of README "Config reference"; the gates
+    are separate and report named conditions instead.
+    """
+
     kind: str
     model: ProcessModel
     kernel: KernelSpec
@@ -108,16 +105,43 @@ class ExperimentConfig:
             raise ValueError(f"n_list must be strictly increasing, got {self.n_list}")
         if not isinstance(self.replicates, int) or self.replicates < 1:
             raise ValueError(f"replicates must be an integer >= 1, got {self.replicates!r}")
-        least = _KIND_TABLE[self.kind].least_replicates
-        if self.replicates < least:
+        spec = _KIND_TABLE[self.kind]
+        if self.replicates < spec.least_replicates:
             raise ValueError(
-                f"{self.kind} needs at least {least} replicates for a usable "
+                f"{self.kind} needs at least {spec.least_replicates} replicates for a usable "
                 f"distribution comparison, got {self.replicates}"
             )
         if not isinstance(self.base_seed, int) or isinstance(self.base_seed, bool):
             raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
         if not (isinstance(self.p, (int, float)) and math.isfinite(self.p) and self.p >= 1.0):
             raise ValueError(f"p must be a finite number >= 1, got {self.p!r}")
+        if spec.needs_points and len(self.eval_points) == 0:
+            raise ValueError(f"{self.kind} needs at least one evaluation point")
+        if len(self.n_list) < spec.least_sizes:
+            raise ValueError(
+                f"{self.kind} needs at least {spec.least_sizes} sample sizes for a slope, "
+                f"got {len(self.n_list)}"
+            )
+        if spec.levels:
+            for k in self.n_list:
+                _checked_level(k, self.block_alpha, self.block_beta)
+        if spec.long_run and self.model.family == "ar1":
+            plackett_lags(self.model.phi)
+        sd = self.model.marginal_sd
+        seen: dict[float, int] = {}
+        for n in () if spec.levels else self.n_list:
+            try:
+                h = bandwidth_at(self.schedule, n)
+            except OverflowError:
+                h = math.inf
+            if not (math.isfinite(h) and h >= _H_RANGE_FLOOR * sd):
+                raise ValueError(f"bandwidth h_n = {h:g} at n = {n} must be finite and at least "
+                                 f"{_H_RANGE_FLOOR:g} times the marginal sd {sd:g}")
+            # a kind that plots against h fits its slope against h
+            if spec.plot[0] == "h" and h in seen:
+                raise ValueError(f"{self.kind} fits its slope against h, but h_n = {h:g} "
+                                 f"at both n = {seen[h]} and n = {n}")
+            seen[h] = n
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -158,11 +182,8 @@ class ExperimentReport:
     verdict: str
     notes: list
 
-    def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     def to_json(self) -> str:
-        return dumps_json(self.to_json_dict())
+        return dumps_json({f.name: getattr(self, f.name) for f in fields(self)})
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +245,12 @@ def fit_loglog_slope(xs, ys) -> dict:
     }
 
 
+def _stderr(sample: np.ndarray) -> float:
+    """The standard error of the sample mean, or NaN for a single value."""
+    size = len(sample)
+    return float(sample.std(ddof=1)) / math.sqrt(size) if size > 1 else math.nan
+
+
 def _report_fit(fit: dict) -> dict:
     """Fit echo for reports; the half-width is two slope standard errors."""
     return {**fit, "half_width": 2.0 * fit["slope_stderr"]}
@@ -233,17 +260,16 @@ def _report_fit(fit: dict) -> dict:
 # gates
 
 
-def _gate(name: str, passed: bool, holds: str, fails: str) -> GateCheck:
+def _gate(name: str, passed: bool, holds: str, fails: str) -> ConditionVerdict:
     """One condition's check, detailed as "(name) " followed by holds or fails."""
-    return GateCheck(name, passed, f"({name}) " + (holds if passed else fails))
+    return ConditionVerdict(name, passed, f"({name}) " + (holds if passed else fails))
 
 
-def _bandwidth_gate(name: str, config: ExperimentConfig) -> GateCheck:
-    verdict = check_conditions(config.schedule)[name]
-    return GateCheck(name, verdict.passed, verdict.detail)
+def _bandwidth_gate(name: str, config: ExperimentConfig) -> ConditionVerdict:
+    return check_conditions(config.schedule)[name]
 
 
-def _mixing_gate(config: ExperimentConfig, power: float = 1.0) -> GateCheck:
+def _mixing_gate(config: ExperimentConfig, power: float = 1.0) -> ConditionVerdict:
     cert = mixing_tail_bound(config.model, power)
     detail = (
         f"sum_i rho(2^i)^{power:g} = {cert['partial_sum']:.9g} over i <= 40 with first "
@@ -255,12 +281,12 @@ def _mixing_gate(config: ExperimentConfig, power: float = 1.0) -> GateCheck:
     )
 
 
-def _lp_mixing_gate(config: ExperimentConfig) -> GateCheck:
+def _lp_mixing_gate(config: ExperimentConfig) -> ConditionVerdict:
     """Summability of rho^(2/p), which the L^p rates need."""
     return _mixing_gate(config, 2.0 / max(config.p, 2.0))
 
 
-def _rho1_gate(config: ExperimentConfig) -> GateCheck:
+def _rho1_gate(config: ExperimentConfig) -> ConditionVerdict:
     r1 = rho_mixing_coefficient(config.model, 1)
     return _gate(
         "rho(1) <= 1/4", r1 <= 0.25, f"holds: rho(1)={r1:g}",
@@ -268,7 +294,7 @@ def _rho1_gate(config: ExperimentConfig) -> GateCheck:
     )
 
 
-def _marginal_gate(name: str, config: ExperimentConfig) -> GateCheck:
+def _marginal_gate(name: str, config: ExperimentConfig) -> ConditionVerdict:
     model = config.model
     sd = model.marginal_sd
     if name == "C1":
@@ -280,14 +306,14 @@ def _marginal_gate(name: str, config: ExperimentConfig) -> GateCheck:
             "(C3) holds: the Gaussian marginal is bounded and continuously differentiable "
             f"with sup|f'| = {marginal_density_derivative_sup(model):.6g}"
         )
-    return GateCheck(name, True, detail)
+    return ConditionVerdict(name, True, detail)
 
 
-def _kernel_gate(name: str, config: ExperimentConfig) -> GateCheck:
+def _kernel_gate(name: str, config: ExperimentConfig) -> ConditionVerdict:
     kernel = config.kernel
     fam = kernel.family
     if name == "K1":
-        return GateCheck(
+        return ConditionVerdict(
             "K1", True,
             f"(K1) holds: the {fam} kernel is bounded by {kernel.sup_norm:g} with "
             f"integral of |K| equal to {kernel.l1_norm:g}",
@@ -295,16 +321,16 @@ def _kernel_gate(name: str, config: ExperimentConfig) -> GateCheck:
     if name == "K2":
         radius, lipschitz = kernel.support_radius, kernel.lipschitz_const
         if not math.isfinite(radius):
-            return GateCheck("K2", False, f"(K2) fails: the {fam} kernel is not compactly supported")
+            return ConditionVerdict("K2", False, f"(K2) fails: the {fam} kernel is not compactly supported")
         if lipschitz is None:
-            return GateCheck("K2", False, f"(K2) fails: the {fam} kernel is not Lipschitz")
-        return GateCheck(
+            return ConditionVerdict("K2", False, f"(K2) fails: the {fam} kernel is not Lipschitz")
+        return ConditionVerdict(
             "K2", True,
             f"(K2) holds: the {fam} kernel has support radius {radius:g} "
             f"and Lipschitz constant {lipschitz:g}",
         )
     if name == "K3":
-        return GateCheck(
+        return ConditionVerdict(
             "K3", True,
             f"(K3) holds: the {fam} kernel is bounded with integral of |x K(x)| "
             f"equal to {kernel.abs_first_moment:g}",
@@ -317,7 +343,7 @@ def _kernel_gate(name: str, config: ExperimentConfig) -> GateCheck:
     )
 
 
-def _compact_support_gate(config: ExperimentConfig) -> GateCheck:
+def _compact_support_gate(config: ExperimentConfig) -> ConditionVerdict:
     kernel = config.kernel
     return _gate(
         "K-compact", math.isfinite(kernel.support_radius),
@@ -327,7 +353,7 @@ def _compact_support_gate(config: ExperimentConfig) -> GateCheck:
     )
 
 
-def _positive_density_gate(config: ExperimentConfig) -> GateCheck:
+def _positive_density_gate(config: ExperimentConfig) -> ConditionVerdict:
     vals = [marginal_density(config.model, x) for x in config.eval_points]
     return _gate(
         "f(x) > 0", all(v > 1e-300 for v in vals), "holds at every evaluation point",
@@ -335,7 +361,7 @@ def _positive_density_gate(config: ExperimentConfig) -> GateCheck:
     )
 
 
-def _cdf_interior_gate(config: ExperimentConfig) -> GateCheck:
+def _cdf_interior_gate(config: ExperimentConfig) -> ConditionVerdict:
     vals = [marginal_cdf(config.model, x) for x in config.eval_points]
     return _gate(
         "0 < F(x) < 1", all(1e-12 < v < 1.0 - 1e-12 for v in vals),
@@ -344,7 +370,7 @@ def _cdf_interior_gate(config: ExperimentConfig) -> GateCheck:
     )
 
 
-def _p_gate(config: ExperimentConfig) -> GateCheck:
+def _p_gate(config: ExperimentConfig) -> ConditionVerdict:
     p = config.p
     return _gate(
         "p >= 2", p >= 2.0, f"holds: p={p:g}",
@@ -352,7 +378,7 @@ def _p_gate(config: ExperimentConfig) -> GateCheck:
     )
 
 
-def _markov_gate(config: ExperimentConfig) -> GateCheck:
+def _markov_gate(config: ExperimentConfig) -> ConditionVerdict:
     family = config.model.family
     return _gate(
         "markov-model", family in ("iid", "ar1"),
@@ -362,7 +388,7 @@ def _markov_gate(config: ExperimentConfig) -> GateCheck:
     )
 
 
-def _even_p_gate(config: ExperimentConfig) -> GateCheck:
+def _even_p_gate(config: ExperimentConfig) -> ConditionVerdict:
     p = config.p
     return _gate(
         "p-even", float(p).is_integer() and int(p) >= 2 and int(p) % 2 == 0,
@@ -371,12 +397,12 @@ def _even_p_gate(config: ExperimentConfig) -> GateCheck:
     )
 
 
-def check_gates(config: ExperimentConfig) -> list[GateCheck]:
+def check_gates(config: ExperimentConfig) -> list[ConditionVerdict]:
     """Every named hypothesis for the configured kind, passed or not."""
     return [gate(config) for gate in _KIND_TABLE[config.kind].gates]
 
 
-def enforce_gates(config: ExperimentConfig) -> list[GateCheck]:
+def enforce_gates(config: ExperimentConfig) -> list[ConditionVerdict]:
     checks = check_gates(config)
     for check in checks:
         if not check.passed:
@@ -534,12 +560,12 @@ def _run_rate(config: ExperimentConfig, h_list, threads, *, sup: bool) -> dict:
             mom = raw[:, j, :].mean(axis=0)
             best = int(np.argmax(mom))
             level = float(mom[best])
-            se_level = float(raw[:, j, best].std(ddof=1)) / math.sqrt(config.replicates)
+            se_level = _stderr(raw[:, j, best])
             extra = {"argmax_x": float(xs_eval[best])}
         else:
             col = raw[:, j]
             level = float(col.mean())
-            se_level = float(col.std(ddof=1)) / math.sqrt(config.replicates)
+            se_level = _stderr(col)
             extra = {}
         error = level ** (1.0 / p)
         # delta method for the p-th root of the estimated moment
@@ -599,7 +625,7 @@ def uniform_verdict(n_list, ratios) -> tuple[dict, str]:
     needed = math.ceil(UNIFORM_PASS_FRACTION * count)
     slopes = np.array([p["slope"] for p in paths])
     mean_slope = float(slopes.mean())
-    stderr = float(slopes.std(ddof=1)) / math.sqrt(count) if count > 1 else math.nan
+    stderr = _stderr(slopes)
     summary = {
         "paths_total": count,
         # a path passes when it is bounded; the trend clause reads on the run
@@ -858,13 +884,13 @@ def _run_moment_bound(config: ExperimentConfig, h_list, threads) -> dict:
 class _Kind:
     """Everything one experiment kind needs; adding a kind adds one entry.
 
-    gates are the kind's hypotheses in report order, each config -> GateCheck.
+    gates are the kind's hypotheses in report order, each config -> ConditionVerdict.
     run(config, h_list, threads) returns the report fields after the gates.
     plot names the plotdata.csv columns: row keys for kinds without a slope,
-    else the x and y of the log-log fit. validate_shape reads the rest.
+    else the x and y of the log-log fit. ExperimentConfig reads the rest.
     """
 
-    gates: tuple[Callable[[ExperimentConfig], GateCheck], ...]
+    gates: tuple[Callable[[ExperimentConfig], ConditionVerdict], ...]
     run: Callable[..., dict]
     plot: tuple[str, ...]
     needs_points: bool = False
@@ -935,47 +961,10 @@ _KIND_TABLE: dict[str, _Kind] = {
     ),
 }
 KINDS = tuple(_KIND_TABLE)
-# the distribution comparisons, which need enough replicates for a KS reading
-CLT_KINDS = tuple(kind for kind, spec in _KIND_TABLE.items() if spec.least_replicates > 1)
-
-
-def validate_shape(config: ExperimentConfig) -> None:
-    """Kind-specific structural checks that need no simulation.
-
-    Raises ValueError for configs that are syntactically fine but cannot be
-    run (missing evaluation points, too few sample sizes for a slope, block
-    levels that hold no usable partition, an AR(1) phi too close to 1 for the
-    long-run variance of a distribution kind, a bandwidth h_n that overflows
-    or falls below _H_RANGE_FLOOR marginal sds); gate checks are separate
-    and report named conditions instead.
-    """
-    spec = _KIND_TABLE[config.kind]
-    if spec.needs_points and len(config.eval_points) == 0:
-        raise ValueError(f"{config.kind} needs at least one evaluation point")
-    if len(config.n_list) < spec.least_sizes:
-        raise ValueError(
-            f"{config.kind} needs at least {spec.least_sizes} sample sizes for a slope, "
-            f"got {len(config.n_list)}"
-        )
-    if spec.levels:
-        for k in config.n_list:
-            _checked_level(k, config.block_alpha, config.block_beta)
-    if spec.long_run and config.model.family == "ar1":
-        plackett_lags(config.model.phi)
-    sd = config.model.marginal_sd
-    for n in () if spec.levels else config.n_list:
-        try:
-            h = bandwidth_at(config.schedule, n)
-        except OverflowError:
-            h = math.inf
-        if not (math.isfinite(h) and h >= _H_RANGE_FLOOR * sd):
-            raise ValueError(f"bandwidth h_n = {h:g} at n = {n} must be finite and at least "
-                             f"{_H_RANGE_FLOOR:g} times the marginal sd {sd:g}")
 
 
 def run_experiment(config: ExperimentConfig, threads: int | None = 1) -> ExperimentReport:
-    """Shape checks, gates, the bandwidth per n, then the body for config.kind."""
-    validate_shape(config)
+    """Gates, the bandwidth per n, then the body for config.kind."""
     gates = enforce_gates(config)
     h_list = [bandwidth_at(config.schedule, n) for n in config.n_list]
     return ExperimentReport(

@@ -29,7 +29,7 @@ def test_conditions_delta_02():
 def test_conditions_delta_06_with_witness():
     out = check_conditions(BandwidthSchedule(c=1.0, delta=0.6))
     assert out["B1"].passed and out["B2"].passed and out["B3"].passed
-    assert out["B3"].witness == "omega(n) = n^0.05"
+    assert "with witness omega(n) = n^0.05," in out["B3"].detail
 
 
 def test_conditions_delta_12_fails():

@@ -25,7 +25,6 @@ def test_worked_example_level_4():
     assert (part.p_k, part.q_k, part.r_k) == (4, 2, 2)
     assert part.big_blocks == ((16, 20), (22, 26))
     assert part.small_blocks == ((20, 22), (26, 28), (28, 32))
-    assert part.window == (16, 32)
     # trailing block absorbs the remainder: 16 - 2*6 = 4 indices
     tail = part.small_blocks[-1]
     assert tail[1] - tail[0] == 4
@@ -59,7 +58,7 @@ def test_partition_invariants_on_grid(k, alpha, beta):
 @pytest.mark.parametrize("k,alpha,beta", GRID)
 def test_bracket_on_grid(k, alpha, beta):
     part = build_partition(k, alpha, beta)
-    if k >= part.bracket_k0:
+    if k >= bracket_threshold(alpha, beta):
         assert part.bracket_ok
         target = 2.0 ** ((1 - alpha) * k)
         assert 0.5 * target <= part.r_k <= 2.0 * target

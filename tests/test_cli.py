@@ -306,6 +306,63 @@ def test_unusable_bandwidths_exit_1(tmp_path, capsys, command, case):
     assert not out.exists()
 
 
+# A runnable config, and per admission rule of ExperimentConfig the keys that
+# make it unrunnable with the start of the message. Every key is well formed.
+RUNNABLE = {
+    "experiment.kind": "rate_integral_lp",
+    "model.family": "ar1",
+    "model.phi": "0.25",
+    "kernel.family": "epanechnikov",
+    "bandwidth.delta": "0.3",
+    "run.n_list": "128, 256, 512",
+    "run.replicates": "100",
+    "run.base_seed": "1",
+}
+ADMISSION_RULES = {
+    "eval points": ({"experiment.kind": "rate_sup_lp"},
+                    "rate_sup_lp needs at least one evaluation point"),
+    "sizes for a slope": ({"run.n_list": "128, 256"},
+                          "rate_integral_lp needs at least 3 sample sizes for a slope, got 2"),
+    "block levels": ({"experiment.kind": "moment_bound", "run.n_list": "6, 7, 21"},
+                     "level k=21 is above the largest level 20"),
+    "plackett lags": ({"experiment.kind": "clt_cdf_centered", "model.phi": "0.9999995",
+                       "run.eval_points": "0.5"}, "AR(1) phi=0.9999995 needs "),
+    "bandwidth range": ({"bandwidth.c": "1e-20"}, "bandwidth h_n = 2.33258e-21 at n = 128 "),
+    "distinct h for bias": ({"experiment.kind": "bias", "bandwidth.delta": "0",
+                             "run.eval_points": "0.5"},
+                            "bias fits its slope against h, but h_n = 1 at both n = 128 and n = 256"),
+}
+
+
+def _config_text(table: dict) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in table.items())
+
+
+@pytest.mark.parametrize("rule", sorted(ADMISSION_RULES))
+def test_admission_rules_reject_at_construction_and_on_the_cli(tmp_path, capsys, rule):
+    build_config(parse_config_text(_config_text(RUNNABLE)))  # the base is runnable
+    keys, message = ADMISSION_RULES[rule]
+    text = _config_text({**RUNNABLE, **keys})
+    with pytest.raises(ValueError) as err:
+        build_config(parse_config_text(text))
+    assert str(err.value).startswith(message)
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "out"
+    for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(out)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {err.value}\n")
+    assert not out.exists()
+
+
+def test_equal_bandwidths_leave_rate_kinds_to_gate_b1(tmp_path, capsys):
+    cfg = _write(tmp_path, _config_text({**RUNNABLE, "bandwidth.delta": "0"}))
+    assert main(["validate", str(cfg)]) == 2
+    assert "FAIL B1: (B1) fails: delta=0 <= 0" in capsys.readouterr().out
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("gate rejection (B1): ")
+
+
 def test_value_error_in_a_run_is_an_error_line(tmp_path, capsys):
     # f and E f_n underflow to 0 at x = 60, so the bias slope has no log-log fit
     cfg = _write(tmp_path, (
@@ -321,12 +378,13 @@ def test_value_error_in_a_run_is_an_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+# a kind that needs no evaluation points, so the required keys make a runnable config
 REQUIRED_ONLY = """\
-experiment.kind = clt_density
+experiment.kind = rate_integral_lp
 model.family = iid
 kernel.family = gaussian
 bandwidth.delta = 0.3
-run.n_list = 256
+run.n_list = 128, 256, 512
 run.replicates = 100
 run.base_seed = 1
 """

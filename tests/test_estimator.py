@@ -9,7 +9,6 @@ from scipy.stats import norm
 
 from mixkde.estimator import (
     DEFAULT_GRID,
-    EstimateCurve,
     Grid,
     bias,
     binned_accuracy_bound,
@@ -20,7 +19,6 @@ from mixkde.estimator import (
     expected_cdf,
     expected_density,
     expected_density_curve,
-    sup_deviation,
 )
 from mixkde.kernels import FAMILIES, evaluate, kernel_cdf, kernel_from_name
 from mixkde.processes import (
@@ -338,41 +336,6 @@ def test_bias_within_first_order_bound():
 
 
 # ---------------------------------------------------------------------------
-# deviations
-
-
-def test_deviation_trivia():
-    grid = Grid(0.0, 1.0, 101)
-    a = EstimateCurve(grid=grid, values=np.full(101, 0.3), kind="density")
-    b = EstimateCurve(grid=grid, values=np.full(101, 0.3 + 0.01), kind="density")
-    assert sup_deviation(a, a) == 0.0
-    assert sup_deviation(a, b) == pytest.approx(0.01, abs=1e-15)
-
-
-def test_sup_deviation_grows_under_refinement():
-    path = generate_path(IID, 200, seed=13)
-    h = 0.15
-    coarse = Grid(-2.0, 2.0, 101)
-    fine = Grid(-2.0, 2.0, 201)  # contains every coarse point
-    d_coarse = sup_deviation(
-        density_estimate(path, EPAN, h, coarse),
-        expected_density_curve(IID, EPAN, h, coarse),
-    )
-    d_fine = sup_deviation(
-        density_estimate(path, EPAN, h, fine),
-        expected_density_curve(IID, EPAN, h, fine),
-    )
-    assert d_fine >= d_coarse - 1e-15
-
-
-def test_deviation_errors():
-    a = EstimateCurve(grid=Grid(0.0, 1.0, 11), values=np.zeros(11), kind="density")
-    b = EstimateCurve(grid=Grid(0.0, 1.0, 21), values=np.zeros(21), kind="density")
-    with pytest.raises(ValueError, match="different grids"):
-        sup_deviation(a, b)
-
-
-# ---------------------------------------------------------------------------
 # standardized statistics
 
 
@@ -418,22 +381,10 @@ def test_cdf_clt_statistic_moments():
     assert 0.9 < stats.var(ddof=1) < 1.1
 
 
-def test_cdf_clt_statistic_true_center():
-    n, reps = 4096, 1000
-    h = float(n) ** (-0.6)
-    stats = np.empty(reps)
-    for r in range(reps):
-        path = generate_path(IID, n, seed=130_000 + r)
-        stats[r] = cdf_clt_statistic(path, EPAN, h, 0.5, center="true_f")
-    assert 0.9 < stats.var(ddof=1) < 1.1
-
-
 def test_cdf_clt_statistic_rejects_extreme_x():
     path = generate_path(IID, 100, seed=1)
     with pytest.raises(ValueError, match="too close"):
         cdf_clt_statistic(path, EPAN, 0.2, 50.0)
-    with pytest.raises(ValueError, match="center"):
-        cdf_clt_statistic(path, EPAN, 0.2, 0.5, center="median")
 
 
 def test_grid_validation():

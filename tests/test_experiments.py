@@ -1,6 +1,7 @@
 """Experiment runners: statistics toolbox, gates, determinism, small runs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from mixkde.processes import (
 from mixkde.util import derive_seed, resolve_threads
 from mixkde import experiments, processes, util
 from mixkde.experiments import (
-    CLT_KINDS,
     GateError,
     ExperimentConfig,
     check_gates,
@@ -26,7 +26,6 @@ from mixkde.experiments import (
     ks_statistic,
     run_experiment,
     uniform_verdict,
-    validate_shape,
 )
 
 IID = ProcessModel(family="iid")
@@ -128,7 +127,8 @@ def test_gate_names_per_kind():
             kind=kind,
             kernel=EPAN,
             schedule=BandwidthSchedule(c=1.0, delta=0.6),
-            n_list=(64, 128, 256),
+            # moment_bound reads n_list as dyadic block levels
+            n_list=(6, 7, 8) if kind == "moment_bound" else (64, 128, 256),
             replicates=150,
             eval_points=(0.5,),
             p=2.0,
@@ -225,10 +225,18 @@ def test_config_validation():
 
 def test_validate_shape():
     with pytest.raises(ValueError, match="evaluation point"):
-        validate_shape(_config(eval_points=()))
+        _config(eval_points=())
     with pytest.raises(ValueError, match="at least 3 sample sizes"):
-        validate_shape(_config(kind="rate_sup_lp", n_list=(64, 128), eval_points=(0.0,)))
-    validate_shape(_config())  # fine as built
+        _config(kind="rate_sup_lp", n_list=(64, 128), eval_points=(0.0,))
+    _config()  # fine as built
+
+
+def test_single_replicate_rate_run_warns_nothing():
+    cfg = _config(kind="rate_integral_lp", kernel=EPAN, n_list=(128, 256, 512), replicates=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_experiment(cfg)
+    assert all(math.isnan(row["mc_stderr"]) for row in report.rows)
 
 
 def test_resolve_threads():
@@ -530,7 +538,3 @@ def test_uniform_verdict_rejects_spiking_paths():
     assert summary["paths_bounded"] == 18 < summary["paths_needed"] == 19
     assert not summary["paths"][11]["passed"]
     assert verdict == "fail"
-
-
-def test_clt_kinds_constant():
-    assert set(CLT_KINDS) == {"clt_density", "clt_cdf_centered", "clt_cdf_true"}
