@@ -109,6 +109,12 @@ _DIRECT_TERMS_PER_VALUE = 2
 # Against 2^16, this size left the sums' bits unchanged and was as fast or
 # faster on 3-point sums and on 1601-point grids at small h.
 _DIRECT_CHUNK = 1 << 12
+# Prefix sums take the powers of the recentred values over groups of whole
+# value buckets holding at most this many values (a larger bucket is a group
+# of its own), so their scratch stays in cache whatever n is. On uniform_as
+# paths (n = 2^12..2^20, 3267 points) 2^15 and 2^16 were the fastest and
+# level, ahead of 2^14, 2^12 and no grouping; the smaller keeps less scratch.
+_MOMENT_CHUNK = 1 << 15
 # Prefix sums restart in value buckets this many bandwidths wide: a window
 # 2h wide then touches at most two buckets, every value lies within 2h of its
 # bucket's centre, and every centre a window uses lies within 3h of its x.
@@ -146,12 +152,12 @@ def _window_sums(xs: np.ndarray, kernel: KernelSpec, h: float, pts: np.ndarray, 
     return _prefix_sums(xs, h, pts, bounds, coefs), bounds[0]
 
 
-def _runs(sizes: np.ndarray):
-    """Runs j:k of consecutive windows holding at most _DIRECT_CHUNK terms, or one window."""
+def _runs(sizes: np.ndarray, limit: int = _DIRECT_CHUNK):
+    """Runs j:k of consecutive sizes adding up to at most `limit`, or one larger size."""
     ends = sizes.cumsum()
     j = 0
     while j < sizes.size:
-        k = max(j + 1, int(ends.searchsorted(ends[j] - sizes[j] + _DIRECT_CHUNK, side="right")))
+        k = max(j + 1, int(ends.searchsorted(ends[j] - sizes[j] + limit, side="right")))
         yield j, k
         j = k
 
@@ -210,14 +216,14 @@ def _prefix_sums(xs, h, pts, bounds, coefs) -> np.ndarray:
     every bucket, so their size and rounding are those of one bucket, not of
     all n values. A window part in bucket b sums the polynomial about the
     bucket centre: sum P(u) = sum_j P^(j)(d)/j! M_j/h^j, with u = t/h + d
-    and d = (c_b - x)/h.
+    and d = (c_b - x)/h. The stretch sums are taken over groups of whole
+    buckets (_MOMENT_CHUNK); every bucket start is a cut, so no stretch
+    crosses a group.
     """
     n, m = xs.size, pts.size
     width = _BUCKET_WIDTH * h
     starts, _, centers = _buckets(xs, width)
     ends = np.append(starts[1:], n)
-    t = np.repeat(centers, ends - starts)
-    np.subtract(xs, t, out=t)
 
     # split each nonempty window at the end of the bucket it starts in
     lo, hi = bounds[:-1].ravel(), bounds[1:].ravel()
@@ -244,17 +250,25 @@ def _prefix_sums(xs, h, pts, bounds, coefs) -> np.ndarray:
     at_end = se == last[bucket] + 1
 
     degree = max(len(c) for c in coefs) - 1
+    counts = ends - starts
+    stretches = np.empty((degree, cuts.size))  # row j - 1: sums of t^j
+    for b0, b1 in _runs(counts, _MOMENT_CHUNK):
+        start, c0, c1 = starts[b0], first[b0], last[b1 - 1] + 1
+        t = np.repeat(centers[b0:b1], counts[b0:b1])
+        np.subtract(xs[start : ends[b1 - 1]], t, out=t)
+        # t^j in ascending j: t, t*t, (t*t)*t; degree 2 squares t in place
+        # and degree 3 keeps one power array beside it
+        y = t
+        for j in range(1, degree + 1):
+            if j == 2:
+                y = np.multiply(t, t, out=t if degree == 2 else None)
+            elif j > 2:
+                y *= t
+            stretches[j - 1, c0:c1] = np.add.reduceat(y, cuts[c0:c1] - start)
+
     moments = np.empty((degree + 1, a.size))
     moments[0] = e - a
-    # t^j in ascending j: t, t*t, (t*t)*t; t is private, so degree 2 squares
-    # it in place and degree 3 keeps one power array beside it
-    y = t
-    for j in range(1, degree + 1):
-        if j == 2:
-            y = np.multiply(t, t, out=t if degree == 2 else None)
-        elif j > 2:
-            y *= t
-        stretch = np.add.reduceat(y, cuts)
+    for j, stretch in enumerate(stretches, 1):
         totals = np.add.reduceat(stretch, first)
         # each bucket's last stretch absorbs the bucket total, so the running
         # sum comes back to (nearly) zero as the next bucket starts
@@ -262,7 +276,6 @@ def _prefix_sums(xs, h, pts, bounds, coefs) -> np.ndarray:
         run = np.concatenate(([0.0], np.cumsum(stretch)))
         moments[j] = np.where(at_end, totals[bucket] - (run[sa] - run[sb]), run[se] - run[sa])
         moments[j] /= h**j
-    del t, y
 
     d = (centers[bucket] - pts[point]) / h
     table = np.zeros((len(coefs), degree + 1))

@@ -418,7 +418,8 @@ def _each_path(model: ProcessModel, n: int, count: int, base_seed: int, threads,
     """each(r, values) for r < count, values the length-n path of derive_seed(base_seed, r).
 
     The pool gets blocks of paths_per_block replicates, drawn together.
-    each(r, ...) must write only replicate r's slots.
+    each(r, ...) must write only replicate r's slots; it owns `values`, its
+    row of the block, and may overwrite it.
     """
     rows = paths_per_block(model, n)
 
@@ -436,14 +437,17 @@ def _sorted_prefixes(config: ExperimentConfig, threads, sizes, reduce, shape) ->
 
     Replicate r draws one path of length sizes[-1], so every size reads a
     prefix of the same path (nested prefixes). Each reduce result has the
-    trailing shape `shape`.
+    trailing shape `shape`. The last size is the whole path, which is sorted
+    in place in the row `each` owns; every other prefix is a sorted copy,
+    freed before the next one is sorted.
     """
     out = np.empty((config.replicates, len(sizes), *shape))
 
     def each(r: int, values: np.ndarray) -> None:
-        for j, n in enumerate(sizes):
-            # each sorted prefix is freed before the next one is sorted
+        for j, n in enumerate(sizes[:-1]):
             out[r, j] = reduce(j, np.sort(values[:n]))
+        values.sort()
+        out[r, -1] = reduce(len(sizes) - 1, values)
 
     _each_path(config.model, sizes[-1], config.replicates, config.base_seed, threads, each)
     return out

@@ -1,6 +1,8 @@
 """Experiment runners: statistics toolbox, gates, determinism, small runs."""
 
+import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -285,6 +287,33 @@ def test_each_path_rows_match_single_draws_across_blocks(threads):
     experiments._each_path(AR_HALF, n, 14, 99, threads, each)
     for r, values in enumerate(rows):
         assert np.array_equal(values, generate_path(AR_HALF, n, derive_seed(99, r)).values)
+
+
+def test_sorted_prefixes_sort_the_whole_path_in_place():
+    """uniform_as sizes 2^12..2^20: reduce sees each sorted prefix, and the
+    largest scratch beside the drawn path is the sorted copy of its first half."""
+    sizes = tuple(2**j for j in range(12, 21))
+    cfg = _config(kind="uniform_as", model=ProcessModel(family="ar1", phi=0.2), kernel=EPAN,
+                  schedule=BandwidthSchedule(c=1.0, delta=0.3), n_list=sizes, replicates=1,
+                  grid=Grid(-2.0, 2.0, 41))
+    seen = []
+
+    def reduce(j, xs):
+        seen.append(hashlib.sha256(xs).hexdigest())
+        return 0.0
+
+    experiments._sorted_prefixes(cfg, 1, sizes, reduce, ())  # warm-up: lazy imports
+    seen.clear()
+    tracemalloc.start()
+    try:
+        experiments._sorted_prefixes(cfg, 1, sizes, reduce, ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = sizes[-1]
+    assert peak < 1.75 * 8 * n, f"peak {peak / (8 * n):.2f} x 8n"
+    path = generate_path(cfg.model, n, derive_seed(cfg.base_seed, 0)).values
+    assert seen == [hashlib.sha256(np.sort(path[:m])).hexdigest() for m in sizes]
 
 
 def test_moment_bound_check_same_across_thread_counts():
