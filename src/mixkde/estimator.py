@@ -43,8 +43,9 @@ class Grid:
     m: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
-            raise ValueError(f"grid needs lo < hi, got [{self.lo}, {self.hi}]")
+        # a finite span hi - lo has finite ends
+        if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):
+            raise ValueError(f"grid needs lo < hi and a finite span hi - lo, got [{self.lo}, {self.hi}]")
         if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 2:
             raise ValueError(f"grid needs at least 2 points, got m={self.m!r}")
 
@@ -109,7 +110,7 @@ _DIRECT_TERMS_PER_VALUE = 2
 # Against 2^16, this size left the sums' bits unchanged and was as fast or
 # faster on 3-point sums and on 1601-point grids at small h.
 _DIRECT_CHUNK = 1 << 12
-# Prefix sums take the powers of the recentred values over groups of whole
+# Both grid paths take the powers of the recentred values over groups of whole
 # value buckets holding at most this many values (a larger bucket is a group
 # of its own), so their scratch stays in cache whatever n is. On uniform_as
 # paths (n = 2^12..2^20, 3267 points) 2^15 and 2^16 were the fastest and
@@ -152,12 +153,12 @@ def _window_sums(xs: np.ndarray, kernel: KernelSpec, h: float, pts: np.ndarray, 
     return _prefix_sums(xs, h, pts, bounds, coefs), bounds[0]
 
 
-def _runs(sizes: np.ndarray, limit: int = _DIRECT_CHUNK):
-    """Runs j:k of consecutive sizes adding up to at most `limit`, or one larger size."""
+def _runs(sizes: np.ndarray):
+    """Runs j:k of consecutive sizes adding up to at most _DIRECT_CHUNK, or one larger size."""
     ends = sizes.cumsum()
     j = 0
     while j < sizes.size:
-        k = max(j + 1, int(ends.searchsorted(ends[j] - sizes[j] + limit, side="right")))
+        k = max(j + 1, int(ends.searchsorted(ends[j] - sizes[j] + _DIRECT_CHUNK, side="right")))
         yield j, k
         j = k
 
@@ -207,18 +208,50 @@ def _buckets(xs: np.ndarray, width: float):
     return starts, ids, xs[0] + (ids + 0.5) * width
 
 
+def _power_sums(xs, starts, ends, centers, cuts, degree, scale) -> np.ndarray:
+    """Sums of t^j, t = (X - c)/scale, over the stretches between sorted cuts: row j - 1.
+
+    Bucket b is xs[starts[b]:ends[b]], centre c = centers[b]; buckets ascend,
+    each start is a cut, and a stretch ends at the next cut or its bucket's
+    end. t and its powers j <= degree are formed one group of adjacent whole
+    buckets at a time (_MOMENT_CHUNK values at most, or one larger bucket).
+    """
+    out = np.empty((degree, cuts.size))
+    columns = np.append(cuts.searchsorted(starts), cuts.size)  # each bucket's first stretch
+    counts = ends - starts
+    # the buckets that do not start where the one before ends; a group stops before the next
+    breaks = (np.flatnonzero(starts[1:] != ends[:-1]) + 1).tolist() + [starts.size]
+    b0 = g = 0
+    while b0 < starts.size:
+        g += breaks[g] == b0
+        b1 = min(breaks[g], max(b0 + 1, int(ends.searchsorted(starts[b0] + _MOMENT_CHUNK, side="right"))))
+        start, c0, c1 = starts[b0], columns[b0], columns[b1]
+        t = np.repeat(centers[b0:b1], counts[b0:b1])
+        np.subtract(xs[start : ends[b1 - 1]], t, out=t)
+        if scale != 1.0:  # a division by 1.0 keeps every bit but costs a pass
+            t /= scale
+        # t^j by ascending j: degree 2 squares t in place, a higher one keeps one power beside t
+        y = t
+        for j in range(1, degree + 1):
+            if j == 2:
+                y = np.multiply(t, t, out=t if degree == 2 else None)
+            elif j > 2:
+                y *= t
+            out[j - 1, c0:c1] = np.add.reduceat(y, cuts[c0:c1] - start)
+        b0 = b1
+    return out
+
+
 def _prefix_sums(xs, h, pts, bounds, coefs) -> np.ndarray:
     """Window sums from moments accumulated within value buckets.
 
     Values are recentred on the centre c_b of their bucket, t = X - c_b.
     The moments sum t^j over each stretch between consecutive window bounds
-    are summed pairwise, then accumulated with running sums that restart in
-    every bucket, so their size and rounding are those of one bucket, not of
-    all n values. A window part in bucket b sums the polynomial about the
-    bucket centre: sum P(u) = sum_j P^(j)(d)/j! M_j/h^j, with u = t/h + d
-    and d = (c_b - x)/h. The stretch sums are taken over groups of whole
-    buckets (_MOMENT_CHUNK); every bucket start is a cut, so no stretch
-    crosses a group.
+    are summed pairwise (_power_sums), then accumulated with running sums
+    that restart in every bucket, so their size and rounding are those of
+    one bucket, not of all n values. A window part in bucket b sums the
+    polynomial about the bucket centre: sum P(u) = sum_j P^(j)(d)/j! M_j/h^j,
+    with u = t/h + d and d = (c_b - x)/h.
     """
     n, m = xs.size, pts.size
     width = _BUCKET_WIDTH * h
@@ -250,21 +283,7 @@ def _prefix_sums(xs, h, pts, bounds, coefs) -> np.ndarray:
     at_end = se == last[bucket] + 1
 
     degree = max(len(c) for c in coefs) - 1
-    counts = ends - starts
-    stretches = np.empty((degree, cuts.size))  # row j - 1: sums of t^j
-    for b0, b1 in _runs(counts, _MOMENT_CHUNK):
-        start, c0, c1 = starts[b0], first[b0], last[b1 - 1] + 1
-        t = np.repeat(centers[b0:b1], counts[b0:b1])
-        np.subtract(xs[start : ends[b1 - 1]], t, out=t)
-        # t^j in ascending j: t, t*t, (t*t)*t; degree 2 squares t in place
-        # and degree 3 keeps one power array beside it
-        y = t
-        for j in range(1, degree + 1):
-            if j == 2:
-                y = np.multiply(t, t, out=t if degree == 2 else None)
-            elif j > 2:
-                y *= t
-            stretches[j - 1, c0:c1] = np.add.reduceat(y, cuts[c0:c1] - start)
+    stretches = _power_sums(xs, starts, ends, centers, cuts, degree, 1.0)
 
     moments = np.empty((degree + 1, a.size))
     moments[0] = e - a
@@ -306,31 +325,22 @@ def _hermite_sums(xs, h, pts, form, reach):
     are taken only for buckets that some point reaches. As on the direct
     path, the density sums leave out phi's factor 1/sqrt(2 pi).
     """
-    n = xs.size
     starts, ids, centers = _buckets(xs, h)
     v = (pts - xs[0]) / h
     first = ids.searchsorted(np.floor(v - reach), side="left")
     stop = ids.searchsorted(np.floor(v + reach), side="right")
-    bucket_ends = np.append(starts, n)
+    bucket_ends = np.append(starts, xs.size)
     below = bucket_ends[first]
 
     # moments of the buckets some point reaches, one column each
-    nb = ids.size
-    opened = np.bincount(first, minlength=nb + 1) - np.bincount(stop, minlength=nb + 1)
-    reached = np.cumsum(opened[:nb]) > 0
-    counts = np.diff(bucket_ends)
-    t = xs[np.repeat(reached, counts)]
-    counts, centers = counts[reached], centers[reached]
-    t -= np.repeat(centers, counts)
-    t /= h
-    offsets = counts.cumsum() - counts
-    moments = np.empty((_HERMITE_TERMS, counts.size))
-    moments[0] = counts
-    power = t.copy()
-    for k in range(1, _HERMITE_TERMS):
-        moments[k] = np.add.reduceat(power, offsets) / math.factorial(k)
-        power *= t
-    del t, power
+    opened = np.bincount(first, minlength=ids.size + 1) - np.bincount(stop, minlength=ids.size + 1)
+    reached = np.cumsum(opened[:-1]) > 0
+    starts, ends, centers = starts[reached], bucket_ends[1:][reached], centers[reached]
+    moments = np.empty((_HERMITE_TERMS, starts.size))
+    moments[0] = ends - starts
+    # one stretch per bucket: the cuts are the bucket starts
+    moments[1:] = _power_sums(xs, starts, ends, centers, starts, _HERMITE_TERMS - 1, h)
+    moments[1:] /= [[math.factorial(k)] for k in range(1, _HERMITE_TERMS)]
 
     out = np.zeros(pts.size)
     sizes = stop - first
@@ -433,11 +443,9 @@ def density_estimate(
 def cdf_estimate(path: SamplePath, kernel: KernelSpec, h: float, grid: Grid = DEFAULT_GRID) -> EstimateCurve:
     """Smoothed distribution estimate (1/n) sum_i G_K((x - X_i)/h) on a grid.
 
-    Only symmetric unit-mass kernels are accepted, which keeps the estimate a
-    genuine distribution function up to the kernel window at the edges.
+    Every kernel family is symmetric with unit mass, which keeps the estimate
+    a genuine distribution function up to the kernel window at the edges.
     """
-    if not (kernel.is_symmetric and kernel.integrates_to_one):
-        raise ValueError("cdf_estimate needs a symmetric kernel with unit mass")
     xs = np.sort(path.values)
     _check_h(h, xs)
     values = _cdf_window_sums(xs, kernel, h, grid.points) / xs.size
@@ -549,8 +557,6 @@ def cdf_clt_statistic(path: SamplePath, kernel: KernelSpec, h: float, x: float) 
     fx = marginal_cdf(m, x)
     if not (1e-12 < fx < 1.0 - 1e-12):
         raise ValueError(f"F(x) = {fx:g} is too close to 0 or 1 for standardization")
-    if not (kernel.is_symmetric and kernel.integrates_to_one):
-        raise ValueError("cdf_clt_statistic needs a symmetric kernel with unit mass")
     xs = np.sort(path.values)
     _check_h(h, xs)
     fn = min(1.0, max(0.0, _cdf_window_sums(xs, kernel, h, np.asarray([float(x)]))[0] / xs.size))

@@ -60,8 +60,6 @@ class KernelSpec:
     support_radius: float
     lipschitz_const: float | None
     pieces: tuple[PolyPiece, ...] | None = None
-    is_symmetric: bool = True
-    integrates_to_one: bool = True
 
     @property
     def effective_radius(self) -> float:

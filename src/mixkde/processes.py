@@ -66,11 +66,10 @@ class ProcessModel:
 
     @property
     def marginal_sd(self) -> float:
-        if self.family == "iid":
-            return self.innovation_sd
-        if self.family == "ar1":
-            return self.innovation_sd / math.sqrt(1.0 - self.phi * self.phi)
-        return self.innovation_sd * math.sqrt(sum(x * x for x in self.weights))
+        # iid is AR(1) with phi = 0, which divides by sqrt(1.0) exactly
+        if self.family == "ma":
+            return self.innovation_sd * math.sqrt(sum(x * x for x in self.weights))
+        return self.innovation_sd / math.sqrt(1.0 - self.phi * self.phi)
 
     @property
     def window_order(self) -> int:
@@ -214,9 +213,7 @@ def rho_mixing_coefficient(model: ProcessModel, lag: int) -> float:
     every summability certificate used here.
     """
     _check_lag(lag)
-    if model.family == "iid":
-        return 0.0
-    if model.family == "ar1":
+    if model.family != "ma":  # iid is AR(1) with phi = 0
         return abs(model.phi) ** lag
     q = model.window_order
     if lag > q:
@@ -234,14 +231,13 @@ def rho_decay(model: ProcessModel, lag: float) -> float:
 
     The block-moment machinery interpolates gap lengths, which needs the
     decay curve at non-integer arguments. That extension is only canonical
-    when the decay is a pure power (iid, ar1); moving averages are refused.
+    when the decay is a pure power |phi|^lag (iid has phi = 0, and 0.0 ** 0
+    is 1.0); moving averages are refused.
     """
     if model.family == "ma":
         raise ValueError("real-lag decay is only defined for the iid and ar1 families")
     if not (lag >= 0.0):
         raise ValueError(f"lag must be >= 0, got {lag!r}")
-    if model.family == "iid":
-        return 0.0 if lag > 0 else 1.0
     return abs(model.phi) ** lag
 
 
@@ -358,13 +354,11 @@ def indicator_long_run_variance(model: ProcessModel, x: float) -> float:
     z = float(x) / model.marginal_sd
     # F(1-F) as Phi(z) Phi(-z): symmetric in z, and 1 - F loses no digits
     marginal = float(ndtr(z) * ndtr(-z))
-    if model.family == "iid":
-        return marginal
     if model.family == "ma":
         w = np.asarray(model.weights, dtype=float)
         rho = np.array([float(w[: w.size - k] @ w[k:]) for k in range(1, w.size)]) / float(w @ w)
         return marginal + 2.0 * float(np.sum(_plackett_covariances(z, rho)))
-    if model.phi == 0.0:
+    if model.phi == 0.0:  # iid too
         return marginal
     lags = plackett_lags(model.phi)
     total = 0.0

@@ -328,6 +328,12 @@ ADMISSION_RULES = {
     "plackett lags": ({"experiment.kind": "clt_cdf_centered", "model.phi": "0.9999995",
                        "run.eval_points": "0.5"}, "AR(1) phi=0.9999995 needs "),
     "bandwidth range": ({"bandwidth.c": "1e-20"}, "bandwidth h_n = 2.33258e-21 at n = 128 "),
+    # far above the ceiling, h^j overflows in the prefix sums
+    "bandwidth ceiling": ({"bandwidth.c": "1e300"},
+                          "bandwidth h_n = 2.33258e+299 at n = 128 must be at most 1e+12 times "),
+    # hi - lo overflows in the grid's linspace
+    "grid span": ({"grid.lo": "-1e308", "grid.hi": "1e308"},
+                  "grid needs lo < hi and a finite span hi - lo, got [-1e+308, 1e+308]"),
     "distinct h for bias": ({"experiment.kind": "bias", "bandwidth.delta": "0",
                              "run.eval_points": "0.5"},
                             "bias fits its slope against h, but h_n = 1 at both n = 128 and n = 256"),

@@ -211,6 +211,12 @@ PREFIX_DIGESTS = {
     ("wide", "triangular"): "d3375861903dbc513477f546d1a4f2863d52e7498df7a79505bd72e5a4d638bc",
     ("wide", "uniform"): "15f091fbdf0126300bedddde0c6088608b694d484bec2b9994a95be034c09b52",
 }
+HERMITE_DIGESTS = {
+    ("n=2^12", "gaussian"): "b6a3072ed6fdbacef44268c3c0d6354b270d1310fb14ec255bc37b910a78aa8b",
+    ("n=2^20", "gaussian"): "3e20a016b4c2adf4be3b969e87de053d684063f7ae73fed206e2bb1f513b7ace",
+    ("ties", "gaussian"): "b5b98c33643fe00ea67264708ebc0d40cba316b0a0dc9129b44463f768b50022",
+    ("wide", "gaussian"): "09421807135211c401cf60b601c4e9a82f23296f69344ca66f717df16b7f4b04",
+}
 
 
 def _uniform_as_shape(normals, case):
@@ -221,41 +227,44 @@ def _uniform_as_shape(normals, case):
     return np.sort(values), h, pts
 
 
-def _count_prefix_calls(monkeypatch):
+def _count_grid_path_calls(monkeypatch, family):
+    """Record every call to the prefix path, or for the Gaussian to the Hermite path."""
+    name = "_hermite_sums" if family == "gaussian" else "_prefix_sums"
     calls = []
-    prefix = estimator._prefix_sums
-    monkeypatch.setattr(estimator, "_prefix_sums", lambda *args: calls.append(1) or prefix(*args))
+    grid_path = getattr(estimator, name)
+    monkeypatch.setattr(estimator, name, lambda *args: calls.append(1) or grid_path(*args))
     return calls
 
 
 @pytest.mark.parametrize("case", PREFIX_CASES)
-@pytest.mark.parametrize("family", COMPACT)
+@pytest.mark.parametrize("family", FAMILIES)
 def test_prefix_path_bits(normals, case, family, monkeypatch):
-    """The prefix path's density and CDF sums keep their bits (sha256 of both)."""
+    """The prefix and Hermite paths' density and CDF sums keep their bits (sha256 of both)."""
     xs, h, pts = _uniform_as_shape(normals, case)
     kernel = kernel_from_name(family)
-    calls = _count_prefix_calls(monkeypatch)
+    calls = _count_grid_path_calls(monkeypatch, family)
     digest = hashlib.sha256()
     for sums in (_kernel_window_sums, _cdf_window_sums):
         digest.update(sums(xs, kernel, h, pts).astype("<f8").tobytes())
     assert len(calls) == 2
-    assert digest.hexdigest() == PREFIX_DIGESTS[case, family]
+    assert digest.hexdigest() == {**PREFIX_DIGESTS, **HERMITE_DIGESTS}[case, family]
 
 
-@pytest.mark.parametrize("family", COMPACT)
+@pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("form", ["density", "cdf"])
 def test_prefix_scratch_is_bounded(normals, family, form, monkeypatch):
     """n = 2^20 on the uniform_as grid: scratch well below one n-length array.
 
-    The powers of the recentred values are taken over bucket groups of at
-    most _MOMENT_CHUNK values, so the peak is set by the grid's window parts
-    and cut list, not by n. The caller's sorted data must come back untouched.
+    Both grid paths take the powers of the recentred values over bucket
+    groups of at most _MOMENT_CHUNK values, so the peak is set by the grid's
+    window parts, cut list and moment table, not by n. The caller's sorted
+    data must come back untouched.
     """
     xs, h, pts = _uniform_as_shape(normals, "n=2^20")
     kept = xs.copy()
     kernel = kernel_from_name(family)
     sums = _kernel_window_sums if form == "density" else _cdf_window_sums
-    calls = _count_prefix_calls(monkeypatch)
+    calls = _count_grid_path_calls(monkeypatch, family)
     tracemalloc.start()
     try:
         sums(xs, kernel, h, pts)
