@@ -54,6 +54,11 @@ class ConditionVerdict:
         return {"condition": self.condition, "passed": self.passed, "detail": self.detail}
 
 
+def condition(name: str, passed: bool, holds: str, fails: str) -> ConditionVerdict:
+    """The verdict on a named condition, detailed as "(name) " followed by holds or fails."""
+    return ConditionVerdict(name, passed, f"({name}) " + (holds if passed else fails))
+
+
 def bandwidth_at(schedule: BandwidthSchedule, n: int) -> float:
     """h_n for sample size n >= 1."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -67,65 +72,27 @@ def bandwidth_at(schedule: BandwidthSchedule, n: int) -> float:
     return schedule.c * float(n) ** (-schedule.delta) * l
 
 
-def _check_b1(schedule: BandwidthSchedule) -> ConditionVerdict:
-    d, sv = schedule.delta, schedule.slowly_varying
-    if 0.0 < d < 1.0:
-        return ConditionVerdict(
-            "B1", True,
-            f"(B1) holds: 0 < delta={d:g} < 1, so h_n -> 0 and n*h_n -> inf",
-        )
-    if d == 1.0 and sv == "log":
-        return ConditionVerdict(
-            "B1", True,
-            "(B1) holds: delta=1 with l(n)=log n gives h_n -> 0 and n*h_n = c*log n -> inf",
-        )
-    if d <= 0.0:
-        return ConditionVerdict(
-            "B1", False, f"(B1) fails: delta={d:g} <= 0, so h_n does not tend to 0"
-        )
-    return ConditionVerdict(
-        "B1", False, f"(B1) fails: delta={d:g} makes n*h_n fail to diverge"
-    )
-
-
-def _check_b2(schedule: BandwidthSchedule) -> ConditionVerdict:
-    d = schedule.delta
-    if 0.0 < d <= 1.0:
-        return ConditionVerdict(
-            "B2", True,
-            f"(B2) holds: 0 < delta={d:g} <= 1, so h_n is regularly varying of index -delta",
-        )
-    if d <= 0.0:
-        return ConditionVerdict(
-            "B2", False,
-            f"(B2) fails: delta={d:g} <= 0 puts the schedule outside the admissible exponents",
-        )
-    return ConditionVerdict(
-        "B2", False, f"(B2) fails: delta={d:g} > 1 is outside the admissible exponents"
-    )
-
-
-def _check_b3(schedule: BandwidthSchedule) -> ConditionVerdict:
-    b1 = _check_b1(schedule)
-    d = schedule.delta
-    if not b1.passed:
-        return ConditionVerdict("B3", False, f"(B3) fails: it requires (B1); {b1.detail}")
-    if d <= 0.5:
-        return ConditionVerdict(
-            "B3", False,
-            f"(B3) fails: delta={d:g} <= 1/2 leaves no room for sqrt(n)*omega(n)*h_n -> 0",
-        )
-    return ConditionVerdict(
-        "B3", True,
-        f"(B3) holds: delta={d:g} > 1/2 with witness omega(n) = n^{(d - 0.5) / 2.0:g}, "
-        "which diverges while sqrt(n)*omega(n)*h_n -> 0",
-    )
-
-
 def check_conditions(schedule: BandwidthSchedule) -> dict[str, ConditionVerdict]:
     """Verdicts for (B1), (B2), (B3), keyed by condition name."""
-    return {
-        "B1": _check_b1(schedule),
-        "B2": _check_b2(schedule),
-        "B3": _check_b3(schedule),
-    }
+    d = schedule.delta
+    b1 = condition(
+        "B1", 0.0 < d < 1.0 or (d == 1.0 and schedule.slowly_varying == "log"),
+        f"holds: 0 < delta={d:g} < 1, so h_n -> 0 and n*h_n -> inf" if d < 1.0
+        else "holds: delta=1 with l(n)=log n gives h_n -> 0 and n*h_n = c*log n -> inf",
+        f"fails: delta={d:g} <= 0, so h_n does not tend to 0" if d <= 0.0
+        else f"fails: delta={d:g} makes n*h_n fail to diverge",
+    )
+    b2 = condition(
+        "B2", 0.0 < d <= 1.0,
+        f"holds: 0 < delta={d:g} <= 1, so h_n is regularly varying of index -delta",
+        f"fails: delta={d:g} <= 0 puts the schedule outside the admissible exponents" if d <= 0.0
+        else f"fails: delta={d:g} > 1 is outside the admissible exponents",
+    )
+    b3 = condition(
+        "B3", b1.passed and d > 0.5,
+        f"holds: delta={d:g} > 1/2 with witness omega(n) = n^{(d - 0.5) / 2.0:g}, "
+        "which diverges while sqrt(n)*omega(n)*h_n -> 0",
+        f"fails: delta={d:g} <= 1/2 leaves no room for sqrt(n)*omega(n)*h_n -> 0" if b1.passed
+        else f"fails: it requires (B1); {b1.detail}",
+    )
+    return {"B1": b1, "B2": b2, "B3": b3}

@@ -20,10 +20,11 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr
 
-from .bandwidth import BandwidthSchedule, ConditionVerdict, bandwidth_at, check_conditions
+from .bandwidth import BandwidthSchedule, ConditionVerdict, bandwidth_at, check_conditions, condition
 from .blocking import _checked_level, _interpolated_gap, build_partition
 from .estimator import (
     _H_RANGE_FLOOR,
+    _MARGINAL_RADIUS,
     DEFAULT_GRID,
     Grid,
     _cdf_window_sums,
@@ -128,6 +129,12 @@ class ExperimentConfig:
         if spec.long_run and self.model.family == "ar1":
             plackett_lags(self.model.phi)
         sd = self.model.marginal_sd
+        # beyond 40 marginal sds a grid meets no data, and far beyond it its squares overflow
+        lo, hi = self.grid.lo, self.grid.hi
+        if not (spec.needs_points or spec.levels) and max(-lo, hi) > _MARGINAL_RADIUS * sd:
+            raise ValueError(f"{self.kind} reads the grid, whose ends must lie within "
+                             f"{_MARGINAL_RADIUS:g} marginal sds ({_MARGINAL_RADIUS * sd:g}) of 0, "
+                             f"got [{lo:g}, {hi:g}]")
         seen: dict[float, int] = {}
         for n in () if spec.levels else self.n_list:
             try:
@@ -263,11 +270,6 @@ def _report_fit(fit: dict) -> dict:
 # gates
 
 
-def _gate(name: str, passed: bool, holds: str, fails: str) -> ConditionVerdict:
-    """One condition's check, detailed as "(name) " followed by holds or fails."""
-    return ConditionVerdict(name, passed, f"({name}) " + (holds if passed else fails))
-
-
 def _bandwidth_gate(name: str, config: ExperimentConfig) -> ConditionVerdict:
     return check_conditions(config.schedule)[name]
 
@@ -278,7 +280,7 @@ def _mixing_gate(config: ExperimentConfig, power: float = 1.0) -> ConditionVerdi
         f"sum_i rho(2^i)^{power:g} = {cert['partial_sum']:.9g} over i <= 40 with first "
         f"omitted term {cert['first_omitted_term']:.3g}"
     )
-    return _gate(
+    return condition(
         "rho-summable", cert["first_omitted_term"] < _MIXING_TAIL_TOL,
         "holds: " + detail, "fails: " + detail + f", not below {_MIXING_TAIL_TOL:g}",
     )
@@ -291,62 +293,48 @@ def _lp_mixing_gate(config: ExperimentConfig) -> ConditionVerdict:
 
 def _rho1_gate(config: ExperimentConfig) -> ConditionVerdict:
     r1 = rho_mixing_coefficient(config.model, 1)
-    return _gate(
+    return condition(
         "rho(1) <= 1/4", r1 <= 0.25, f"holds: rho(1)={r1:g}",
         f"fails: rho(1)={r1:g} > 1/4, so the almost-sure uniform rate is not certified for this model",
     )
 
 
-def _marginal_gate(name: str, config: ExperimentConfig) -> ConditionVerdict:
-    model = config.model
-    sd = model.marginal_sd
-    if name == "C1":
-        detail = f"(C1) holds: the Gaussian marginal is bounded by {1.0 / (sd * math.sqrt(2 * math.pi)):.6g}"
-    elif name == "C2":
-        detail = "(C2) holds: the Gaussian marginal is uniformly continuous and bounded"
-    else:
-        detail = (
-            "(C3) holds: the Gaussian marginal is bounded and continuously differentiable "
-            f"with sup|f'| = {marginal_density_derivative_sup(model):.6g}"
-        )
-    return ConditionVerdict(name, True, detail)
+# the conditions that every admitted config meets, each with its holds text
+_ALWAYS_HOLDS: dict[str, Callable[[ExperimentConfig], str]] = {
+    "C1": lambda c: "holds: the Gaussian marginal is bounded by "
+                    f"{1.0 / (c.model.marginal_sd * math.sqrt(2 * math.pi)):.6g}",
+    "C2": lambda c: "holds: the Gaussian marginal is uniformly continuous and bounded",
+    "C3": lambda c: "holds: the Gaussian marginal is bounded and continuously differentiable "
+                    f"with sup|f'| = {marginal_density_derivative_sup(c.model):.6g}",
+    "K1": lambda c: f"holds: the {c.kernel.family} kernel is bounded by {c.kernel.sup_norm:g} "
+                    "with integral of |K| equal to 1",
+    "K3": lambda c: f"holds: the {c.kernel.family} kernel is bounded with integral of |x K(x)| "
+                    f"equal to {c.kernel.abs_first_moment:g}",
+    # symmetry plus unit mass, which the distribution estimators need
+    "K-symmetric": lambda c: f"holds: the {c.kernel.family} kernel is symmetric with unit integral",
+}
 
 
-def _kernel_gate(name: str, config: ExperimentConfig) -> ConditionVerdict:
+def _always_gate(name: str, config: ExperimentConfig) -> ConditionVerdict:
+    return condition(name, True, _ALWAYS_HOLDS[name](config), "")
+
+
+def _k2_gate(config: ExperimentConfig) -> ConditionVerdict:
     kernel = config.kernel
-    fam = kernel.family
-    if name == "K1":
-        return ConditionVerdict(
-            "K1", True,
-            f"(K1) holds: the {fam} kernel is bounded by {kernel.sup_norm:g} with "
-            f"integral of |K| equal to {kernel.l1_norm:g}",
-        )
-    if name == "K2":
-        radius, lipschitz = kernel.support_radius, kernel.lipschitz_const
-        if not math.isfinite(radius):
-            return ConditionVerdict("K2", False, f"(K2) fails: the {fam} kernel is not compactly supported")
-        if lipschitz is None:
-            return ConditionVerdict("K2", False, f"(K2) fails: the {fam} kernel is not Lipschitz")
-        return ConditionVerdict(
-            "K2", True,
-            f"(K2) holds: the {fam} kernel has support radius {radius:g} "
-            f"and Lipschitz constant {lipschitz:g}",
-        )
-    if name == "K3":
-        return ConditionVerdict(
-            "K3", True,
-            f"(K3) holds: the {fam} kernel is bounded with integral of |x K(x)| "
-            f"equal to {kernel.abs_first_moment:g}",
-        )
-    # symmetry plus unit mass, needed by the distribution estimators: every family has both
-    return ConditionVerdict(
-        "K-symmetric", True, f"(K-symmetric) holds: the {fam} kernel is symmetric with unit integral"
+    compact = math.isfinite(kernel.support_radius)
+    passed = compact and kernel.lipschitz_const is not None
+    return condition(
+        "K2", passed,
+        # lipschitz_const is None for a kernel that is not Lipschitz: format it only on a pass
+        f"holds: the {kernel.family} kernel has support radius {kernel.support_radius:g} "
+        f"and Lipschitz constant {kernel.lipschitz_const:g}" if passed else "",
+        f"fails: the {kernel.family} kernel is not " + ("Lipschitz" if compact else "compactly supported"),
     )
 
 
 def _compact_support_gate(config: ExperimentConfig) -> ConditionVerdict:
     kernel = config.kernel
-    return _gate(
+    return condition(
         "K-compact", math.isfinite(kernel.support_radius),
         f"holds: the {kernel.family} kernel is supported on "
         f"[-{kernel.support_radius:g}, {kernel.support_radius:g}]",
@@ -356,7 +344,7 @@ def _compact_support_gate(config: ExperimentConfig) -> ConditionVerdict:
 
 def _positive_density_gate(config: ExperimentConfig) -> ConditionVerdict:
     vals = [marginal_density(config.model, x) for x in config.eval_points]
-    return _gate(
+    return condition(
         "f(x) > 0", all(v > 1e-300 for v in vals), "holds at every evaluation point",
         "fails: the marginal density vanishes at an evaluation point",
     )
@@ -364,7 +352,7 @@ def _positive_density_gate(config: ExperimentConfig) -> ConditionVerdict:
 
 def _cdf_interior_gate(config: ExperimentConfig) -> ConditionVerdict:
     vals = [marginal_cdf(config.model, x) for x in config.eval_points]
-    return _gate(
+    return condition(
         "0 < F(x) < 1", all(1e-12 < v < 1.0 - 1e-12 for v in vals),
         "holds at every evaluation point",
         "fails: an evaluation point sits at the edge of the distribution",
@@ -373,7 +361,7 @@ def _cdf_interior_gate(config: ExperimentConfig) -> ConditionVerdict:
 
 def _p_gate(config: ExperimentConfig) -> ConditionVerdict:
     p = config.p
-    return _gate(
+    return condition(
         "p >= 2", p >= 2.0, f"holds: p={p:g}",
         f"fails: the moment-rate statements need p >= 2, got p={p:g}",
     )
@@ -381,7 +369,7 @@ def _p_gate(config: ExperimentConfig) -> ConditionVerdict:
 
 def _markov_gate(config: ExperimentConfig) -> ConditionVerdict:
     family = config.model.family
-    return _gate(
+    return condition(
         "markov-model", family in ("iid", "ar1"),
         f"holds: the {family} family is Markov in its own value",
         f"fails: the {family} family is not Markov in its own value, "
@@ -391,7 +379,7 @@ def _markov_gate(config: ExperimentConfig) -> ConditionVerdict:
 
 def _even_p_gate(config: ExperimentConfig) -> ConditionVerdict:
     p = config.p
-    return _gate(
+    return condition(
         "p-even", float(p).is_integer() and int(p) >= 2 and int(p) % 2 == 0,
         f"holds: p={int(p)}",
         f"fails: the block-moment diagnostic needs an even integer p >= 2, got {p:g}",
@@ -794,17 +782,9 @@ def moment_bound_check(
         g[r] = coef * float(values[anchors].sum())
 
     _each_path(model, 2 ** (k + 1), replicates, base_seed, threads, each)
-    lhs_acc = 0.0
-    sq_acc = np.zeros(part.r_k)
-    pp_acc = np.zeros(part.r_k)
-    for rep in range(replicates):
-        lhs_acc += abs(g[rep]) ** p
-        sq_acc += xi[rep] * xi[rep]
-        pp_acc += np.abs(xi[rep]) ** p
-
-    lhs = lhs_acc / replicates
-    xi_sq = sq_acc / replicates
-    xi_pp = pp_acc / replicates
+    lhs = sum(abs(v) ** p for v in g) / replicates
+    xi_sq = (xi * xi).sum(axis=0) / replicates
+    xi_pp = (np.abs(xi) ** p).sum(axis=0) / replicates
     gaps = np.array([_interpolated_gap(beta, 0.5 * m) for m in range(1, part.r_k + 1)])
     rho = np.array([rho_decay(model, g) for g in gaps])
     log_factor = clamped_log(2.0 * part.r_k) ** p
@@ -907,10 +887,7 @@ class _Kind:
 
 # the named conditions of the bandwidth, the marginal and the kernel
 _B1, _B2, _B3 = (partial(_bandwidth_gate, name) for name in ("B1", "B2", "B3"))
-_C1, _C2, _C3 = (partial(_marginal_gate, name) for name in ("C1", "C2", "C3"))
-_K1, _K2, _K3, _K_SYMMETRIC = (
-    partial(_kernel_gate, name) for name in ("K1", "K2", "K3", "K-symmetric")
-)
+_C1, _C2, _C3, _K1, _K3, _K_SYMMETRIC = (partial(_always_gate, name) for name in _ALWAYS_HOLDS)
 _RATE_GATES = (_p_gate, _B1, _C1, _K1, _lp_mixing_gate)
 _CLT_SHAPE = dict(plot=("x", "ks", "mean", "variance"), needs_points=True, least_replicates=100)
 
@@ -946,7 +923,7 @@ _KIND_TABLE: dict[str, _Kind] = {
         least_sizes=3,
     ),
     "uniform_as": _Kind(
-        gates=(_B2, _C1, _K2, _rho1_gate, _mixing_gate),
+        gates=(_B2, _C1, _k2_gate, _rho1_gate, _mixing_gate),
         run=_run_uniform,
         plot=("n", "ratio"),
         least_sizes=3,

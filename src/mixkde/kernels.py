@@ -44,16 +44,16 @@ class PolyPiece(NamedTuple):
 class KernelSpec:
     """A kernel and the analytic constants consumed by the limit theorems.
 
-    abs_first_moment is the integral of |u| K(u), used by first-order bias
-    bounds. lipschitz_const is None when the kernel has no finite Lipschitz
-    constant (the uniform kernel jumps at its support edge); callers that need
-    smoothness must treat None as "not Lipschitz" and refuse. pieces covers
-    the support of a compact kernel with polynomial pieces, in increasing u;
-    it is None for the Gaussian.
+    Every family is a symmetric probability density, so no field records its
+    symmetry or its unit mass. abs_first_moment is the integral of |u| K(u),
+    used by first-order bias bounds. lipschitz_const is None when the kernel
+    has no finite Lipschitz constant (the uniform kernel jumps at its support
+    edge); callers that need smoothness must treat None as "not Lipschitz"
+    and refuse. pieces covers the support of a compact kernel with polynomial
+    pieces, in increasing u; it is None for the Gaussian.
     """
 
     family: str
-    l1_norm: float
     abs_first_moment: float
     l2_norm_sq: float
     sup_norm: float
@@ -69,7 +69,6 @@ class KernelSpec:
 
 GAUSSIAN = KernelSpec(
     family="gaussian",
-    l1_norm=1.0,
     abs_first_moment=math.sqrt(2.0 / math.pi),
     l2_norm_sq=1.0 / (2.0 * math.sqrt(math.pi)),
     sup_norm=1.0 / _SQRT_2PI,
@@ -80,7 +79,6 @@ GAUSSIAN = KernelSpec(
 
 EPANECHNIKOV = KernelSpec(
     family="epanechnikov",
-    l1_norm=1.0,
     abs_first_moment=0.375,
     l2_norm_sq=0.6,
     sup_norm=0.75,
@@ -91,7 +89,6 @@ EPANECHNIKOV = KernelSpec(
 
 TRIANGULAR = KernelSpec(
     family="triangular",
-    l1_norm=1.0,
     abs_first_moment=1.0 / 3.0,
     l2_norm_sq=2.0 / 3.0,
     sup_norm=1.0,
@@ -105,7 +102,6 @@ TRIANGULAR = KernelSpec(
 
 UNIFORM = KernelSpec(
     family="uniform",
-    l1_norm=1.0,
     abs_first_moment=0.5,
     l2_norm_sq=0.5,
     sup_norm=0.5,

@@ -334,6 +334,13 @@ ADMISSION_RULES = {
     # hi - lo overflows in the grid's linspace
     "grid span": ({"grid.lo": "-1e308", "grid.hi": "1e308"},
                   "grid needs lo < hi and a finite span hi - lo, got [-1e+308, 1e+308]"),
+    # a grid kind's grid ends within 40 marginal sds (1.0328 for AR(1) phi = 0.25)
+    "grid ends": ({"grid.lo": "-1e300", "grid.hi": "1e300"},
+                  "rate_integral_lp reads the grid, whose ends must lie within 40 marginal sds "
+                  "(41.3118) of 0, got [-1e+300, 1e+300]"),
+    "grid ends for uniform_as": ({"experiment.kind": "uniform_as", "run.n_list": "256, 512, 1024",
+                                  "grid.lo": "-1e300", "grid.hi": "1e300"},
+                                 "uniform_as reads the grid, whose ends must lie within 40 "),
     "distinct h for bias": ({"experiment.kind": "bias", "bandwidth.delta": "0",
                              "run.eval_points": "0.5"},
                             "bias fits its slope against h, but h_n = 1 at both n = 128 and n = 256"),

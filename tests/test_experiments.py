@@ -1,6 +1,8 @@
 """Experiment runners: statistics toolbox, gates, determinism, small runs."""
 
 import hashlib
+import itertools
+import json
 import math
 import tracemalloc
 import warnings
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal, norm
 
-from mixkde.bandwidth import BandwidthSchedule
+from mixkde.bandwidth import BandwidthSchedule, check_conditions
 from mixkde.estimator import Grid, cdf_clt_statistic
 from mixkde.kernels import kernel_from_name
 from mixkde.processes import (
@@ -195,6 +197,77 @@ def test_gate_rejection_odd_p_for_moment_bound():
     cfg = _config(kind="moment_bound", model=AR_HALF, n_list=(6, 7, 8), p=3.0)
     with pytest.raises(GateError, match="p-even"):
         run_experiment(cfg)
+
+
+# A fixed battery that reaches both outcomes of every condition that can
+# fail, and every distinct detail text; its digest pins each verdict's bytes.
+BATTERY_MODELS = (
+    IID,
+    ProcessModel(family="ar1", phi=0.25),
+    AR_HALF,  # rho(1) > 1/4
+    ProcessModel(family="ar1", phi=-0.5),
+    ProcessModel(family="ma", weights=(1.0, 0.3)),  # not Markov
+    ProcessModel(family="ar1", phi=1.0 - 1e-13),  # rho is not summable
+)
+BATTERY_SCHEDULES = tuple(
+    BandwidthSchedule(delta=d, slowly_varying=sv)
+    for d, sv in ((0.3, "one"), (0.8, "invlog"), (1.0, "log"), (-0.5, "one"), (1.5, "one"))
+)
+BATTERY_POINTS = ((), (0.0, 0.5), (-1.0, 40.0))  # x = 40 sds: f underflows and F = 1
+BATTERY_B_SCHEDULES = tuple(
+    BandwidthSchedule(c=c, delta=d, slowly_varying=sv)
+    for c, d in ((1.0, -0.5), (2.0, 0.0), (1.0, 0.3), (0.5, 0.5),
+                 (1.0, 0.6), (1.0, 0.8), (3.0, 1.0), (1.0, 1.5))
+    for sv in ("one", "log", "invlog")
+)
+BATTERY_TEXTS = {
+    "B1": ("holds: 0 < delta", "holds: delta=1 with l(n)=log n", "<= 0, so h_n", "makes n*h_n"),
+    "B2": ("holds: 0 < delta", "<= 0 puts", "> 1 is outside"),
+    "B3": ("requires (B1)", "<= 1/2 leaves", "holds: delta"),
+    "K2": ("not compactly supported", "is not Lipschitz", "holds: the"),
+}
+BATTERY_ALWAYS = {"C1", "C2", "C3", "K1", "K3", "K-symmetric"}
+BATTERY_DIGEST = "35b7f3f9e1a7d87cc5ab9783816bc69ed96baecad94ba46ad00e251e28946eb4"
+
+
+def _battery_verdicts():
+    """(label, verdicts) for every admissible battery config, then the B schedules."""
+    for kind in experiments.KINDS:
+        for (i, model), kernel, (j, schedule), points, p in itertools.product(
+            enumerate(BATTERY_MODELS), (GAUSS, EPAN, kernel_from_name("triangular"),
+                                        kernel_from_name("uniform")),
+            enumerate(BATTERY_SCHEDULES), BATTERY_POINTS, (1.0, 2.0, 3.0, 4.0),
+        ):
+            try:
+                cfg = ExperimentConfig(
+                    kind=kind, model=model, kernel=kernel, schedule=schedule,
+                    n_list=(6, 7, 8) if kind == "moment_bound" else (128, 256, 512),
+                    replicates=100, base_seed=1, eval_points=points, p=p,
+                )
+            except ValueError:
+                continue
+            yield f"{kind} {i} {kernel.family} {j} {points} {p}", check_gates(cfg)
+    for schedule in BATTERY_B_SCHEDULES:
+        yield repr(schedule), list(check_conditions(schedule).values())
+
+
+def test_gate_battery_reaches_every_branch_and_keeps_its_bytes():
+    digest = hashlib.sha256()
+    outcomes: set[tuple[str, bool]] = set()
+    texts: dict[str, set[str]] = {}
+    for label, verdicts in _battery_verdicts():
+        digest.update(json.dumps([label, [v.as_dict() for v in verdicts]]).encode())
+        for v in verdicts:
+            outcomes.add((v.condition, v.passed))
+            texts.setdefault(v.condition, set()).add(v.detail)
+    conditions = {c for c, _ in outcomes}
+    assert outcomes == {(c, True) for c in conditions} | {
+        (c, False) for c in conditions - BATTERY_ALWAYS
+    }
+    for condition, fragments in BATTERY_TEXTS.items():
+        for fragment in fragments:
+            assert any(fragment in t for t in texts[condition]), (condition, fragment)
+    assert digest.hexdigest() == BATTERY_DIGEST
 
 
 def test_clt_cdf_true_requires_compact_kernel():

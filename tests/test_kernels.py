@@ -91,7 +91,8 @@ def test_sup_norm_attained(family):
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_l2_bounded_by_sup_times_l1(family):
     kernel = kernel_from_name(family)
-    assert kernel.l2_norm_sq <= kernel.sup_norm * kernel.l1_norm + 1e-15
+    # every family has unit L1 norm
+    assert kernel.l2_norm_sq <= kernel.sup_norm + 1e-15
 
 
 def test_pointwise_examples():

@@ -1,13 +1,16 @@
-"""Smoke test for tools/report_hashes.py on two of its configs."""
+"""tools/report_hashes.py: a smoke test on two configs, and the pinned digests of all."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import mixkde
+from mixkde.cli import main
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_hashes.py"
+DIGESTS = Path(__file__).resolve().parent / "report_digests.json"
 LABELS = ("clt_density-ar1-gaussian-0.3", "uniform_as-iid-gaussian-0.3")
 
 
@@ -45,3 +48,27 @@ def test_report_hashes_runs_two_configs(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert f"{LABELS[0]}: files report.json" in proc.stdout
     assert "1 of 2 configs identical; 0 exit codes differ" in proc.stdout
+
+
+def _report_hashes():
+    spec = importlib.util.spec_from_file_location("report_hashes", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_config_keeps_its_pinned_report_digest():
+    tool = _report_hashes()
+    pinned = json.loads(DIGESTS.read_text())
+    got = {label: tool.digest(entry) for label, entry in tool.hash_all(main, [], False).items()}
+    moved: dict[str, list[str]] = {}
+    for label in sorted(got.keys() | pinned["configs"].keys()):
+        if got.get(label) != pinned["configs"].get(label):
+            moved.setdefault(label.split("-")[0], []).append(label)
+    versions = tool.versions()
+    assert not moved, (
+        f"{sum(map(len, moved.values()))} configs moved, by kind: {moved}; re-pin with "
+        f"`python tools/report_hashes.py --pin tests/report_digests.json` if that is meant"
+        + ("" if versions == pinned["versions"] else
+           f"; pinned under {pinned['versions']}, run under {versions}")
+    )

@@ -17,7 +17,11 @@ be compared value by value.
 src/). --only keeps the configs whose label contains one of its strings.
 --diff prints, per config, what differs between two outputs, and per kind
 the largest relative difference of the report numbers; it exits 1 when any
-config's exit codes, validate output or bundle files differ.
+config's exit codes, validate output or bundle files differ. --pin writes
+one sha256 per config over its exit codes and hashes, with the Python,
+numpy and scipy versions, to the table that tests/test_tools.py checks:
+
+    python tools/report_hashes.py --pin tests/report_digests.json
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import hashlib
 import io
 import itertools
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -109,13 +114,33 @@ def hash_config(main, label: str, text: str, workdir: Path, numbers: bool) -> di
     return entry
 
 
+def hash_all(main, only: list[str], numbers: bool) -> dict:
+    table = {k: v for k, v in configs().items() if not only or any(s in k for s in only)}
+    with tempfile.TemporaryDirectory() as tmp:
+        return {label: hash_config(main, label, text, Path(tmp), numbers) for label, text in table.items()}
+
+
 def run(src: Path, only: list[str], numbers: bool) -> dict:
     sys.path.insert(0, str(src))
     from mixkde.cli import main
 
-    table = {k: v for k, v in configs().items() if not only or any(s in k for s in only)}
-    with tempfile.TemporaryDirectory() as tmp:
-        return {label: hash_config(main, label, text, Path(tmp), numbers) for label, text in table.items()}
+    return hash_all(main, only, numbers)
+
+
+KEYS = ("validate_exit", "validate_sha256", "run_exit", "files")
+
+
+def digest(entry: dict) -> str:
+    """One sha256 over a config's exit codes, validate output and bundle files."""
+    return _sha(json.dumps({k: entry[k] for k in KEYS}, sort_keys=True).encode())
+
+
+def versions() -> dict:
+    """The versions the draws and the reports rest on (scipy's ndtri and lfilter)."""
+    import numpy
+    import scipy
+
+    return {"python": platform.python_version(), "numpy": numpy.__version__, "scipy": scipy.__version__}
 
 
 def _relative(a: list[float], b: list[float]) -> float:
@@ -155,8 +180,7 @@ def diff(before: dict, after: dict) -> int:
                 moved[kind] = max(moved.get(kind, 0.0), rel)
         if notes:
             print(f"{label}: {'; '.join(notes)}")
-    keys = ("validate_exit", "validate_sha256", "run_exit", "files")
-    same = sum(1 for k in before if k in after and all(before[k][f] == after[k][f] for f in keys))
+    same = sum(1 for k in before if k in after and all(before[k][f] == after[k][f] for f in KEYS))
     print(f"{same} of {len(before)} configs identical; {codes} exit codes differ")
     for kind, rel in sorted(moved.items()):
         print(f"  {kind}: largest relative difference {rel:.3g}")
@@ -170,11 +194,17 @@ def main(argv=None) -> int:
     parser.add_argument("--numbers", action="store_true", help="also record the numbers in report.json")
     parser.add_argument("--diff", nargs=2, type=Path, metavar=("BEFORE", "AFTER"),
                         help="compare two outputs of this script")
+    parser.add_argument("--pin", type=Path, metavar="TABLE", help="write the digest table to TABLE")
     args = parser.parse_args(argv)
     if args.diff:
         before, after = (json.loads(p.read_text()) for p in args.diff)
         return 1 if diff(before, after) else 0
-    json.dump(run(args.src, args.only, args.numbers), sys.stdout, indent=1, sort_keys=True)
+    hashes = run(args.src, args.only, args.numbers)
+    if args.pin:
+        table = {"versions": versions(), "configs": {k: digest(v) for k, v in hashes.items()}}
+        args.pin.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+        return 0
+    json.dump(hashes, sys.stdout, indent=1, sort_keys=True)
     print()
     return 0
 
