@@ -2,13 +2,14 @@
 
 density_estimate and cdf_estimate give (1/(n h)) sum_i K((X_i - x)/h) and
 (1/n) sum_i G_K((x - X_i)/h) on a grid, as exact finite sums; the runners
-take the raw sums at any points of sorted data from _kernel_window_sums and
-_cdf_window_sums. One engine (_window_sums) computes them by a direct, a
-prefix (compact kernels) or a Hermite (Gaussian) path, chosen from the
-input alone. The exact centerings E f_n(x) and E F_n(x) under the
-N(0, s^2) marginal come from one oracle (_expected), which raises
-ArithmeticError when its 16- and 32-node rules disagree. README "Window
-sums" and "Oracles" give each path's error bound and the crossovers.
+take them at any points of sorted data from _estimate, which normalises the
+raw sums of _kernel_window_sums and _cdf_window_sums. One engine
+(_window_sums) computes the sums by a direct, a prefix (compact kernels) or
+a Hermite (Gaussian) path, chosen from the input alone. The exact centerings
+E f_n(x) and E F_n(x) under the N(0, s^2) marginal come from one oracle
+(_expected), which raises ArithmeticError when its 16- and 32-node rules
+disagree. README "Window sums" and "Oracles" give each path's error bound
+and the crossovers.
 """
 
 from __future__ import annotations
@@ -99,14 +100,22 @@ def _cdf_window_sums(xs: np.ndarray, kernel: KernelSpec, h: float, pts: np.ndarr
     return below + sums
 
 
+def _estimate(xs: np.ndarray, kernel: KernelSpec, h: float, pts: np.ndarray, form: str) -> np.ndarray:
+    """f_n = S/(n h) (form "density") or F_n = clip(S/n, 0, 1) ("cdf") at pts; xs sorted, n = xs.size."""
+    if form == "density":
+        return _kernel_window_sums(xs, kernel, h, pts) / (xs.size * h)
+    return np.clip(_cdf_window_sums(xs, kernel, h, pts) / xs.size, 0.0, 1.0)
+
+
 # The window-sum engine (README "Window sums"). A compact kernel is a
 # polynomial in u = (X_i - x)/h on each of its pieces, so a window sum is a
 # sum of polynomial values over an index range of the sorted data. Windows
 # holding at most this many terms per data value, in total over all points,
 # are summed term by term.
 _DIRECT_TERMS_PER_VALUE = 2
-# Direct sums gather at most this many terms at a time (a larger window is
-# sliced alone), which bounds their scratch memory and keeps it in cache.
+# Ragged sums (the direct and Hermite paths) gather at most this many terms at
+# a time (a larger range is sliced alone), which bounds their scratch memory
+# and keeps it in cache.
 # Against 2^16, this size left the sums' bits unchanged and was as fast or
 # faster on 3-point sums and on 1601-point grids at small h.
 _DIRECT_CHUNK = 1 << 12
@@ -163,28 +172,32 @@ def _runs(sizes: np.ndarray):
         j = k
 
 
-def _gather(starts: np.ndarray, sizes: np.ndarray):
-    """Index of the ranges starts[i] + arange(sizes[i]), one after another, and their offsets."""
-    offsets = sizes.cumsum() - sizes
-    return np.arange(offsets[-1] + sizes[-1]) + (starts - offsets).repeat(sizes), offsets
+def _ragged_sums(starts: np.ndarray, sizes: np.ndarray, pts: np.ndarray, terms) -> np.ndarray:
+    """sum of terms(idx, x) over the range idx = starts[i] + arange(sizes[i]), x = pts[i], per i.
+
+    Ranges are gathered one run of _runs at a time, x repeated once per index,
+    and summed pairwise per range; a range that is a run alone is a slice.
+    """
+    out = np.zeros(sizes.size)
+    for j, k in _runs(sizes):
+        if k == j + 1:  # one range: a slice
+            if sizes[j]:
+                out[j] += np.add.reduceat(terms(slice(starts[j], starts[j] + sizes[j]), pts[j]), [0])[0]
+            continue
+        size = sizes[j:k]
+        offsets = size.cumsum() - size
+        idx = np.arange(offsets[-1] + size[-1]) + (starts[j:k] - offsets).repeat(size)
+        full = size > 0
+        out[j:k][full] += np.add.reduceat(terms(idx, pts[j:k].repeat(size)), offsets[full])
+    return out
 
 
 def _direct_sums(xs, h, pts, bounds, terms) -> np.ndarray:
     """Each window's terms, evaluated and summed (pairwise, per window)."""
-    out = np.zeros(pts.size)
-    for p, term in enumerate(terms):
-        lo, sizes = bounds[p], bounds[p + 1] - bounds[p]
-        for j, k in _runs(sizes):
-            if k == j + 1:  # one window: a slice of the data
-                if sizes[j]:
-                    u = (xs[lo[j]:lo[j] + sizes[j]] - pts[j]) / h
-                    out[j] += np.add.reduceat(term(u), [0])[0]
-                continue
-            idx, offsets = _gather(lo[j:k], sizes[j:k])
-            full = sizes[j:k] > 0
-            u = (xs[idx] - pts[j:k].repeat(sizes[j:k])) / h
-            out[j:k][full] += np.add.reduceat(term(u), offsets[full])
-    return out
+    return sum(
+        _ragged_sums(bounds[p], bounds[p + 1] - bounds[p], pts, lambda idx, x: term((xs[idx] - x) / h))
+        for p, term in enumerate(terms)
+    )
 
 
 def _buckets(xs: np.ndarray, width: float):
@@ -342,20 +355,15 @@ def _hermite_sums(xs, h, pts, form, reach):
     moments[1:] = _power_sums(xs, starts, ends, centers, starts, _HERMITE_TERMS - 1, h)
     moments[1:] /= [[math.factorial(k)] for k in range(1, _HERMITE_TERMS)]
 
-    out = np.zeros(pts.size)
-    sizes = stop - first
-    column = np.concatenate(([0], np.cumsum(reached)))[first]
-    for j, k in _runs(sizes):
-        idx, offsets = _gather(column[j:k], sizes[j:k])
-        full = sizes[j:k] > 0
-        s = (pts[j:k].repeat(sizes[j:k]) - centers[idx]) / h
+    def terms(idx, x):
+        s = (x - centers[idx]) / h
         gauss = np.exp(-0.5 * s * s)
         if form == "density":
-            value = gauss * _hermite_series(s, moments[:, idx])
-        else:
-            value = ndtr(s) * moments[0, idx] - gauss / _SQRT_2PI * _hermite_series(s, moments[1:, idx])
-        out[j:k][full] += np.add.reduceat(value, offsets[full])
-    return out, below
+            return gauss * _hermite_series(s, moments[:, idx])
+        return ndtr(s) * moments[0, idx] - gauss / _SQRT_2PI * _hermite_series(s, moments[1:, idx])
+
+    column = np.concatenate(([0], np.cumsum(reached)))[first]
+    return _ragged_sums(column, stop - first, pts, terms), below
 
 
 def _hermite_series(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -411,10 +419,8 @@ def density_estimate(
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     xs = np.sort(path.values)
     _check_h(h, xs)
-    n = xs.size
     if strategy == "direct":
-        values = _kernel_window_sums(xs, kernel, h, grid.points) / (n * h)
-        return EstimateCurve(grid=grid, values=values)
+        return EstimateCurve(grid=grid, values=_estimate(xs, kernel, h, grid.points, "density"))
 
     if kernel.lipschitz_const is None:
         raise ValueError(
@@ -436,7 +442,7 @@ def density_estimate(
     m_taps = int(math.ceil(radius / spacing))
     offsets = np.arange(-m_taps, m_taps + 1, dtype=float)
     taps = evaluate(kernel, offsets * spacing / h)
-    values = np.convolve(counts, taps, mode="same") / (n * h)
+    values = np.convolve(counts, taps, mode="same") / (xs.size * h)
     return EstimateCurve(grid=grid, values=values)
 
 
@@ -448,9 +454,7 @@ def cdf_estimate(path: SamplePath, kernel: KernelSpec, h: float, grid: Grid = DE
     """
     xs = np.sort(path.values)
     _check_h(h, xs)
-    values = _cdf_window_sums(xs, kernel, h, grid.points) / xs.size
-    np.clip(values, 0.0, 1.0, out=values)
-    return EstimateCurve(grid=grid, values=values)
+    return EstimateCurve(grid=grid, values=_estimate(xs, kernel, h, grid.points, "cdf"))
 
 
 @cache
@@ -539,10 +543,9 @@ def clt_statistic(path: SamplePath, kernel: KernelSpec, h: float, x: float) -> f
         raise ValueError(f"marginal density vanishes at x={x:g}")
     xs = np.sort(path.values)
     _check_h(h, xs)
-    n = xs.size
-    fn = _kernel_window_sums(xs, kernel, h, np.asarray([float(x)]))[0] / (n * h)
+    fn = _estimate(xs, kernel, h, np.asarray([float(x)]), "density")[0]
     center = expected_density(path.model, kernel, h, x)
-    return math.sqrt(n * h) * (fn - center) / math.sqrt(kernel.l2_norm_sq * fx)
+    return math.sqrt(xs.size * h) * (fn - center) / math.sqrt(kernel.l2_norm_sq * fx)
 
 
 def cdf_clt_statistic(path: SamplePath, kernel: KernelSpec, h: float, x: float) -> float:
@@ -559,6 +562,6 @@ def cdf_clt_statistic(path: SamplePath, kernel: KernelSpec, h: float, x: float) 
         raise ValueError(f"F(x) = {fx:g} is too close to 0 or 1 for standardization")
     xs = np.sort(path.values)
     _check_h(h, xs)
-    fn = min(1.0, max(0.0, _cdf_window_sums(xs, kernel, h, np.asarray([float(x)]))[0] / xs.size))
+    fn = _estimate(xs, kernel, h, np.asarray([float(x)]), "cdf")[0]
     c = expected_cdf(m, kernel, h, x)
     return math.sqrt(xs.size) * (fn - c) / math.sqrt(indicator_long_run_variance(m, x))

@@ -27,8 +27,9 @@ from .estimator import (
     _MARGINAL_RADIUS,
     DEFAULT_GRID,
     Grid,
-    _cdf_window_sums,
-    _kernel_window_sums,
+    _cdf_window_sums,  # noqa: F401  (perfbench/spans.py traces this name)
+    _estimate,
+    _kernel_window_sums,  # noqa: F401  (perfbench/spans.py traces this name)
     bias,
     expected_cdf,
     expected_density,
@@ -104,7 +105,7 @@ class ExperimentConfig:
                 raise ValueError(f"n_list entries must be >= 1, got {n}")
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ValueError(f"n_list must be strictly increasing, got {self.n_list}")
-        if not isinstance(self.replicates, int) or self.replicates < 1:
+        if not isinstance(self.replicates, int) or isinstance(self.replicates, bool) or self.replicates < 1:
             raise ValueError(f"replicates must be an integer >= 1, got {self.replicates!r}")
         spec = _KIND_TABLE[self.kind]
         if self.replicates < spec.least_replicates:
@@ -426,17 +427,16 @@ def _sorted_prefixes(config: ExperimentConfig, threads, sizes, reduce, shape) ->
 
     Replicate r draws one path of length sizes[-1], so every size reads a
     prefix of the same path (nested prefixes). Each reduce result has the
-    trailing shape `shape`. The last size is the whole path, which is sorted
-    in place in the row `each` owns; every other prefix is a sorted copy,
-    freed before the next one is sorted.
+    trailing shape `shape`. Every prefix, smallest first, is sorted in place
+    in the row `each` owns: sorting the first n values does not change which
+    values the first n' > n hold, so no prefix needs a copy.
     """
     out = np.empty((config.replicates, len(sizes), *shape))
 
     def each(r: int, values: np.ndarray) -> None:
-        for j, n in enumerate(sizes[:-1]):
-            out[r, j] = reduce(j, np.sort(values[:n]))
-        values.sort()
-        out[r, -1] = reduce(len(sizes) - 1, values)
+        for j, n in enumerate(sizes):
+            values[:n].sort()
+            out[r, j] = reduce(j, values[:n])
 
     _each_path(config.model, sizes[-1], config.replicates, config.base_seed, threads, each)
     return out
@@ -475,12 +475,10 @@ def _run_clt(config: ExperimentConfig, h_list, threads, *, cdf: bool, centered: 
         denom = np.sqrt(kernel.l2_norm_sq * marginal_density(model, xs_eval))
         scale = math.sqrt(n * h)
 
+    form = "cdf" if cdf else "density"
+
     def reduce(j: int, xs: np.ndarray) -> np.ndarray:
-        if cdf:
-            raw = np.clip(_cdf_window_sums(xs, kernel, h, xs_eval) / n, 0.0, 1.0)
-        else:
-            raw = _kernel_window_sums(xs, kernel, h, xs_eval) / (n * h)
-        return scale * (raw - centers) / denom
+        return scale * (_estimate(xs, kernel, h, xs_eval, form) - centers) / denom
 
     stats = _sorted_prefixes(config, threads, (n,), reduce, (xs_eval.size,))[:, 0]
 
@@ -540,9 +538,7 @@ def _run_rate(config: ExperimentConfig, h_list, threads, *, sup: bool) -> dict:
     centers = [expected_density(model, kernel, h, xs_eval) for h in h_list]
 
     def reduce(j: int, xs: np.ndarray):
-        n, h = n_list[j], h_list[j]
-        fn = _kernel_window_sums(xs, kernel, h, xs_eval) / (n * h)
-        dev = np.abs(fn - centers[j]) ** p
+        dev = np.abs(_estimate(xs, kernel, h_list[j], xs_eval, "density") - centers[j]) ** p
         return dev if sup else np.trapezoid(dev, xs_eval)
 
     raw = _sorted_prefixes(config, threads, n_list, reduce, (xs_eval.size,) if sup else ())
@@ -652,8 +648,7 @@ def _run_uniform(config: ExperimentConfig, h_list, threads) -> dict:
     ]
 
     def reduce(j: int, xs: np.ndarray):
-        fn = _kernel_window_sums(xs, kernel, h_list[j], pts) / (n_list[j] * h_list[j])
-        return np.max(np.abs(fn - centers[j]))
+        return np.max(np.abs(_estimate(xs, kernel, h_list[j], pts, "density") - centers[j]))
 
     sups = _sorted_prefixes(config, threads, n_list, reduce, ())
     ratios = sups / np.asarray(rates)

@@ -375,13 +375,11 @@ def conditional_mean(model: ProcessModel, last_value: float, horizon: int) -> fl
     """E[X_{t+horizon} | X_t = last_value] for Markov families.
 
     A moving average is not Markov in its own value, so it is refused; the
-    AR(1) answer is phi^horizon times the conditioning value.
+    answer is phi^horizon times the conditioning value (iid has phi = 0).
     """
     if model.family == "ma":
         raise ValueError("conditional_mean needs the Markov property; the ma family is not "
                          "Markov in its own value")
     if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
         raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
-    if model.family == "iid":
-        return 0.0
     return model.phi**horizon * float(last_value)

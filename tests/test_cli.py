@@ -190,6 +190,8 @@ def test_validate_failing_gate(tmp_path, capsys):
         (lambda t: t.replace("run.base_seed = 42\n", ""), "missing required config keys"),
         (lambda t: t.replace("run.n_list = 256", "run.n_list = 256, soon"), "expected an integer"),
         (lambda t: t.replace("model.phi = 0.3", "model.phi = inf"), "must be finite"),
+        (lambda t: t.replace("model.phi = 0.3", "model.phi = abc"), "expected a number"),
+        (lambda t: t.replace("run.n_list = 256", "run.n_list = ,"), "expected a comma-separated list"),
     ],
 )
 def test_malformed_configs_exit_1(tmp_path, capsys, mangle, fragment):
@@ -306,8 +308,9 @@ def test_unusable_bandwidths_exit_1(tmp_path, capsys, command, case):
     assert not out.exists()
 
 
-# A runnable config, and per admission rule of ExperimentConfig the keys that
-# make it unrunnable with the start of the message. Every key is well formed.
+# A runnable config, and per admission rule of ExperimentConfig (or of its
+# ProcessModel: innovation sd, weights) the keys that make it unrunnable with
+# the start of the message. Every key is well formed.
 RUNNABLE = {
     "experiment.kind": "rate_integral_lp",
     "model.family": "ar1",
@@ -341,6 +344,10 @@ ADMISSION_RULES = {
     "grid ends for uniform_as": ({"experiment.kind": "uniform_as", "run.n_list": "256, 512, 1024",
                                   "grid.lo": "-1e300", "grid.hi": "1e300"},
                                  "uniform_as reads the grid, whose ends must lie within 40 "),
+    "moment order": ({"run.p": "0.5"}, "p must be a finite number >= 1, got 0.5"),
+    "replicate count": ({"run.replicates": "0"}, "replicates must be an integer >= 1, got 0"),
+    "innovation sd": ({"model.innovation_sd": "0"}, "innovation_sd must be positive, got 0.0"),
+    "weights on AR(1)": ({"model.weights": "1, 0.5"}, "weights are only meaningful for the ma family"),
     "distinct h for bias": ({"experiment.kind": "bias", "bandwidth.delta": "0",
                              "run.eval_points": "0.5"},
                             "bias fits its slope against h, but h_n = 1 at both n = 128 and n = 256"),
@@ -520,6 +527,8 @@ def test_partition_rejections(tmp_path, capsys):
     assert "partition rejected:" in capsys.readouterr().err
     assert main(["partition", "--k", "1", "--alpha", "0.5", "--beta", "0.25", "--out", out]) == 2
     assert "degenerate blocks at k=1" in capsys.readouterr().err
+    assert main(["partition", "--k", "2", "--alpha", "0.99", "--beta", "0.9", "--out", out]) == 2
+    assert "level k=2 is too small: one big/small pair needs p+q=6" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):

@@ -103,6 +103,13 @@ def test_binned_rejects_uniform_kernel():
     path = _path_from(np.linspace(-1, 1, 50))
     with pytest.raises(ValueError, match="not Lipschitz"):
         density_estimate(path, kernel_from_name("uniform"), 0.5, Grid(-10, 10, 2001), strategy="binned")
+    with pytest.raises(ValueError, match="no accuracy bound without a Lipschitz constant"):
+        binned_accuracy_bound(kernel_from_name("uniform"), 0.5, 0.01)
+
+
+def test_rejects_unknown_strategy():
+    with pytest.raises(ValueError, match="strategy must be one of"):
+        density_estimate(_path_from(np.linspace(-1, 1, 50)), EPAN, 0.5, strategy="exact")
 
 
 def test_binned_rejects_noncovering_grid():

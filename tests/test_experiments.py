@@ -296,6 +296,9 @@ def test_config_validation():
         _config(n_list=(0,))
     with pytest.raises(ValueError, match="base_seed"):
         _config(base_seed="7")
+    # a bool is an int, but not a replicate count
+    with pytest.raises(ValueError, match="replicates must be an integer >= 1, got True"):
+        _config(kind="rate_sup_lp", n_list=(64, 128, 256), replicates=True)
 
 
 def test_validate_shape():
@@ -363,8 +366,9 @@ def test_each_path_rows_match_single_draws_across_blocks(threads):
 
 
 def test_sorted_prefixes_sort_the_whole_path_in_place():
-    """uniform_as sizes 2^12..2^20: reduce sees each sorted prefix, and the
-    largest scratch beside the drawn path is the sorted copy of its first half."""
+    """uniform_as sizes 2^12..2^20: reduce sees each sorted prefix, and every
+    prefix is sorted in place in the drawn path's row, so no sorted copy
+    stands beside the path."""
     sizes = tuple(2**j for j in range(12, 21))
     cfg = _config(kind="uniform_as", model=ProcessModel(family="ar1", phi=0.2), kernel=EPAN,
                   schedule=BandwidthSchedule(c=1.0, delta=0.3), n_list=sizes, replicates=1,
@@ -384,7 +388,7 @@ def test_sorted_prefixes_sort_the_whole_path_in_place():
     finally:
         tracemalloc.stop()
     n = sizes[-1]
-    assert peak < 1.75 * 8 * n, f"peak {peak / (8 * n):.2f} x 8n"
+    assert peak < 1.25 * 8 * n, f"peak {peak / (8 * n):.2f} x 8n"
     path = generate_path(cfg.model, n, derive_seed(cfg.base_seed, 0)).values
     assert seen == [hashlib.sha256(np.sort(path[:m])).hexdigest() for m in sizes]
 

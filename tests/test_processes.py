@@ -231,6 +231,8 @@ def test_mixing_tail_converges():
     # AR1: sum over i of phi^(2^i) at phi=0.5
     want = sum(0.5 ** (2**i) for i in range(41))
     assert mixing_tail_bound(AR_HALF, 1.0)["partial_sum"] == pytest.approx(want, abs=1e-15)
+    with pytest.raises(ValueError, match="power must be positive"):
+        mixing_tail_bound(AR_HALF, 0)
 
 
 def test_rho_decay_real_lag():
@@ -238,11 +240,16 @@ def test_rho_decay_real_lag():
     assert rho_decay(IID, 0.7) == 0.0
     with pytest.raises(ValueError):
         rho_decay(MA_ONE, 1.5)
+    with pytest.raises(ValueError, match="lag must be >= 0"):
+        rho_decay(AR_HALF, -1.0)
 
 
 def test_conditional_mean_closed_form():
     assert conditional_mean(IID, 3.7, 5) == 0.0
+    assert conditional_mean(IID, -3.7, 1) == 0.0  # -0.0 from phi = 0
     assert conditional_mean(AR_HALF, 2.0, 2) == 0.5
+    with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
+        conditional_mean(AR_HALF, 1.0, 0)
 
 
 def test_conditional_mean_mc():
