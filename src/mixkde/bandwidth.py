@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .util import clamped_log
+from .util import check_int, clamped_log
 
 SLOWLY_VARYING = ("one", "log", "invlog")
 
@@ -61,8 +61,7 @@ def condition(name: str, passed: bool, holds: str, fails: str) -> ConditionVerdi
 
 def bandwidth_at(schedule: BandwidthSchedule, n: int) -> float:
     """h_n for sample size n >= 1."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"sample size must be an integer >= 1, got {n!r}")
+    check_int(n, "sample size", 1)
     if schedule.slowly_varying == "one":
         l = 1.0
     elif schedule.slowly_varying == "log":

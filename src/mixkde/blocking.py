@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .processes import generate_path  # noqa: F401  (perfbench/spans.py traces this name)
+from .util import check_int
 
 _BRACKET_SCAN_MAX = 64
 # The largest level accepted: a 2^21-value path and fewer than 2^19 blocks.
@@ -88,8 +89,7 @@ def _checked_level(k: int, alpha: float, beta: float) -> tuple[int, int, int]:
     the two roles).
     """
     _check_block_params(alpha, beta)
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"level k must be an integer >= 1, got {k!r}")
+    check_int(k, "level k", 1)
     if k > MAX_LEVEL:
         raise ValueError(f"level k={k} is above the largest level {MAX_LEVEL}")
     p, q, r = _level_sizes(k, alpha, beta)

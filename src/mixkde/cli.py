@@ -1,9 +1,11 @@
 """Command line front end: run experiments, validate configs, dump partitions.
 
-Exit codes (README "Exit codes"): 0 on success, 1 for usage, I/O and config
-errors and for an ArithmeticError, MemoryError or ValueError a run meets, 2
-for a gate or partition rejection, 3 for a failed verdict. Config files are
-flat `key = value` lines; README "Config reference" has the schema.
+Exit codes (README "Exit codes"): 0 on success, 1 for a usage error and for
+an OSError, ValueError, ArithmeticError or MemoryError anywhere in a command,
+2 for a gate or partition rejection, 3 for a failed verdict. The commands
+raise; main alone turns what they raise into an exit code and a stderr line.
+Config files are flat `key = value` lines; README "Config reference" has the
+schema.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .experiments import (
 )
 from .kernels import kernel_from_name
 from .processes import ProcessModel
-from .util import dumps_json, fmt_float
+from .util import check_int, dumps_json, fmt_float
 
 THREADS_ENV_VAR = "MIXKDE_THREADS"
 
@@ -38,14 +40,6 @@ REPORT_NAME = "report.json"
 PER_N_NAME = "per_n.csv"
 PLOTDATA_NAME = "plotdata.csv"
 MANIFEST_NAME = "manifest.json"
-
-
-class ConfigError(ValueError):
-    pass
-
-
-class _CliUsageError(Exception):
-    pass
 
 
 _REQUIRED_KEYS = (
@@ -67,14 +61,14 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{origin}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+            raise ValueError(f"{origin}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
-            raise ConfigError(f"{origin}:{lineno}: empty key or value in {raw.strip()!r}")
+            raise ValueError(f"{origin}:{lineno}: empty key or value in {raw.strip()!r}")
         if key not in _KEYS:
-            raise ConfigError(f"{origin}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{origin}:{lineno}: unknown key {key!r}")
         if key in table:
-            raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r}")
+            raise ValueError(f"{origin}:{lineno}: duplicate key {key!r}")
         table[key] = value
     return table
 
@@ -87,9 +81,9 @@ def _conv_float(key: str, value: str) -> float:
     try:
         out = float(value)
     except ValueError:
-        raise ConfigError(f"key {key!r}: expected a number, got {value!r}") from None
+        raise ValueError(f"key {key!r}: expected a number, got {value!r}") from None
     if not math.isfinite(out):
-        raise ConfigError(f"key {key!r}: value must be finite, got {value!r}")
+        raise ValueError(f"key {key!r}: value must be finite, got {value!r}")
     return out
 
 
@@ -97,14 +91,14 @@ def _conv_int(key: str, value: str) -> int:
     try:
         return int(value, base=10)
     except ValueError:
-        raise ConfigError(f"key {key!r}: expected an integer, got {value!r}") from None
+        raise ValueError(f"key {key!r}: expected an integer, got {value!r}") from None
 
 
 def _list_of(convert):
     def conv(key: str, value: str) -> tuple:
         items = [item.strip() for item in value.split(",") if item.strip()]
         if not items:
-            raise ConfigError(f"key {key!r}: expected a comma-separated list, got {value!r}")
+            raise ValueError(f"key {key!r}: expected a comma-separated list, got {value!r}")
         return tuple(convert(key, item) for item in items)
     return conv
 
@@ -139,7 +133,7 @@ def build_config(table: dict[str, str]) -> ExperimentConfig:
     """Typed ExperimentConfig from a raw key/value table."""
     missing = [key for key in _REQUIRED_KEYS if key not in table]
     if missing:
-        raise ConfigError(f"missing required config keys: {', '.join(missing)}")
+        raise ValueError(f"missing required config keys: {', '.join(missing)}")
 
     def given(*sections: str) -> dict:
         return {
@@ -148,17 +142,12 @@ def build_config(table: dict[str, str]) -> ExperimentConfig:
             if key in table and key.split(".", 1)[0] in sections
         }
 
-    try:
-        model = ProcessModel(**given("model"))
-        kernel = given("kernel")
-        schedule = BandwidthSchedule(**given("bandwidth"))
-        grid = replace(DEFAULT_GRID, **given("grid"))
-        rest = given("experiment", "run", "block")
-        return ExperimentConfig(model=model, schedule=schedule, grid=grid, **kernel, **rest)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    model = ProcessModel(**given("model"))
+    kernel = given("kernel")
+    schedule = BandwidthSchedule(**given("bandwidth"))
+    grid = replace(DEFAULT_GRID, **given("grid"))
+    rest = given("experiment", "run", "block")
+    return ExperimentConfig(model=model, schedule=schedule, grid=grid, **kernel, **rest)
 
 
 def parse_config_file(path) -> ExperimentConfig:
@@ -225,65 +214,42 @@ def _resolve_cli_threads(option: int | None) -> int:
         try:
             value = int(raw)
         except ValueError:
-            raise ConfigError(
+            raise ValueError(
                 f"environment variable {THREADS_ENV_VAR} must be an integer, got {raw!r}"
             ) from None
         source = f"environment variable {THREADS_ENV_VAR}"
-    if value < 0:
-        raise ConfigError(f"{source} must be an integer >= 0, got {value}")
+    check_int(value, source, 0)
     return value
 
 
 def cmd_run(config_path, out_dir, threads: int | None = None) -> int:
     started = time.monotonic()
-    try:
-        threads = _resolve_cli_threads(threads)
-        config = parse_config_file(config_path)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        report = run_experiment(config, threads=threads)
-    except GateError as exc:
-        print(f"gate rejection ({exc.condition}): {exc}", file=sys.stderr)
-        return 2
-    except (ArithmeticError, MemoryError, ValueError) as exc:
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return 1
+    threads = _resolve_cli_threads(threads)
+    config = parse_config_file(config_path)
+    report = run_experiment(config, threads=threads)
 
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        # the manifest marks a bundle complete: drop an older run's before writing
-        (out / MANIFEST_NAME).unlink(missing_ok=True)
-        (out / REPORT_NAME).write_text(report.to_json(), encoding="utf-8")
-        _write_rows_csv(out / PER_N_NAME, report.rows)
-        _write_rows_csv(out / PLOTDATA_NAME, _plotdata_rows(report))
-        manifest = {
-            "tool_version": __version__,
-            "config_path": str(config_path),
-            "out_dir": str(out_dir),
-            "config": config_to_dict(config),
-            "files": [REPORT_NAME, PER_N_NAME, PLOTDATA_NAME, MANIFEST_NAME],
-            "duration_seconds": time.monotonic() - started,
-        }
-        (out / MANIFEST_NAME).write_text(dumps_json(manifest), encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    out.mkdir(parents=True, exist_ok=True)
+    # the manifest marks a bundle complete: drop an older run's before writing
+    (out / MANIFEST_NAME).unlink(missing_ok=True)
+    (out / REPORT_NAME).write_text(report.to_json(), encoding="utf-8")
+    _write_rows_csv(out / PER_N_NAME, report.rows)
+    _write_rows_csv(out / PLOTDATA_NAME, _plotdata_rows(report))
+    manifest = {
+        "tool_version": __version__,
+        "config_path": str(config_path),
+        "out_dir": str(out_dir),
+        "config": config_to_dict(config),
+        "files": [REPORT_NAME, PER_N_NAME, PLOTDATA_NAME, MANIFEST_NAME],
+        "duration_seconds": time.monotonic() - started,
+    }
+    (out / MANIFEST_NAME).write_text(dumps_json(manifest), encoding="utf-8")
     print(f"{report.kind}: verdict {report.verdict} (outputs in {out})")
     return 0 if report.verdict == "pass" else 3
 
 
 def cmd_validate(config_path) -> int:
-    try:
-        config = parse_config_file(config_path)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    checks = check_gates(config)
+    checks = check_gates(parse_config_file(config_path))
     ok = True
     for check in checks:
         tag = "PASS" if check.passed else "FAIL"
@@ -294,18 +260,13 @@ def cmd_validate(config_path) -> int:
 
 def cmd_partition(k: int, alpha: float, beta: float, out_path) -> int:
     if k > MAX_LEVEL:
-        print(f"error: level k={k} is above the largest level {MAX_LEVEL}", file=sys.stderr)
-        return 1
+        raise ValueError(f"level k={k} is above the largest level {MAX_LEVEL}")
     try:
         partition = build_partition(k, alpha, beta)
     except ValueError as exc:
         print(f"partition rejected: {exc}", file=sys.stderr)
         return 2
-    try:
-        partition_to_csv(partition, out_path)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    partition_to_csv(partition, out_path)
     print(
         f"k={partition.k}: p={partition.p_k} q={partition.q_k} r={partition.r_k} "
         f"bracket_ok={str(partition.bracket_ok).lower()} (table in {out_path})"
@@ -315,7 +276,7 @@ def cmd_partition(k: int, alpha: float, beta: float, out_path) -> int:
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
-        raise _CliUsageError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,17 +309,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; the one place an outcome becomes an exit code and a stderr line."""
     try:
-        args = parser.parse_args(argv)
-    except _CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        args = build_parser().parse_args(argv)
+        if args.command == "run":
+            return cmd_run(args.config, args.out, threads=args.threads)
+        if args.command == "validate":
+            return cmd_validate(args.config)
+        return cmd_partition(args.k, args.alpha, args.beta, args.out)
+    except GateError as exc:
+        print(f"gate rejection ({exc.condition}): {exc}", file=sys.stderr)
+        return 2
+    except (OSError, ValueError, ArithmeticError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
-    if args.command == "run":
-        return cmd_run(args.config, args.out, threads=args.threads)
-    if args.command == "validate":
-        return cmd_validate(args.config)
-    return cmd_partition(args.k, args.alpha, args.beta, args.out)
 
 
 if __name__ == "__main__":

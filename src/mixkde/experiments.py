@@ -51,7 +51,7 @@ from .processes import (
     rho_decay,
     rho_mixing_coefficient,
 )
-from .util import _run_replicates, clamped_log, derive_seed, dumps_json
+from .util import _run_replicates, check_int, clamped_log, derive_seed, dumps_json
 
 KS_THRESHOLD = 0.05
 RATE_SLOPE_TOL = 0.1
@@ -96,6 +96,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
+        for n in self.n_list:
+            if int(n) != n:
+                raise ValueError(f"n_list entries must be integers, got {n!r}")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         object.__setattr__(self, "eval_points", tuple(float(x) for x in self.eval_points))
         if len(self.n_list) == 0:
@@ -105,8 +108,7 @@ class ExperimentConfig:
                 raise ValueError(f"n_list entries must be >= 1, got {n}")
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ValueError(f"n_list must be strictly increasing, got {self.n_list}")
-        if not isinstance(self.replicates, int) or isinstance(self.replicates, bool) or self.replicates < 1:
-            raise ValueError(f"replicates must be an integer >= 1, got {self.replicates!r}")
+        check_int(self.replicates, "replicates", 1)
         spec = _KIND_TABLE[self.kind]
         if self.replicates < spec.least_replicates:
             raise ValueError(
@@ -759,8 +761,7 @@ def moment_bound_check(
         raise ValueError("moment_bound_check needs a Markov model (iid or ar1)")
     if not isinstance(p, int) or isinstance(p, bool) or p < 2 or p % 2 != 0:
         raise ValueError(f"moment order p must be an even integer >= 2, got {p!r}")
-    if not isinstance(replicates, int) or isinstance(replicates, bool) or replicates < 1:
-        raise ValueError(f"replicates must be an integer >= 1, got {replicates!r}")
+    check_int(replicates, "replicates", 1)
     part = build_partition(k, alpha, beta)
     starts = np.array([s for s, _ in part.big_blocks], dtype=np.int64)
     ends = np.array([e for _, e in part.big_blocks], dtype=np.int64)

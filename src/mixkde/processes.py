@@ -20,6 +20,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr, ndtri
 
+from .util import check_int
+
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # random() can return 0.0, which ndtri maps to -inf; clamp one ulp above.
@@ -52,6 +54,7 @@ class ProcessModel:
                 raise ValueError(f"AR(1) needs |phi| < 1 for stationarity, got phi={self.phi}")
         elif self.phi != 0.0:
             raise ValueError("phi is only meaningful for the ar1 family")
+        object.__setattr__(self, "phi", self.phi + 0.0)  # -0.0 would echo as "phi": -0
         if self.family == "ma":
             w = self.weights
             if len(w) == 0:
@@ -118,8 +121,7 @@ def generate_paths(model: ProcessModel, n: int, seeds) -> np.ndarray:
     alone, in pieces of _BLOCK_VALUES values, the filter state carried from
     piece to piece.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"path length must be an integer >= 1, got {n!r}")
+    check_int(n, "path length", 1)
     if model.family == "ar1":
         from scipy.signal import lfilter  # loaded on first use: it dominates import time
     seeds = [int(s) for s in seeds]
@@ -196,11 +198,6 @@ def marginal_density_derivative_sup(model: ProcessModel) -> float:
     return math.exp(-0.5) / (_SQRT_2PI * s * s)
 
 
-def _check_lag(lag) -> None:
-    if not isinstance(lag, int) or isinstance(lag, bool) or lag < 1:
-        raise ValueError(f"lag must be an integer >= 1, got {lag!r}")
-
-
 def rho_mixing_coefficient(model: ProcessModel, lag: int) -> float:
     """Correlation-decay coefficient between the past and the lag-step future.
 
@@ -212,7 +209,7 @@ def rho_mixing_coefficient(model: ProcessModel, lag: int) -> float:
     autocorrelation at separations >= lag, which is the operative figure for
     every summability certificate used here.
     """
-    _check_lag(lag)
+    check_int(lag, "lag", 1)
     if model.family != "ma":  # iid is AR(1) with phi = 0
         return abs(model.phi) ** lag
     q = model.window_order
@@ -380,6 +377,5 @@ def conditional_mean(model: ProcessModel, last_value: float, horizon: int) -> fl
     if model.family == "ma":
         raise ValueError("conditional_mean needs the Markov property; the ma family is not "
                          "Markov in its own value")
-    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
-        raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
+    check_int(horizon, "horizon", 1)
     return model.phi**horizon * float(last_value)

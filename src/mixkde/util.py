@@ -33,12 +33,17 @@ def derive_seed(base_seed: int, index: int) -> int:
     return splitmix64((base_seed + index * _GOLDEN) & _MASK64)
 
 
+def check_int(value, name: str, least: int) -> None:
+    """Refuse `value` unless it is an int (not a bool) and at least `least`."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def resolve_threads(threads: int | None) -> int:
     """0 or None means one worker per CPU; otherwise the explicit cap."""
     if threads is None:
         threads = 0
-    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 0:
-        raise ValueError(f"threads must be an integer >= 0, got {threads!r}")
+    check_int(threads, "threads", 0)
     if threads == 0:
         return os.cpu_count() or 1
     return threads

@@ -11,6 +11,7 @@ import pytest
 import mixkde
 from mixkde import __version__, processes
 from mixkde.cli import build_config, main, parse_config_text
+from mixkde.experiments import GateError
 
 PASSING_RUN = """\
 # quick dyadic moment check, deterministic
@@ -470,11 +471,17 @@ def test_oracle_failure_is_an_error_line(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("exc,line", [
-    (MemoryError("Unable to allocate 7.28 TiB"), "error: Unable to allocate 7.28 TiB"),
-    (MemoryError(), "error: MemoryError"),
-], ids=["message", "bare"])
-def test_memory_error_is_an_error_line(tmp_path, capsys, monkeypatch, exc, line):
+@pytest.mark.parametrize("exc,code,line", [
+    (MemoryError("Unable to allocate 7.28 TiB"), 1, "error: Unable to allocate 7.28 TiB"),
+    (MemoryError(), 1, "error: MemoryError"),
+    (OverflowError("math range error"), 1, "error: math range error"),
+    (ValueError("log-log fit needs positive xs and ys"), 1,
+     "error: log-log fit needs positive xs and ys"),
+    (OSError(28, "No space left on device"), 1, "error: [Errno 28] No space left on device"),
+    (GateError("B1", "(B1) fails"), 2, "gate rejection (B1): (B1) fails"),
+], ids=["message", "bare", "arithmetic", "value", "os", "gate"])
+def test_memory_error_is_an_error_line(tmp_path, capsys, monkeypatch, exc, code, line):
+    """What a run raises becomes one stderr line and its exit code (README "Exit codes")."""
     import mixkde.cli as cli
 
     def run_experiment(config, threads):
@@ -483,10 +490,20 @@ def test_memory_error_is_an_error_line(tmp_path, capsys, monkeypatch, exc, line)
     monkeypatch.setattr(cli, "run_experiment", run_experiment)
     cfg = _write(tmp_path, TINY_SCALE_RUN)
     out = tmp_path / "out"
-    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    assert main(["run", str(cfg), "--out", str(out)]) == code
     err = capsys.readouterr().err
     assert err.splitlines() == [line]
     assert not out.exists()
+
+
+def test_negative_zero_phi_gives_the_report_of_no_phi(tmp_path):
+    """model.phi = -0 on iid echoes as 0, so one model writes one report."""
+    reports = []
+    for name, text in (("unset", FAILING_RUN), ("minus", FAILING_RUN + "model.phi = -0\n")):
+        out = tmp_path / name
+        assert main(["run", str(_write(tmp_path, text, name=f"{name}.cfg")), "--out", str(out)]) == 3
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_failed_write_leaves_no_manifest(tmp_path, capsys, monkeypatch):

@@ -294,6 +294,9 @@ def test_config_validation():
         _config(replicates=50)
     with pytest.raises(ValueError, match="n_list entries"):
         _config(n_list=(0,))
+    # a fractional size is refused, not truncated to 100
+    with pytest.raises(ValueError, match="n_list entries must be integers, got 100.7"):
+        _config(n_list=(100.7, 200, 301))
     with pytest.raises(ValueError, match="base_seed"):
         _config(base_seed="7")
     # a bool is an int, but not a replicate count

@@ -6,6 +6,7 @@ break `perfbench/run.py --trace 1`. This installs the tracer on the modules
 run.py passes and takes it off again.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -13,7 +14,8 @@ from pathlib import Path
 
 from mixkde import estimator, experiments, util
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 # the modules perfbench/run.py hands to Tracer.install, by short name
 MODULES = ("blocking", "cli", "estimator", "experiments", "kernels", "processes", "util")
 
@@ -41,3 +43,16 @@ def test_tracer_resolves_every_layer_name(monkeypatch):
     assert experiments._kernel_window_sums is estimator._kernel_window_sums
     assert experiments._cdf_window_sums is estimator._cdf_window_sums
     assert experiments._run_replicates is util._run_replicates
+
+
+def test_every_unused_import_is_a_traced_name(monkeypatch):
+    """An import kept only for the tracer (`# noqa: F401`) must still be one LAYERS patches."""
+    kept = []
+    for path in sorted((ROOT / "src" / "mixkde").glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, ast.ImportFrom):
+                kept += [f"{path.stem}.{alias.asname or alias.name}" for alias in node.names
+                         if "# noqa: F401" in lines[alias.lineno - 1]]
+    traced = {dotted for _, _, names in _load_spans(monkeypatch).LAYERS for dotted in names}
+    assert kept and [name for name in kept if name not in traced] == []

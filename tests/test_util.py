@@ -3,7 +3,12 @@ import math
 
 import pytest
 
-from mixkde.util import clamped_log, derive_seed, dumps_json, fmt_float, splitmix64
+from mixkde.bandwidth import BandwidthSchedule, bandwidth_at
+from mixkde.blocking import _checked_level
+from mixkde.experiments import ExperimentConfig, moment_bound_check
+from mixkde.kernels import kernel_from_name
+from mixkde.processes import ProcessModel, conditional_mean, generate_paths, rho_mixing_coefficient
+from mixkde.util import clamped_log, derive_seed, dumps_json, fmt_float, resolve_threads, splitmix64
 
 
 def test_splitmix64_known_vector():
@@ -61,3 +66,30 @@ def test_dumps_json_rejects_unknown_types():
         dumps_json({"x": object()})
     with pytest.raises(TypeError, match="keys must be strings"):
         dumps_json({1: "x"})
+
+
+AR1 = ProcessModel("ar1", phi=0.5)
+
+# every integer argument admitted by util.check_int: (name, least, call with value)
+CHECK_INT_SITES = {
+    "bandwidth_at": ("sample size", 1, lambda v: bandwidth_at(BandwidthSchedule(c=1.0, delta=0.2), v)),
+    "_checked_level": ("level k", 1, lambda v: _checked_level(v, 0.5, 0.25)),
+    "generate_paths": ("path length", 1, lambda v: generate_paths(AR1, v, [1])),
+    "rho_mixing_coefficient": ("lag", 1, lambda v: rho_mixing_coefficient(AR1, v)),
+    "conditional_mean": ("horizon", 1, lambda v: conditional_mean(AR1, 1.0, v)),
+    "resolve_threads": ("threads", 0, resolve_threads),
+    "ExperimentConfig": ("replicates", 1, lambda v: ExperimentConfig(
+        kind="rate_sup_lp", model=AR1, kernel=kernel_from_name("gaussian"),
+        schedule=BandwidthSchedule(c=1.0, delta=0.2), n_list=(64, 128, 256),
+        eval_points=(0.0,), replicates=v, base_seed=7)),
+    "moment_bound_check": ("replicates", 1, lambda v: moment_bound_check(AR1, 2, 4, 0.5, 0.25, v, 7)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(CHECK_INT_SITES))
+def test_integer_arguments_refuse_bools_fractions_and_small_values(site):
+    name, least, call = CHECK_INT_SITES[site]
+    for value in (True, 1.5, least - 1):
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value) == f"{name} must be an integer >= {least}, got {value!r}"
