@@ -11,6 +11,7 @@ schema.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -279,7 +280,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parse_args leaves it unchanged."""
     parser = _ArgumentParser(
         prog="mixkde",
         description="Kernel density estimation experiments for dependent Gaussian sequences",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -531,21 +531,38 @@ def bias(model: ProcessModel, kernel: KernelSpec, h: float, x):
     return _expected(model, kernel, h, x, "density") - marginal_density(model, x)
 
 
+# A replicate loop at a few points reuses a few keys; the bound keeps a scan
+# over many keys from growing the cache.
+@lru_cache(maxsize=256)
+def _standardization(model: ProcessModel, kernel: KernelSpec, h: float, x: float, form: str):
+    """(centre, scale) of the CLT statistic of `form` at x, computed once per key.
+
+    "density": E f_n(x) and sqrt(|K|_2^2 f(x)); "cdf": E F_n(x) and
+    sigma_LR(x). Neither depends on the path beyond its model, so every path
+    of a replicate loop shares them. What raises is not cached.
+    """
+    center = _expected(model, kernel, h, x, form)
+    if form == "density":
+        return center, math.sqrt(kernel.l2_norm_sq * marginal_density(model, x))
+    return center, math.sqrt(indicator_long_run_variance(model, x))
+
+
 def clt_statistic(path: SamplePath, kernel: KernelSpec, h: float, x: float) -> float:
     """sqrt(n h) (f_n(x) - E f_n(x)) / sqrt(|K|_2^2 f(x)).
 
     Centered at the exact expectation, so the statistic is mean-zero at every
     finite n and its limit law is standard normal when the usual bandwidth
-    and dependence conditions hold.
+    and dependence conditions hold. The centre and scale are fixed by
+    (model, kernel, h, x) and computed once per key (_standardization); only
+    f_n(x) is summed on every call.
     """
-    fx = marginal_density(path.model, x)
-    if not fx > 1e-300:
+    if not marginal_density(path.model, x) > 1e-300:
         raise ValueError(f"marginal density vanishes at x={x:g}")
     xs = np.sort(path.values)
     _check_h(h, xs)
     fn = _estimate(xs, kernel, h, np.asarray([float(x)]), "density")[0]
-    center = expected_density(path.model, kernel, h, x)
-    return math.sqrt(xs.size * h) * (fn - center) / math.sqrt(kernel.l2_norm_sq * fx)
+    center, scale = _standardization(path.model, kernel, h, float(x), "density")
+    return math.sqrt(xs.size * h) * (fn - center) / scale
 
 
 def cdf_clt_statistic(path: SamplePath, kernel: KernelSpec, h: float, x: float) -> float:
@@ -554,14 +571,15 @@ def cdf_clt_statistic(path: SamplePath, kernel: KernelSpec, h: float, x: float) 
     sigma_LR^2(x) is the long-run variance of the indicator series
     1{X_t <= x} (indicator_long_run_variance), the limit variance of
     sqrt(n)(F_n(x) - F(x)) under summable dependence; for iid models it is
-    F(x)(1 - F(x)).
+    F(x)(1 - F(x)). E F_n(x) and sigma_LR(x) are fixed by (model, kernel, h, x)
+    and computed once per key (_standardization); only F_n(x) is summed on
+    every call.
     """
-    m = path.model
-    fx = marginal_cdf(m, x)
+    fx = marginal_cdf(path.model, x)
     if not (1e-12 < fx < 1.0 - 1e-12):
         raise ValueError(f"F(x) = {fx:g} is too close to 0 or 1 for standardization")
     xs = np.sort(path.values)
     _check_h(h, xs)
     fn = _estimate(xs, kernel, h, np.asarray([float(x)]), "cdf")[0]
-    c = expected_cdf(m, kernel, h, x)
-    return math.sqrt(xs.size) * (fn - c) / math.sqrt(indicator_long_run_variance(m, x))
+    center, scale = _standardization(path.model, kernel, h, float(x), "cdf")
+    return math.sqrt(xs.size) * (fn - center) / scale

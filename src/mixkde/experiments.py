@@ -13,6 +13,7 @@ and "Admissibility gates".
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable
@@ -97,7 +98,8 @@ class ExperimentConfig:
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
         for n in self.n_list:
-            if int(n) != n:
+            # a bool is an int, and int() of inf or NaN raises its own error
+            if isinstance(n, bool) or not (isinstance(n, numbers.Real) and math.isfinite(n) and int(n) == n):
                 raise ValueError(f"n_list entries must be integers, got {n!r}")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         object.__setattr__(self, "eval_points", tuple(float(x) for x in self.eval_points))

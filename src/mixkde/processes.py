@@ -13,6 +13,7 @@ it has when drawn alone (generate_path). See README "Library layout" and
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cache
 
@@ -106,6 +107,19 @@ def _rekey(bit_generator: np.random.Philox, seed: int) -> None:
     }
 
 
+# One Generator(Philox) per thread, re-keyed for every path (_rekey): building
+# a Philox and a Generator costs about as much as ndtri on a 2000-value path.
+_local = threading.local()
+
+
+def _generator() -> np.random.Generator:
+    """This thread's generator; its state is whatever the last _rekey left."""
+    gen = getattr(_local, "generator", None)
+    if gen is None:
+        gen = _local.generator = np.random.Generator(np.random.Philox(0))
+    return gen
+
+
 def paths_per_block(model: ProcessModel, n: int) -> int:
     """How many length-n paths of `model` one block draw holds (at least 1)."""
     return max(1, _BLOCK_VALUES // (n + model.window_order))
@@ -116,10 +130,10 @@ def generate_paths(model: ProcessModel, n: int, seeds) -> np.ndarray:
 
     Each row equals generate_path(model, n, seeds[r]).values bit for bit.
     Rows go in blocks of paths_per_block(model, n): the block's uniforms
-    come from one Philox re-keyed per row, then the clamp, ndtri, scaling
-    and the AR(1) filter each run once on the block. A longer path is drawn
-    alone, in pieces of _BLOCK_VALUES values, the filter state carried from
-    piece to piece.
+    come from this thread's one Philox (_generator), re-keyed per row, then
+    the clamp, ndtri, scaling and the AR(1) filter each run once on the
+    block. A longer path is drawn alone, in pieces of _BLOCK_VALUES values,
+    the filter state carried from piece to piece.
     """
     check_int(n, "path length", 1)
     if model.family == "ar1":
@@ -131,7 +145,7 @@ def generate_paths(model: ProcessModel, n: int, seeds) -> np.ndarray:
     out = np.empty((len(seeds), n))
     # a moving average's innovations, q more than its values, need a buffer
     eps = np.empty((min(len(seeds), rows), width)) if q else None
-    gen = np.random.Generator(np.random.Philox(0))
+    gen = _generator()
     for lo in range(0, len(seeds), rows):
         group = seeds[lo : lo + rows]
         block = out[lo : lo + len(group)] if eps is None else eps[: len(group)]

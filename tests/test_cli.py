@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mixkde
-from mixkde import __version__, processes
+from mixkde import __version__, cli, processes
 from mixkde.cli import build_config, main, parse_config_text
 from mixkde.experiments import GateError
 
@@ -554,6 +554,32 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     cfg = _write(tmp_path, PASSING_RUN)
     assert main(["run", str(cfg)]) == 1  # --out is required
     assert "--out" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    """Each command keeps the exit code and output it has with a parser of its own."""
+    assert cli.build_parser() is cli.build_parser()
+    cfg = _write(tmp_path, PASSING_RUN)
+    part = str(tmp_path / "part.csv")
+    commands = (
+        ["run", str(cfg)],  # usage error: --out is required
+        ["validate", str(cfg)],
+        ["partition", "--k", "4", "--alpha", "0.5", "--beta", "0.25", "--out", part],
+        ["run", str(cfg), "--out", str(tmp_path / "out"), "--threads", "1"],
+    )
+
+    def outcomes(fresh):
+        seen = []
+        for argv in commands:
+            if fresh:
+                cli.build_parser.cache_clear()
+            seen.append((main(argv), *capsys.readouterr()))
+        return seen
+
+    reused = outcomes(fresh=False)
+    assert [code for code, _, _ in reused] == [1, 0, 0, 0]
+    assert reused[0][2] == "error: mixkde run: the following arguments are required: --out\n"
+    assert reused == outcomes(fresh=True)
 
 
 def test_version_flag():

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 from scipy.stats import norm
 
+from mixkde import estimator, processes
 from mixkde.estimator import (
     DEFAULT_GRID,
     Grid,
@@ -25,6 +27,7 @@ from mixkde.processes import (
     ProcessModel,
     SamplePath,
     generate_path,
+    indicator_long_run_variance,
     marginal_cdf,
     marginal_density,
 )
@@ -392,6 +395,107 @@ def test_cdf_clt_statistic_rejects_extreme_x():
     path = generate_path(IID, 100, seed=1)
     with pytest.raises(ValueError, match="too close"):
         cdf_clt_statistic(path, EPAN, 0.2, 50.0)
+
+
+# The statistics take their centre and scale once per (model, kernel, h, x, form)
+# key; the uncached formula below is the definition they must keep bit for bit.
+MA = ProcessModel(family="ma", weights=(1.0, 0.6, -0.3))
+
+
+@pytest.fixture
+def cold_statistics():
+    estimator._standardization.cache_clear()
+    yield estimator._standardization
+    estimator._standardization.cache_clear()
+
+
+def _uncached(statistic, path, kernel, h, x):
+    xs = np.sort(path.values)
+    n, pt = xs.size, np.asarray([x])
+    if statistic is clt_statistic:
+        fn = estimator._estimate(xs, kernel, h, pt, "density")[0]
+        scale = math.sqrt(kernel.l2_norm_sq * marginal_density(path.model, x))
+        return math.sqrt(n * h) * (fn - expected_density(path.model, kernel, h, x)) / scale
+    fn = estimator._estimate(xs, kernel, h, pt, "cdf")[0]
+    scale = math.sqrt(indicator_long_run_variance(path.model, x))
+    return math.sqrt(n) * (fn - expected_cdf(path.model, kernel, h, x)) / scale
+
+
+@pytest.mark.parametrize("model", [AR, MA], ids=["ar1", "ma"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_statistics_keep_the_bits_of_the_uncached_formula(cold_statistics, family, model):
+    kernel = FAMILIES[family]
+    first, second = generate_path(model, 300, seed=5), generate_path(model, 300, seed=6)
+    for h in (0.15, 0.6):
+        for statistic in (clt_statistic, cdf_clt_statistic):
+            misses, hits = cold_statistics.cache_info()[1::-1]
+            assert statistic(first, kernel, h, 0.3) == _uncached(statistic, first, kernel, h, 0.3)
+            # the second path reuses the first one's centre and scale
+            assert statistic(second, kernel, h, 0.3) == _uncached(statistic, second, kernel, h, 0.3)
+            assert cold_statistics.cache_info()[1::-1] == (misses + 1, hits + 1)
+
+
+def test_statistics_key_on_model_kernel_h_and_x(cold_statistics):
+    values = generate_path(AR, 400, seed=8).values
+    base = (AR, EPAN, 0.3, 0.2)
+    variants = [(IID, EPAN, 0.3, 0.2), (AR, kernel_from_name("triangular"), 0.3, 0.2),
+                (AR, EPAN, 0.35, 0.2), (AR, EPAN, 0.3, -0.4)]
+    for statistic in (clt_statistic, cdf_clt_statistic):
+        got = {}
+        for model, kernel, h, x in [base, *variants, base]:
+            path = SamplePath(values=values, model=model, seed=0)
+            value = statistic(path, kernel, h, x)
+            assert value == _uncached(statistic, path, kernel, h, x)
+            got.setdefault((model, kernel, h, x), set()).add(value)
+        # five keys, five values; the base key read twice gives one
+        assert len(got) == 5 and len(set().union(*got.values())) == 5
+    assert cold_statistics.cache_info().currsize == 10
+
+
+def test_oracle_failure_is_raised_on_every_call_not_cached(cold_statistics, monkeypatch):
+    from numpy.polynomial.legendre import leggauss
+
+    path = generate_path(AR, 300, seed=5)
+    monkeypatch.setattr(estimator, "_rules", lambda: (leggauss(1), leggauss(2)))
+    for _ in range(2):
+        for statistic in (clt_statistic, cdf_clt_statistic):
+            with pytest.raises(ArithmeticError, match="rules differ"):
+                statistic(path, EPAN, 0.35, 0.4)
+    assert cold_statistics.cache_info().currsize == 0
+    monkeypatch.undo()
+    for statistic in (clt_statistic, cdf_clt_statistic):
+        assert statistic(path, EPAN, 0.35, 0.4) == _uncached(statistic, path, EPAN, 0.35, 0.4)
+
+
+def test_a_replicate_loop_takes_its_centre_and_scale_once(cold_statistics, monkeypatch):
+    calls = []
+    for name in ("_expected", "indicator_long_run_variance"):
+        original = getattr(estimator, name)
+        monkeypatch.setattr(estimator, name, lambda *a, f=original, name=name: calls.append(name) or f(*a))
+    model, h = ProcessModel(family="ar1", phi=0.95), 2000 ** -0.2
+    for seed in range(40):
+        path = generate_path(model, 200, seed=seed)
+        clt_statistic(path, GAUSS, h, 0.0)
+        cdf_clt_statistic(path, EPAN, h, 0.0)
+    assert calls == ["_expected", "_expected", "indicator_long_run_variance"]
+
+
+def test_public_oracles_are_not_cached(monkeypatch):
+    from numpy.polynomial.legendre import leggauss
+
+    z = 0.2 / MA.marginal_sd
+    first = indicator_long_run_variance(MA, 0.2)
+    assert first != float(ndtr(z) * ndtr(-z))
+    expected_density(AR, EPAN, 0.35, 0.4)
+    expected_cdf(AR, EPAN, 0.35, 0.4)
+    monkeypatch.setattr(estimator, "_rules", lambda: (leggauss(1), leggauss(2)))
+    with pytest.raises(ArithmeticError, match="rules differ"):
+        expected_density(AR, EPAN, 0.35, 0.4)
+    with pytest.raises(ArithmeticError, match="rules differ"):
+        expected_cdf(AR, EPAN, 0.35, 0.4)
+    # with no lag covariance, the long-run variance is F(1 - F) alone
+    monkeypatch.setattr(processes, "_plackett_covariances", lambda z, rho: np.zeros(rho.size))
+    assert indicator_long_run_variance(MA, 0.2) == float(ndtr(z) * ndtr(-z))
 
 
 def test_grid_validation():

@@ -297,6 +297,15 @@ def test_config_validation():
     # a fractional size is refused, not truncated to 100
     with pytest.raises(ValueError, match="n_list entries must be integers, got 100.7"):
         _config(n_list=(100.7, 200, 301))
+    # a bool is an int but not a size, and int() of inf or NaN raises its own error
+    with pytest.raises(ValueError, match="n_list entries must be integers, got True"):
+        _config(n_list=(True, 2, 3))
+    with pytest.raises(ValueError, match="n_list entries must be integers, got inf"):
+        _config(n_list=(math.inf,))
+    with pytest.raises(ValueError, match="n_list entries must be integers, got nan"):
+        _config(n_list=(math.nan,))
+    # numpy integers and integral floats stay admitted
+    assert _config(n_list=(np.int64(256), 512.0)).n_list == (256, 512)
     with pytest.raises(ValueError, match="base_seed"):
         _config(base_seed="7")
     # a bool is an int, but not a replicate count
