@@ -9,7 +9,7 @@ a Hermite (Gaussian) path, chosen from the input alone. The exact centerings
 E f_n(x) and E F_n(x) under the N(0, s^2) marginal come from one oracle
 (_expected), which raises ArithmeticError when its 16- and 32-node rules
 disagree. README "Window sums" and "Oracles" give each path's error bound
-and the crossovers.
+and the crossovers. _centring and _standardized own the CLT statistic.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ STRATEGIES = ("direct", "binned")
 
 # Relative floor below which a bandwidth cannot resolve distinct data points.
 _H_RANGE_FLOOR = 1e-12
+_DENSITY_FLOOR = 1e-300  # the CLT statistics and gates need f(x) above it,
+_CDF_EDGE = 1e-12  # and F(x) this far from 0 and 1
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ def _check_h(h: float, xs: np.ndarray | None = None) -> None:
 
     A NaN sorts last, so the range xs[-1] - xs[0] is NaN and the check passes.
     """
-    if not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0.0):
+    if isinstance(h, bool) or not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0.0):
         raise ValueError(f"bandwidth must be a positive finite number, got {h!r}")
     if xs is not None and xs.size > 1:
         rng = float(xs[-1] - xs[0])
@@ -531,20 +533,42 @@ def bias(model: ProcessModel, kernel: KernelSpec, h: float, x):
     return _expected(model, kernel, h, x, "density") - marginal_density(model, x)
 
 
-# A replicate loop at a few points reuses a few keys; the bound keeps a scan
-# over many keys from growing the cache.
-@lru_cache(maxsize=256)
-def _standardization(model: ProcessModel, kernel: KernelSpec, h: float, x: float, form: str):
-    """(centre, scale) of the CLT statistic of `form` at x, computed once per key.
+def _centring(model: ProcessModel, kernel: KernelSpec, h: float, pts, centre: str):
+    """(centres, variances) of the CLT statistic of `centre` at each of pts.
 
-    "density": E f_n(x) and sqrt(|K|_2^2 f(x)); "cdf": E F_n(x) and
-    sigma_LR(x). Neither depends on the path beyond its model, so every path
-    of a replicate loop shares them. What raises is not cached.
+    "density": E f_n(x) and |K|_2^2 f(x); "cdf": E F_n(x) and sigma_LR^2(x);
+    "true": F(x) and sigma_LR^2(x). One oracle call takes all of pts; its
+    quadrature panels, and so its bits, depend on the whole set.
     """
-    center = _expected(model, kernel, h, x, form)
-    if form == "density":
-        return center, math.sqrt(kernel.l2_norm_sq * marginal_density(model, x))
-    return center, math.sqrt(indicator_long_run_variance(model, x))
+    pts = np.asarray(pts, dtype=float)
+    if centre == "density":
+        return expected_density(model, kernel, h, pts), kernel.l2_norm_sq * marginal_density(model, pts)
+    centres = expected_cdf(model, kernel, h, pts) if centre == "cdf" else marginal_cdf(model, pts)
+    return centres, np.array([indicator_long_run_variance(model, x) for x in pts])
+
+
+# The statistics' centres and variances, once per (model, kernel, h, pts, centre)
+# key: every path of a replicate loop shares them, so no caller may write to
+# them. What raises is not cached, and the bound keeps a scan over many keys
+# from growing the cache.
+_standardization = lru_cache(maxsize=256)(_centring)
+
+
+def _standardized(xs, kernel: KernelSpec, h: float, pts, form: str, centres, variances) -> np.ndarray:
+    """factor (estimate - centres) / sqrt(variances) at pts, xs sorted, n = xs.size.
+
+    The estimate is f_n with factor sqrt(n h) (form "density") or F_n with sqrt(n) ("cdf").
+    """
+    factor = math.sqrt(xs.size * h) if form == "density" else math.sqrt(xs.size)
+    return factor * (_estimate(xs, kernel, h, pts, form) - centres) / np.sqrt(variances)
+
+
+def _statistic(path: SamplePath, kernel: KernelSpec, h: float, x: float, form: str):
+    """The statistic of `form` at x, its centre and variance read from the cache."""
+    xs = np.sort(path.values)
+    _check_h(h, xs)
+    centres, variances = _standardization(path.model, kernel, h, (float(x),), form)
+    return _standardized(xs, kernel, h, np.array([float(x)]), form, centres, variances)[0]
 
 
 def clt_statistic(path: SamplePath, kernel: KernelSpec, h: float, x: float) -> float:
@@ -553,16 +577,13 @@ def clt_statistic(path: SamplePath, kernel: KernelSpec, h: float, x: float) -> f
     Centered at the exact expectation, so the statistic is mean-zero at every
     finite n and its limit law is standard normal when the usual bandwidth
     and dependence conditions hold. The centre and scale are fixed by
-    (model, kernel, h, x) and computed once per key (_standardization); only
-    f_n(x) is summed on every call.
+    (model, kernel, h, x) and computed once per key (_standardization, the
+    cached _centring); only f_n(x) is summed on every call, and _standardized
+    gives the formula, as for the CLT runners.
     """
-    if not marginal_density(path.model, x) > 1e-300:
+    if not marginal_density(path.model, x) > _DENSITY_FLOOR:
         raise ValueError(f"marginal density vanishes at x={x:g}")
-    xs = np.sort(path.values)
-    _check_h(h, xs)
-    fn = _estimate(xs, kernel, h, np.asarray([float(x)]), "density")[0]
-    center, scale = _standardization(path.model, kernel, h, float(x), "density")
-    return math.sqrt(xs.size * h) * (fn - center) / scale
+    return _statistic(path, kernel, h, x, "density")
 
 
 def cdf_clt_statistic(path: SamplePath, kernel: KernelSpec, h: float, x: float) -> float:
@@ -572,14 +593,9 @@ def cdf_clt_statistic(path: SamplePath, kernel: KernelSpec, h: float, x: float) 
     1{X_t <= x} (indicator_long_run_variance), the limit variance of
     sqrt(n)(F_n(x) - F(x)) under summable dependence; for iid models it is
     F(x)(1 - F(x)). E F_n(x) and sigma_LR(x) are fixed by (model, kernel, h, x)
-    and computed once per key (_standardization); only F_n(x) is summed on
-    every call.
+    and computed once per key, as for clt_statistic.
     """
     fx = marginal_cdf(path.model, x)
-    if not (1e-12 < fx < 1.0 - 1e-12):
+    if not (_CDF_EDGE < fx < 1.0 - _CDF_EDGE):
         raise ValueError(f"F(x) = {fx:g} is too close to 0 or 1 for standardization")
-    xs = np.sort(path.values)
-    _check_h(h, xs)
-    fn = _estimate(xs, kernel, h, np.asarray([float(x)]), "cdf")[0]
-    center, scale = _standardization(path.model, kernel, h, float(x), "cdf")
-    return math.sqrt(xs.size) * (fn - center) / scale
+    return _statistic(path, kernel, h, x, "cdf")

@@ -24,15 +24,19 @@ from scipy.special import ndtr
 from .bandwidth import BandwidthSchedule, ConditionVerdict, bandwidth_at, check_conditions, condition
 from .blocking import _checked_level, _interpolated_gap, build_partition
 from .estimator import (
+    _CDF_EDGE,
+    _DENSITY_FLOOR,
     _H_RANGE_FLOOR,
     _MARGINAL_RADIUS,
     DEFAULT_GRID,
     Grid,
     _cdf_window_sums,  # noqa: F401  (perfbench/spans.py traces this name)
+    _centring,
     _estimate,
     _kernel_window_sums,  # noqa: F401  (perfbench/spans.py traces this name)
+    _standardized,
     bias,
-    expected_cdf,
+    expected_cdf,  # noqa: F401  (perfbench/spans.py traces this name)
     expected_density,
     expected_density_curve,
 )
@@ -42,7 +46,7 @@ from .processes import (
     ProcessModel,
     conditional_mean,
     generate_paths,
-    indicator_long_run_variance,
+    indicator_long_run_variance,  # noqa: F401  (perfbench/spans.py traces this name)
     marginal_cdf,
     marginal_density,
     marginal_density_derivative_sup,
@@ -131,7 +135,7 @@ class ExperimentConfig:
         if spec.levels:
             for k in self.n_list:
                 _checked_level(k, self.block_alpha, self.block_beta)
-        if spec.long_run and self.model.family == "ar1":
+        if spec.long_run:  # iid and moving averages carry phi = 0, which needs no lags
             plackett_lags(self.model.phi)
         sd = self.model.marginal_sd
         # beyond 40 marginal sds a grid meets no data, and far beyond it its squares overflow
@@ -350,7 +354,7 @@ def _compact_support_gate(config: ExperimentConfig) -> ConditionVerdict:
 def _positive_density_gate(config: ExperimentConfig) -> ConditionVerdict:
     vals = [marginal_density(config.model, x) for x in config.eval_points]
     return condition(
-        "f(x) > 0", all(v > 1e-300 for v in vals), "holds at every evaluation point",
+        "f(x) > 0", all(v > _DENSITY_FLOOR for v in vals), "holds at every evaluation point",
         "fails: the marginal density vanishes at an evaluation point",
     )
 
@@ -358,7 +362,7 @@ def _positive_density_gate(config: ExperimentConfig) -> ConditionVerdict:
 def _cdf_interior_gate(config: ExperimentConfig) -> ConditionVerdict:
     vals = [marginal_cdf(config.model, x) for x in config.eval_points]
     return condition(
-        "0 < F(x) < 1", all(1e-12 < v < 1.0 - 1e-12 for v in vals),
+        "0 < F(x) < 1", all(_CDF_EDGE < v < 1.0 - _CDF_EDGE for v in vals),
         "holds at every evaluation point",
         "fails: an evaluation point sits at the edge of the distribution",
     )
@@ -450,56 +454,35 @@ def _sorted_prefixes(config: ExperimentConfig, threads, sizes, reduce, shape) ->
 # kind bodies: each returns the report fields that follow the gates
 
 
-def _run_clt(config: ExperimentConfig, h_list, threads, *, cdf: bool, centered: bool = True) -> dict:
+def _run_clt(config: ExperimentConfig, h_list, threads, *, centre: str) -> dict:
     """Distribution check of the standardized statistic at the largest n.
 
     All replicates are evaluated at every point of eval_points with common
     random numbers; the verdict passes when the KS distance to the standard
     normal stays below 0.05 at every point. Per-point means and variances
     are reported alongside, with the pooled variance (the average of the
-    per-point sample variances) in the summary. The distribution kinds
-    (cdf=True) are centered at E F_n (centered=True) or at the true F, and
-    standardized by the long-run variance of the indicator series
-    (indicator_long_run_variance), computed once per run.
+    per-point sample variances) in the summary. The statistic is clt_statistic's
+    (centre "density") or cdf_clt_statistic's ("cdf"), or the latter centred at
+    F ("true"): estimator._centring gives its centres and variances once per
+    run, uncached, from one oracle call over every point, and
+    estimator._standardized its formula.
     """
     xs_eval = np.asarray(config.eval_points, dtype=float)
     model, kernel = config.model, config.kernel
     n, h = config.n_list[-1], h_list[-1]
-    if cdf:
-        fx = marginal_cdf(model, xs_eval)
-        if centered:
-            centers = expected_cdf(model, kernel, h, xs_eval)
-        else:
-            centers = fx
-        long_run = np.array([indicator_long_run_variance(model, x) for x in xs_eval])
-        denom = np.sqrt(long_run)
-        scale = math.sqrt(n)
-    else:
-        centers = expected_density(model, kernel, h, xs_eval)
-        denom = np.sqrt(kernel.l2_norm_sq * marginal_density(model, xs_eval))
-        scale = math.sqrt(n * h)
-
-    form = "cdf" if cdf else "density"
+    form = "density" if centre == "density" else "cdf"
+    centres, variances = _centring(model, kernel, h, xs_eval, centre)
 
     def reduce(j: int, xs: np.ndarray) -> np.ndarray:
-        return scale * (_estimate(xs, kernel, h, xs_eval, form) - centers) / denom
+        return _standardized(xs, kernel, h, xs_eval, form, centres, variances)
 
     stats = _sorted_prefixes(config, threads, (n,), reduce, (xs_eval.size,))[:, 0]
 
-    rows = []
-    for i, x in enumerate(xs_eval):
-        col = stats[:, i]
-        rows.append(
-            {
-                "x": float(x),
-                "n": n,
-                "h": h,
-                "ks": ks_statistic(col, ndtr),
-                "mean": float(col.mean()),
-                "variance": float(col.var(ddof=1)),
-                "replicates": config.replicates,
-            }
-        )
+    rows = [
+        {"x": float(x), "n": n, "h": h, "ks": ks_statistic(col, ndtr), "mean": float(col.mean()),
+         "variance": float(col.var(ddof=1)), "replicates": config.replicates}
+        for x, col in zip(xs_eval, stats.T)
+    ]
     max_ks = max(row["ks"] for row in rows)
     summary = {
         "n": n,
@@ -512,9 +495,10 @@ def _run_clt(config: ExperimentConfig, h_list, threads, *, cdf: bool, centered: 
         "statistics are centered at exact quadrature expectations, not at sample means",
         "all evaluation points share each replicate path (common random numbers)",
     ]
-    if cdf and model.family != "iid":
+    if form == "cdf" and model.family != "iid":
         ratios = ", ".join(
-            f"{lr / (f * (1.0 - f)):.6g} at x={x:g}" for x, f, lr in zip(xs_eval, fx, long_run)
+            f"{lr / (f * (1.0 - f)):.6g} at x={x:g}"
+            for x, f, lr in zip(xs_eval, marginal_cdf(model, xs_eval), variances)
         )
         notes.append(
             "statistics are standardized by the long-run variance of the indicator series, "
@@ -892,18 +876,18 @@ _CLT_SHAPE = dict(plot=("x", "ks", "mean", "variance"), needs_points=True, least
 _KIND_TABLE: dict[str, _Kind] = {
     "clt_density": _Kind(
         gates=(_B1, _C2, _K1, _positive_density_gate, _mixing_gate),
-        run=partial(_run_clt, cdf=False),
+        run=partial(_run_clt, centre="density"),
         **_CLT_SHAPE,
     ),
     "clt_cdf_centered": _Kind(
         gates=(_B1, _C2, _K_SYMMETRIC, _cdf_interior_gate, _mixing_gate),
-        run=partial(_run_clt, cdf=True),
+        run=partial(_run_clt, centre="cdf"),
         long_run=True,
         **_CLT_SHAPE,
     ),
     "clt_cdf_true": _Kind(
         gates=(_B3, _C3, _K_SYMMETRIC, _compact_support_gate, _cdf_interior_gate, _mixing_gate),
-        run=partial(_run_clt, cdf=True, centered=False),
+        run=partial(_run_clt, centre="true"),
         long_run=True,
         **_CLT_SHAPE,
     ),

@@ -226,15 +226,13 @@ def rho_mixing_coefficient(model: ProcessModel, lag: int) -> float:
     check_int(lag, "lag", 1)
     if model.family != "ma":  # iid is AR(1) with phi = 0
         return abs(model.phi) ** lag
-    q = model.window_order
-    if lag > q:
-        return 0.0
-    w = np.asarray(model.weights, dtype=float)
-    denom = float(w @ w)
-    best = 0.0
-    for j in range(lag, q + 1):
-        best = max(best, abs(float(w[: len(w) - j] @ w[j:])) / denom)
-    return best
+    return float(np.max(np.abs(_ma_correlations(model.weights)[lag - 1 :]), initial=0.0))
+
+
+def _ma_correlations(weights) -> np.ndarray:
+    """The signed lag-1..q autocorrelations of a moving average with these weights."""
+    w = np.asarray(weights, dtype=float)
+    return np.array([float(w[: w.size - k] @ w[k:]) for k in range(1, w.size)]) / float(w @ w)
 
 
 def rho_decay(model: ProcessModel, lag: float) -> float:
@@ -366,9 +364,7 @@ def indicator_long_run_variance(model: ProcessModel, x: float) -> float:
     # F(1-F) as Phi(z) Phi(-z): symmetric in z, and 1 - F loses no digits
     marginal = float(ndtr(z) * ndtr(-z))
     if model.family == "ma":
-        w = np.asarray(model.weights, dtype=float)
-        rho = np.array([float(w[: w.size - k] @ w[k:]) for k in range(1, w.size)]) / float(w @ w)
-        return marginal + 2.0 * float(np.sum(_plackett_covariances(z, rho)))
+        return marginal + 2.0 * float(np.sum(_plackett_covariances(z, _ma_correlations(model.weights))))
     if model.phi == 0.0:  # iid too
         return marginal
     lags = plackett_lags(model.phi)

@@ -134,6 +134,15 @@ def test_rejects_nonpositive_bandwidth():
             density_estimate(path, GAUSS, h)
 
 
+def test_rejects_a_bool_bandwidth():
+    path = _path_from([0.0, 1.0])
+    calls = (lambda: expected_density(IID, GAUSS, True, 0.0), lambda: clt_statistic(path, GAUSS, True, 0.0),
+             lambda: density_estimate(path, GAUSS, True))
+    for call in calls:
+        with pytest.raises(ValueError, match="bandwidth must be a positive finite number, got True"):
+            call()
+
+
 def test_rejects_degenerate_bandwidth():
     path = _path_from([0.0, 1.0])
     with pytest.raises(ValueError, match="data range"):

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal, norm
 
+from numpy.polynomial.legendre import leggauss
+
 from mixkde.bandwidth import BandwidthSchedule, check_conditions
-from mixkde.estimator import Grid, cdf_clt_statistic
+from mixkde.estimator import Grid, cdf_clt_statistic, clt_statistic
 from mixkde.kernels import kernel_from_name
 from mixkde.processes import (
     ProcessModel,
@@ -21,7 +23,7 @@ from mixkde.processes import (
     marginal_cdf,
 )
 from mixkde.util import derive_seed, resolve_threads
-from mixkde import experiments, processes, util
+from mixkde import estimator, experiments, processes, util
 from mixkde.experiments import (
     GateError,
     ExperimentConfig,
@@ -612,6 +614,35 @@ def test_cdf_clt_run_names_long_run_variance():
     assert any("long-run variance" in note and "2.25204 at x=0.5" in note for note in dep.notes)
     iid = run_experiment(_config(kind="clt_cdf_centered", kernel=EPAN, eval_points=(0.5,)))
     assert not any("long-run variance" in note for note in iid.notes)
+
+
+# The CLT kinds and the public statistics share one standardization
+# (estimator._centring and estimator._standardized).
+@pytest.mark.parametrize("kernel", [GAUSS, EPAN], ids=["gaussian", "epanechnikov"])
+@pytest.mark.parametrize("model", [AR_HALF, ProcessModel(family="ma", weights=(1.0, 0.6, -0.3))],
+                         ids=["ar1", "ma"])
+@pytest.mark.parametrize("kind,statistic", [("clt_density", clt_statistic),
+                                            ("clt_cdf_centered", cdf_clt_statistic)])
+def test_clt_rows_keep_the_bits_of_the_public_statistics(kind, statistic, model, kernel):
+    cfg = _config(kind=kind, model=model, kernel=kernel, n_list=(96, 200), replicates=100,
+                  eval_points=(0.4,))
+    row = run_experiment(cfg).rows[0]
+    n, h = cfg.n_list[-1], row["h"]
+    stats = np.array([statistic(generate_path(model, n, derive_seed(cfg.base_seed, r)), kernel, h, 0.4)
+                      for r in range(cfg.replicates)])
+    assert (row["mean"], row["variance"]) == (float(stats.mean()), float(stats.var(ddof=1)))
+
+
+def test_no_run_reads_the_statistics_cache(monkeypatch):
+    """Whatever ran before, a run computes its centres: a cached key does not hide a failing oracle."""
+    cfg = _config(kernel=EPAN, n_list=(96,), replicates=100, eval_points=(0.4,))
+    path = generate_path(IID, 96, derive_seed(cfg.base_seed, 0))
+    h = run_experiment(cfg).rows[0]["h"]
+    filled = clt_statistic(path, EPAN, h, 0.4)
+    monkeypatch.setattr(estimator, "_rules", lambda: (leggauss(1), leggauss(2)))
+    assert clt_statistic(path, EPAN, h, 0.4) == filled  # the statistic reads its cached key
+    with pytest.raises(ArithmeticError, match="rules differ"):
+        run_experiment(cfg)
 
 
 # ---------------------------------------------------------------------------

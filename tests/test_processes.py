@@ -207,6 +207,15 @@ def test_rho_ma_within_window():
     assert rho_mixing_coefficient(MA_ONE, 1) == pytest.approx(want, abs=1e-12)
 
 
+def test_ma_correlations_are_signed_and_bound_rho():
+    weights = (1.0, 0.6, -0.3)
+    corr = processes._ma_correlations(weights)
+    assert corr.tolist() == [(0.6 - 0.18) / 1.45, -0.3 / 1.45]
+    model = ProcessModel(family="ma", weights=weights)
+    assert [rho_mixing_coefficient(model, lag) for lag in (1, 2, 3)] == [abs(corr[0]), abs(corr[1]), 0.0]
+    assert processes._ma_correlations((2.0,)).size == 0
+
+
 def test_rho_nonincreasing():
     for model in (AR_HALF, MA_ONE):
         vals = [rho_mixing_coefficient(model, lag) for lag in range(1, 12)]

@@ -13,6 +13,9 @@ import sys
 from pathlib import Path
 
 from mixkde import estimator, experiments, util
+from mixkde.bandwidth import BandwidthSchedule
+from mixkde.kernels import kernel_from_name
+from mixkde.processes import ProcessModel
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -56,3 +59,22 @@ def test_every_unused_import_is_a_traced_name(monkeypatch):
                          if "# noqa: F401" in lines[alias.lineno - 1]]
     traced = {dotted for _, _, names in _load_spans(monkeypatch).LAYERS for dotted in names}
     assert kept and [name for name in kept if name not in traced] == []
+
+
+def test_a_traced_clt_run_records_its_oracle_calls(monkeypatch):
+    """The CLT kinds reach the oracle and the long-run variance through traced estimator names."""
+    config = experiments.ExperimentConfig(
+        kind="clt_cdf_centered", model=ProcessModel(family="ar1", phi=0.25),
+        kernel=kernel_from_name("epanechnikov"), schedule=BandwidthSchedule(c=1.0, delta=0.2),
+        n_list=(64,), replicates=100, base_seed=3, eval_points=(-0.5, 0.5),
+    )
+    tracer = _load_spans(monkeypatch).Tracer()
+    try:
+        tracer.install({name: importlib.import_module(f"mixkde.{name}") for name in MODULES})
+        experiments.run_experiment(config)
+    finally:
+        tracer.uninstall()
+    layers = [span.layer for span in tracer.take()]
+    # one oracle call over both points, one long-run variance per point
+    assert layers.count("estimator.oracle") == 1
+    assert layers.count("processes.indicator_long_run_variance") == 2
