@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable
 
@@ -97,6 +97,8 @@ class ExperimentConfig:
     p: float = 2.0
     block_alpha: float = 0.5
     block_beta: float = 0.25
+    # h_n for each n_list entry, computed and checked here; empty for block levels
+    h_list: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -144,7 +146,7 @@ class ExperimentConfig:
             raise ValueError(f"{self.kind} reads the grid, whose ends must lie within "
                              f"{_MARGINAL_RADIUS:g} marginal sds ({_MARGINAL_RADIUS * sd:g}) of 0, "
                              f"got [{lo:g}, {hi:g}]")
-        seen: dict[float, int] = {}
+        h_list: list[float] = []
         for n in () if spec.levels else self.n_list:
             try:
                 h = bandwidth_at(self.schedule, n)
@@ -157,10 +159,11 @@ class ExperimentConfig:
                 raise ValueError(f"bandwidth h_n = {h:g} at n = {n} must be at most "
                                  f"1e+12 times the marginal sd {sd:g}")
             # a kind that plots against h fits its slope against h
-            if spec.plot[0] == "h" and h in seen:
+            if spec.plot[0] == "h" and h in h_list:
                 raise ValueError(f"{self.kind} fits its slope against h, but h_n = {h:g} "
-                                 f"at both n = {seen[h]} and n = {n}")
-            seen[h] = n
+                                 f"at both n = {self.n_list[h_list.index(h)]} and n = {n}")
+            h_list.append(h)
+        object.__setattr__(self, "h_list", tuple(h_list))
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -415,8 +418,9 @@ def enforce_gates(config: ExperimentConfig) -> list[ConditionVerdict]:
 def _each_path(model: ProcessModel, n: int, count: int, base_seed: int, threads, each) -> None:
     """each(r, values) for r < count, values the length-n path of derive_seed(base_seed, r).
 
-    The pool gets blocks of paths_per_block replicates, drawn together.
-    each(r, ...) must write only replicate r's slots; it owns `values`, its
+    The pool gets blocks of paths_per_block replicates, whose rows
+    generate_paths draws together; a path longer than one piece is its own
+    block. each(r, ...) must write only replicate r's slots; it owns `values`, its
     row of the block, and may overwrite it.
     """
     rows = paths_per_block(model, n)
@@ -454,7 +458,7 @@ def _sorted_prefixes(config: ExperimentConfig, threads, sizes, reduce, shape) ->
 # kind bodies: each returns the report fields that follow the gates
 
 
-def _run_clt(config: ExperimentConfig, h_list, threads, *, centre: str) -> dict:
+def _run_clt(config: ExperimentConfig, threads, *, centre: str) -> dict:
     """Distribution check of the standardized statistic at the largest n.
 
     All replicates are evaluated at every point of eval_points with common
@@ -469,7 +473,7 @@ def _run_clt(config: ExperimentConfig, h_list, threads, *, centre: str) -> dict:
     """
     xs_eval = np.asarray(config.eval_points, dtype=float)
     model, kernel = config.model, config.kernel
-    n, h = config.n_list[-1], h_list[-1]
+    n, h = config.n_list[-1], config.h_list[-1]
     form = "density" if centre == "density" else "cdf"
     centres, variances = _centring(model, kernel, h, xs_eval, centre)
 
@@ -510,7 +514,7 @@ def _run_clt(config: ExperimentConfig, h_list, threads, *, centre: str) -> dict:
                 verdict=verdict, notes=notes)
 
 
-def _run_rate(config: ExperimentConfig, h_list, threads, *, sup: bool) -> dict:
+def _run_rate(config: ExperimentConfig, threads, *, sup: bool) -> dict:
     """Error-vs-n slope reading for the sup or integral L^p deviation.
 
     For each n the error level is the p-th moment reading of the deviation
@@ -521,7 +525,7 @@ def _run_rate(config: ExperimentConfig, h_list, threads, *, sup: bool) -> dict:
     xs_eval = np.asarray(config.eval_points, dtype=float) if sup else config.grid.points
     model, kernel = config.model, config.kernel
     p = float(config.p)
-    n_list = config.n_list
+    n_list, h_list = config.n_list, config.h_list
 
     centers = [expected_density(model, kernel, h, xs_eval) for h in h_list]
 
@@ -619,7 +623,7 @@ def uniform_verdict(n_list, ratios) -> tuple[dict, str]:
     return summary, "pass" if ok else "fail"
 
 
-def _run_uniform(config: ExperimentConfig, h_list, threads) -> dict:
+def _run_uniform(config: ExperimentConfig, threads) -> dict:
     """Boundedness check of sup-deviation over the rate sqrt(|log h|/(n h)).
 
     Each replicate is one path followed along every n in n_list (nested
@@ -627,7 +631,7 @@ def _run_uniform(config: ExperimentConfig, h_list, threads) -> dict:
     is uniform_verdict's.
     """
     model, kernel = config.model, config.kernel
-    n_list = config.n_list
+    n_list, h_list = config.n_list, config.h_list
     pts = config.grid.points
     centers = [expected_density_curve(model, kernel, h, config.grid).values for h in h_list]
     # |log h| under the clamped-log convention: never below 1
@@ -661,7 +665,7 @@ def _run_uniform(config: ExperimentConfig, h_list, threads) -> dict:
                 theorem_prediction=0.0, verdict=verdict, notes=notes)
 
 
-def _run_bias(config: ExperimentConfig, h_list, threads) -> dict:
+def _run_bias(config: ExperimentConfig, threads) -> dict:
     """Deterministic scan of the smoothing bias against its first-order bound.
 
     For every (n, x) pair the exact bias E f_n(x) - f(x) comes from the
@@ -673,7 +677,7 @@ def _run_bias(config: ExperimentConfig, h_list, threads) -> dict:
     del threads  # the scan is one oracle call per bandwidth; nothing to parallelize
     xs_eval = np.asarray(config.eval_points, dtype=float)
     model, kernel = config.model, config.kernel
-    n_list = config.n_list
+    n_list, h_list = config.n_list, config.h_list
     bound_coef = marginal_density_derivative_sup(model) * kernel.abs_first_moment
 
     rows = []
@@ -791,7 +795,7 @@ def moment_bound_check(
     }
 
 
-def _run_moment_bound(config: ExperimentConfig, h_list, threads) -> dict:
+def _run_moment_bound(config: ExperimentConfig, threads) -> dict:
     """Block-moment diagnostic across dyadic levels.
 
     n_list is reinterpreted as the list of dyadic levels k; each level gets
@@ -799,7 +803,6 @@ def _run_moment_bound(config: ExperimentConfig, h_list, threads) -> dict:
     ratios are finite and either vanish identically (iid) or keep their
     spread max/min within 50.
     """
-    del h_list  # levels, not sample sizes: no bandwidth
     p = int(config.p)
     rows = []
     ratios = []
@@ -852,7 +855,7 @@ class _Kind:
     """Everything one experiment kind needs; adding a kind adds one entry.
 
     gates are the kind's hypotheses in report order, each config -> ConditionVerdict.
-    run(config, h_list, threads) returns the report fields after the gates.
+    run(config, threads) returns the report fields after the gates.
     plot names the plotdata.csv columns: row keys for kinds without a slope,
     else the x and y of the log-log fit. ExperimentConfig reads the rest.
     """
@@ -928,12 +931,11 @@ KINDS = tuple(_KIND_TABLE)
 
 
 def run_experiment(config: ExperimentConfig, threads: int | None = 1) -> ExperimentReport:
-    """Gates, the bandwidth per n, then the body for config.kind."""
+    """Gates, then the body for config.kind."""
     gates = enforce_gates(config)
-    h_list = [bandwidth_at(config.schedule, n) for n in config.n_list]
     return ExperimentReport(
         kind=config.kind,
         config=config_to_dict(config),
         gates=[g.as_dict() for g in gates],
-        **_KIND_TABLE[config.kind].run(config, h_list, threads),
+        **_KIND_TABLE[config.kind].run(config, threads),
     )

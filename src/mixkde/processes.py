@@ -5,9 +5,9 @@ all centered, so the marginal law, the maximal-correlation coefficients and
 the long-run variance of 1{X_t <= x} are known exactly. The draw contract
 fixes every bit: the path keyed by a 64-bit seed is the Philox stream with
 that key, read as uniforms, turned into normals by the inverse CDF, then
-filtered. generate_paths draws many paths in blocks, each row with the bits
-it has when drawn alone (generate_path). See README "Library layout" and
-"Testing" (criterion 2).
+filtered. generate_paths draws many paths together, in pieces keyed by their
+stream position, each row with the bits it has when drawn alone
+(generate_path). See README "Library layout" and "Testing" (criterion 2).
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # random() can return 0.0, which ndtri maps to -inf; clamp one ulp above.
 _U_MIN = 2.0**-53
-# The most values one block draw holds; a longer path is drawn in pieces of it.
+# The most values a row of one piece holds. A longer path is drawn in pieces,
+# each keyed by its stream position, so this must stay a multiple of 4 (_rekey).
 _BLOCK_VALUES = 2**16
 
 
@@ -91,15 +92,17 @@ class SamplePath:
         return self.values.size
 
 
-def _rekey(bit_generator: np.random.Philox, seed: int) -> None:
-    """Reset `bit_generator` to Philox(key=seed) at counter 0, buffer empty.
+def _rekey(bit_generator: np.random.Philox, seed: int, start: int) -> None:
+    """Set `bit_generator` to the stream of Philox(key=seed) from value `start` on.
 
-    The state setter gives the bits of a new Philox(key=seed) without the OS
-    entropy its constructor draws for a seed sequence it then discards.
+    Philox steps its counter before each draw of four values, so counter
+    start // 4 with an empty buffer continues at `start`, a multiple of 4.
+    The state setter skips the OS entropy a new Philox draws for a seed
+    sequence it then discards.
     """
     bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (seed & 0xFFFFFFFFFFFFFFFF, 0)},
+        "state": {"counter": (start // 4, 0, 0, 0), "key": (seed & 0xFFFFFFFFFFFFFFFF, 0)},
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
@@ -129,55 +132,49 @@ def generate_paths(model: ProcessModel, n: int, seeds) -> np.ndarray:
     """Row r holds X_0..X_{n-1} of the path keyed by seeds[r].
 
     Each row equals generate_path(model, n, seeds[r]).values bit for bit.
-    Rows go in blocks of paths_per_block(model, n): the block's uniforms
-    come from this thread's one Philox (_generator), re-keyed per row, then
-    the clamp, ndtri, scaling and the AR(1) filter each run once on the
-    block. A longer path is drawn alone, in pieces of _BLOCK_VALUES values,
-    the filter state carried from piece to piece.
+    The rows go together in pieces of at most _BLOCK_VALUES values each:
+    every row of a piece reads its uniforms from this thread's one Philox
+    (_generator), re-keyed at the piece's stream position (_rekey), then the
+    clamp, ndtri, scaling and the AR(1) filter each run once on the piece,
+    the filter state carried from piece to piece. _each_path hands it
+    paths_per_block rows, so a path longer than a piece comes alone.
     """
     check_int(n, "path length", 1)
     if model.family == "ar1":
         from scipy.signal import lfilter  # loaded on first use: it dominates import time
     seeds = [int(s) for s in seeds]
     q = model.window_order
-    width = n + q  # innovations per path
-    rows = paths_per_block(model, n)
     out = np.empty((len(seeds), n))
     # a moving average's innovations, q more than its values, need a buffer
-    eps = np.empty((min(len(seeds), rows), width)) if q else None
+    eps = np.empty((len(seeds), n + q)) if q else out
+    zi = np.zeros((len(seeds), 1))  # AR(1) filter state
     gen = _generator()
-    for lo in range(0, len(seeds), rows):
-        group = seeds[lo : lo + rows]
-        block = out[lo : lo + len(group)] if eps is None else eps[: len(group)]
-        zi = np.zeros((len(group), 1))  # AR(1) filter state
-        # one piece covers the block unless the block is one long path
-        for start in range(0, width, _BLOCK_VALUES):
-            piece = block[:, start : start + _BLOCK_VALUES]
-            for row, seed in zip(piece, group):
-                if start == 0:
-                    _rekey(gen.bit_generator, seed)
-                gen.random(out=row)
-            # One uniform per normal, by inverse CDF, so the draw count is
-            # deterministic and a longer path extends a shorter one exactly.
-            np.maximum(piece, _U_MIN, out=piece)
-            ndtri(piece, out=piece)
-            if model.family == "ar1" and start == 0:
-                # Exact stationary start: X_0 gets the marginal sd, the
-                # recursion X_t = phi X_{t-1} + e_t does the rest. For phi = 0
-                # the filter is the identity and the path is bitwise the iid path.
-                piece[:, 1:] *= model.innovation_sd
-                piece[:, 0] *= model.marginal_sd
-            else:
-                piece *= model.innovation_sd
-            if model.family == "ar1":
-                piece[...], zi = lfilter([1.0], [1.0, -model.phi], piece, axis=1, zi=zi)
-        if q:
-            w = np.asarray(model.weights, dtype=float)
-            # X_t = sum_j w_j eps_{t-j}; the q warm-up innovations make X_0
-            # stationary, and index t never touches innovations past t, so the
-            # prefix property carries over from the innovation stream.
-            for r, row in enumerate(block, lo):
-                out[r] = np.convolve(row, w, mode="full")[q : q + n]
+    for start in range(0, n + q, _BLOCK_VALUES):
+        piece = eps[:, start : start + _BLOCK_VALUES]
+        for row, seed in zip(piece, seeds):
+            _rekey(gen.bit_generator, seed, start)
+            gen.random(out=row)
+        # One uniform per normal, by inverse CDF, so the draw count is
+        # deterministic and a longer path extends a shorter one exactly.
+        np.maximum(piece, _U_MIN, out=piece)
+        ndtri(piece, out=piece)
+        if model.family == "ar1" and start == 0:
+            # Exact stationary start: X_0 gets the marginal sd, the
+            # recursion X_t = phi X_{t-1} + e_t does the rest. For phi = 0
+            # the filter is the identity and the path is bitwise the iid path.
+            piece[:, 1:] *= model.innovation_sd
+            piece[:, 0] *= model.marginal_sd
+        else:
+            piece *= model.innovation_sd
+        if model.family == "ar1":
+            piece[...], zi = lfilter([1.0], [1.0, -model.phi], piece, axis=1, zi=zi)
+    if q:
+        w = np.asarray(model.weights, dtype=float)
+        # X_t = sum_j w_j eps_{t-j}; the q warm-up innovations make X_0
+        # stationary, and index t never touches innovations past t, so the
+        # prefix property carries over from the innovation stream.
+        for r, row in enumerate(eps):
+            out[r] = np.convolve(row, w, mode="full")[q : q + n]
     return out
 
 

@@ -309,6 +309,23 @@ def test_unusable_bandwidths_exit_1(tmp_path, capsys, command, case):
     assert not out.exists()
 
 
+def test_block_levels_read_no_bandwidth(tmp_path, capsys):
+    # moment_bound's n_list holds block levels, which admission turns into no
+    # h_n, so a schedule whose h_n would overflow cannot stop its run
+    cfg = _write(tmp_path, (
+        "experiment.kind = moment_bound\nmodel.family = ar1\nmodel.phi = 0.25\n"
+        "kernel.family = gaussian\nbandwidth.delta = -1000\nrun.n_list = 5, 6, 7\n"
+        "run.replicates = 30\nrun.p = 2\nrun.base_seed = 7\n"
+    ))
+    assert main(["validate", str(cfg)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) in (0, 3)
+    assert "Traceback" not in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["files"] == list(ARTIFACTS)
+    for name in ARTIFACTS:
+        assert (out / name).is_file(), name
+
+
 # A runnable config, and per admission rule of ExperimentConfig (or of its
 # ProcessModel: innovation sd, weights) the keys that make it unrunnable with
 # the start of the message. Every key is well formed.

@@ -111,7 +111,8 @@ def test_generate_paths_rows_equal_single_paths(monkeypatch, block_values):
     want = {(i, n): [generate_path(model, n, seed).values for seed in seeds]
             for i, model in enumerate(models) for n in lengths}
     if block_values is not None:
-        # blocks of 10 rows at n = 100, the last one short; 3000 values in 3 pieces
+        # _each_path would hand over 10 rows at n = 100 and one at n = 3000; all
+        # 23 rows go together here, 3000 values in 3 pieces keyed by position
         monkeypatch.setattr(processes, "_BLOCK_VALUES", block_values)
         assert processes.paths_per_block(IID, 100) == 10
         assert processes.paths_per_block(IID, 3000) == 1
