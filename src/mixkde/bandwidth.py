@@ -11,10 +11,11 @@ below 1. Three named conditions classify a schedule:
         sqrt(n) omega(n) h_n -> 0.
 
 Within this family the checks are symbolic in (delta, l): (B1) holds iff
-0 < delta < 1, or delta = 1 with l = log; (B2) holds iff 0 < delta <= 1;
-(B3) holds iff (B1) holds and delta > 1/2, in which case
-omega(n) = n^{(delta - 1/2)/2} is the canonical witness. Purely logarithmic
-schedules (delta = 0) are outside the certified family.
+0 < delta < 1, or delta = 1 with l = log, or delta = 0 with l = 1/log;
+(B2) holds iff 0 < delta <= 1; (B3) holds iff (B1) holds and delta > 1/2,
+in which case omega(n) = n^{(delta - 1/2)/2} is the canonical witness. So
+h_n = c/log n meets (B1) but not (B2), as the paper's Remark 1 says; no
+other purely logarithmic schedule (delta = 0) meets either.
 """
 
 from __future__ import annotations
@@ -74,10 +75,16 @@ def bandwidth_at(schedule: BandwidthSchedule, n: int) -> float:
 def check_conditions(schedule: BandwidthSchedule) -> dict[str, ConditionVerdict]:
     """Verdicts for (B1), (B2), (B3), keyed by condition name."""
     d = schedule.delta
+    # the edges of 0 < delta < 1 where l(n) decides (B1), with its holds text
+    edges = {
+        (0.0, "invlog"): "holds: delta=0 with l(n)=1/log n gives h_n = c/log n -> 0 "
+                         "and n*h_n -> inf",
+        (1.0, "log"): "holds: delta=1 with l(n)=log n gives h_n -> 0 and n*h_n = c*log n -> inf",
+    }
+    edge = edges.get((d, schedule.slowly_varying))
     b1 = condition(
-        "B1", 0.0 < d < 1.0 or (d == 1.0 and schedule.slowly_varying == "log"),
-        f"holds: 0 < delta={d:g} < 1, so h_n -> 0 and n*h_n -> inf" if d < 1.0
-        else "holds: delta=1 with l(n)=log n gives h_n -> 0 and n*h_n = c*log n -> inf",
+        "B1", 0.0 < d < 1.0 or edge is not None,
+        edge or f"holds: 0 < delta={d:g} < 1, so h_n -> 0 and n*h_n -> inf",
         f"fails: delta={d:g} <= 0, so h_n does not tend to 0" if d <= 0.0
         else f"fails: delta={d:g} makes n*h_n fail to diverge",
     )

@@ -57,6 +57,28 @@ def test_nonpositive_delta_fails_everything():
     assert not any(v.passed for v in out.values())
 
 
+def test_remark_1_inverse_log_meets_b1_only():
+    out = check_conditions(BandwidthSchedule(c=2.0, delta=0.0, slowly_varying="invlog"))
+    assert out["B1"].detail == ("(B1) holds: delta=0 with l(n)=1/log n gives h_n = c/log n -> 0 "
+                                "and n*h_n -> inf")
+    assert out["B1"].passed and not out["B2"].passed and not out["B3"].passed
+    assert "<= 1/2 leaves" in out["B3"].detail
+
+
+@pytest.mark.parametrize("slowly_varying", ["one", "log", "invlog"])
+@pytest.mark.parametrize("delta", np.linspace(-0.5, 1.5, 17).tolist())
+def test_b1_table_follows_the_logs(delta, slowly_varying):
+    # log h_n = log c - delta L + log l(n) and log(n h_n) = log h_n + L at
+    # L = log n from 10 to 600; each is c1 L + c2 log L, so it diverges
+    # exactly when it is strictly monotone on this range
+    L = np.linspace(10.0, 600.0, 60)
+    log_l = {"one": 0.0, "log": np.log(L), "invlog": -np.log(L)}[slowly_varying]
+    log_h = math.log(2.0) - delta * L + log_l
+    holds = bool(np.all(np.diff(log_h) < 0.0) and np.all(np.diff(log_h + L) > 0.0))
+    schedule = BandwidthSchedule(c=2.0, delta=delta, slowly_varying=slowly_varying)
+    assert check_conditions(schedule)["B1"].passed == holds
+
+
 @pytest.mark.parametrize("delta", [0.2, 0.6, 0.99])
 def test_monotone_decreasing(delta):
     sched = BandwidthSchedule(c=1.0, delta=delta)

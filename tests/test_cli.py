@@ -401,6 +401,21 @@ def test_equal_bandwidths_leave_rate_kinds_to_gate_b1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("gate rejection (B1): ")
 
 
+def test_inverse_log_bandwidth_meets_b1_but_not_b2(tmp_path, capsys):
+    # h_n = 2/log n (the paper's Remark 1): the rate kinds need only B1, uniform_as needs B2
+    schedule = {"bandwidth.c": "2", "bandwidth.delta": "0", "bandwidth.slowly_varying": "invlog"}
+    cfg = _write(tmp_path, _config_text({**RUNNABLE, **schedule, "experiment.kind": "rate_sup_lp",
+                                         "run.eval_points": "0.0"}))
+    assert main(["validate", str(cfg)]) == 0
+    assert "PASS B1: (B1) holds: delta=0 with l(n)=1/log n" in capsys.readouterr().out
+    cfg = _write(tmp_path, _config_text({**RUNNABLE, **schedule, "experiment.kind": "uniform_as"}))
+    assert main(["validate", str(cfg)]) == 2
+    assert "FAIL B2: (B2) fails: delta=0 <= 0 puts the schedule outside" in capsys.readouterr().out
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("gate rejection (B2): (B2) fails: delta=0 <= 0")
+    assert not (tmp_path / "out").exists()
+
+
 def test_value_error_in_a_run_is_an_error_line(tmp_path, capsys):
     # f and E f_n underflow to 0 at x = 60, so the bias slope has no log-log fit
     cfg = _write(tmp_path, (

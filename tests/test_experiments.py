@@ -223,13 +223,14 @@ BATTERY_B_SCHEDULES = tuple(
     for sv in ("one", "log", "invlog")
 )
 BATTERY_TEXTS = {
-    "B1": ("holds: 0 < delta", "holds: delta=1 with l(n)=log n", "<= 0, so h_n", "makes n*h_n"),
+    "B1": ("holds: 0 < delta", "holds: delta=1 with l(n)=log n", "holds: delta=0 with l(n)=1/log n",
+           "<= 0, so h_n", "makes n*h_n"),
     "B2": ("holds: 0 < delta", "<= 0 puts", "> 1 is outside"),
     "B3": ("requires (B1)", "<= 1/2 leaves", "holds: delta"),
     "K2": ("not compactly supported", "is not Lipschitz", "holds: the"),
 }
 BATTERY_ALWAYS = {"C1", "C2", "C3", "K1", "K3", "K-symmetric"}
-BATTERY_DIGEST = "35b7f3f9e1a7d87cc5ab9783816bc69ed96baecad94ba46ad00e251e28946eb4"
+BATTERY_DIGEST = "2b70d46bf567ebb9bfb90cd1ca948a83fd6e80061a32fc43033fad8878d0213e"
 
 
 def _battery_verdicts():
