@@ -20,10 +20,9 @@ other purely logarithmic schedule (delta = 0) meets either.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .util import check_int, clamped_log
+from .util import _check_real, check_int, clamped_log
 
 SLOWLY_VARYING = ("one", "log", "invlog")
 
@@ -35,10 +34,10 @@ class BandwidthSchedule:
     slowly_varying: str = "one"
 
     def __post_init__(self):
-        if not (self.c > 0.0 and math.isfinite(self.c)):
+        _check_real(self.c, "schedule constant c")
+        if not self.c > 0.0:
             raise ValueError(f"schedule constant c must be positive, got {self.c}")
-        if not math.isfinite(self.delta):
-            raise ValueError(f"schedule exponent delta must be finite, got {self.delta}")
+        _check_real(self.delta, "schedule exponent delta")
         if self.slowly_varying not in SLOWLY_VARYING:
             raise ValueError(
                 f"slowly_varying must be one of {SLOWLY_VARYING}, got {self.slowly_varying!r}"

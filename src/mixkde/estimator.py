@@ -30,6 +30,7 @@ from .processes import (
     marginal_cdf,
     marginal_density,
 )
+from .util import _check_real
 
 STRATEGIES = ("direct", "binned")
 
@@ -46,7 +47,8 @@ class Grid:
     m: int
 
     def __post_init__(self):
-        # a finite span hi - lo has finite ends
+        _check_real(self.lo, "grid lo")
+        _check_real(self.hi, "grid hi")
         if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):
             raise ValueError(f"grid needs lo < hi and a finite span hi - lo, got [{self.lo}, {self.hi}]")
         if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 2:

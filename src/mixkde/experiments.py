@@ -56,7 +56,7 @@ from .processes import (
     rho_decay,
     rho_mixing_coefficient,
 )
-from .util import _run_replicates, check_int, clamped_log, derive_seed, dumps_json
+from .util import _check_real, _run_replicates, check_int, clamped_log, derive_seed, dumps_json
 
 KS_THRESHOLD = 0.05
 RATE_SLOPE_TOL = 0.1
@@ -125,7 +125,9 @@ class ExperimentConfig:
             )
         if not isinstance(self.base_seed, int) or isinstance(self.base_seed, bool):
             raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
-        if not (isinstance(self.p, (int, float)) and math.isfinite(self.p) and self.p >= 1.0):
+        for name in ("p", "block_alpha", "block_beta"):
+            _check_real(getattr(self, name), name)
+        if not self.p >= 1.0:
             raise ValueError(f"p must be a finite number >= 1, got {self.p!r}")
         if spec.needs_points and len(self.eval_points) == 0:
             raise ValueError(f"{self.kind} needs at least one evaluation point")
@@ -777,16 +779,10 @@ def moment_bound_check(
     rhs = log_factor * (
         float((rho * rho) @ xi_sq) ** (p / 2.0) + float((rho ** (2.0 / (p - 1))) @ xi_pp)
     )
-    if lhs == 0.0 and rhs == 0.0:
-        ratio = 0.0
-    elif rhs == 0.0:
-        ratio = math.inf
-    else:
-        ratio = lhs / rhs
     return {
         "lhs_estimate": lhs,
         "rhs_bound_shape": rhs,
-        "ratio": ratio,
+        "ratio": lhs / rhs if rhs != 0.0 else 0.0 if lhs == 0.0 else math.inf,
         "k": k,
         "p_k": part.p_k,
         "q_k": part.q_k,
@@ -804,22 +800,10 @@ def _run_moment_bound(config: ExperimentConfig, threads) -> dict:
     spread max/min within 50.
     """
     p = int(config.p)
-    rows = []
-    ratios = []
-    for k in config.n_list:
-        res = moment_bound_check(
-            config.model,
-            p,
-            int(k),
-            config.block_alpha,
-            config.block_beta,
-            config.replicates,
-            derive_seed(config.base_seed, int(k)),
-            threads=threads,
-        )
-        ratios.append(res["ratio"])
-        rows.append(res)
-
+    rows = [moment_bound_check(config.model, p, k, config.block_alpha, config.block_beta,
+                               config.replicates, derive_seed(config.base_seed, k), threads)
+            for k in config.n_list]
+    ratios = [row["ratio"] for row in rows]
     finite = all(math.isfinite(r) for r in ratios)
     positive = [r for r in ratios if r > 0.0]
     if finite and not positive:

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr, ndtri
 
-from .util import check_int
+from .util import _check_real, check_int
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -49,7 +49,8 @@ class ProcessModel:
     def __post_init__(self):
         if self.family not in ("iid", "ar1", "ma"):
             raise ValueError(f"unknown process family {self.family!r}")
-        if not (self.innovation_sd > 0.0 and math.isfinite(self.innovation_sd)):
+        _check_real(self.innovation_sd, "innovation_sd")
+        if not self.innovation_sd > 0.0:
             raise ValueError(f"innovation_sd must be positive, got {self.innovation_sd}")
         if self.family == "ar1":
             if not abs(self.phi) < 1.0:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -37,6 +38,12 @@ def check_int(value, name: str, least: int) -> None:
     """Refuse `value` unless it is an int (not a bool) and at least `least`."""
     if not isinstance(value, int) or isinstance(value, bool) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_real(value, name: str) -> None:
+    """Refuse `value` unless it is a finite real number (not a bool), naming the field."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 def resolve_threads(threads: int | None) -> int:

@@ -103,6 +103,11 @@ def test_schedule_validation():
         BandwidthSchedule(c=1.0, delta=math.nan)
     with pytest.raises(ValueError):
         BandwidthSchedule(c=1.0, delta=0.5, slowly_varying="loglog")
+    # a bool would echo into report.json as true
+    with pytest.raises(ValueError, match="schedule constant c must be a finite real number, got True"):
+        BandwidthSchedule(c=True, delta=0.5)
+    with pytest.raises(ValueError, match="schedule exponent delta must be a finite real number, got True"):
+        BandwidthSchedule(c=1.0, delta=True)
 
 
 def test_bandwidth_at_rejects_bad_n():

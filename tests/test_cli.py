@@ -281,10 +281,12 @@ def test_phi_beyond_the_plackett_lag_cap_exits_1(tmp_path, capsys, command, kind
 
 
 # Bandwidths the schedule family admits but no sum can use: h_n overflows to
-# inf (the bias kind has no B1 gate), is 0.0, or is subnormal, where the
-# oracle's panels overflow.
+# inf (the bias kind has no B1 gate) or past it, is 0.0, or is subnormal,
+# where the oracle's panels overflow.
 BANDWIDTH_RUNS = {
     "inf": ("bias", "1e308", "-1", "256, 512, 1024", 1, "inf at n = 256"),
+    # 256.0 ** 1000 raises OverflowError rather than giving inf
+    "overflow": ("rate_sup_lp", "1", "-1000", "256, 512, 1024", 1, "inf at n = 256"),
     "zero": ("clt_density", "5e-324", "0.9", "1000", 100, "0 at n = 1000"),
     "subnormal": ("clt_density", "1e-320", "0.9", "1000", 100, "1.97626e-323 at n = 1000"),
 }

@@ -512,5 +512,10 @@ def test_grid_validation():
         Grid(1.0, 0.0, 10)
     with pytest.raises(ValueError):
         Grid(0.0, 1.0, 1)
+    # bools would echo into report.json as false and true
+    with pytest.raises(ValueError, match="grid lo must be a finite real number, got False"):
+        Grid(False, True, 401)
+    with pytest.raises(ValueError, match="grid hi must be a finite real number, got '2'"):
+        Grid(-2.0, "2", 401)
     assert Grid(0.0, 1.0, 11).spacing == pytest.approx(0.1, abs=1e-15)
     assert DEFAULT_GRID.m == 401

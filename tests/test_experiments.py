@@ -297,6 +297,11 @@ def test_config_validation():
         _config(replicates=50)
     with pytest.raises(ValueError, match="n_list entries"):
         _config(n_list=(0,))
+    with pytest.raises(ValueError, match="n_list must not be empty"):
+        _config(n_list=())
+    # 256.0 ** 1000 raises OverflowError, which admission reads as h_n = inf
+    with pytest.raises(ValueError, match="bandwidth h_n = inf at n = 256 must be finite"):
+        _config(kind="rate_sup_lp", schedule=BandwidthSchedule(delta=-1000.0), n_list=(256, 512, 1024))
     # a fractional size is refused, not truncated to 100
     with pytest.raises(ValueError, match="n_list entries must be integers, got 100.7"):
         _config(n_list=(100.7, 200, 301))
@@ -314,6 +319,20 @@ def test_config_validation():
     # a bool is an int, but not a replicate count
     with pytest.raises(ValueError, match="replicates must be an integer >= 1, got True"):
         _config(kind="rate_sup_lp", n_list=(64, 128, 256), replicates=True)
+    # a bool or a non-number would echo into report.json as it came, or as p = 1
+    with pytest.raises(ValueError, match="p must be a finite real number, got True"):
+        _config(p=True)
+    for kind in experiments.KINDS:
+        shape = dict(kind=kind, n_list=(5, 6, 7) if kind == "moment_bound" else (128, 256, 512),
+                     replicates=100)
+        with pytest.raises(ValueError, match="block_alpha must be a finite real number, got 'x'"):
+            _config(**shape, block_alpha="x", block_beta=None)
+        with pytest.raises(ValueError, match="block_beta must be a finite real number, got None"):
+            _config(**shape, block_beta=None)
+    # the block order binds moment_bound only
+    _config(block_alpha=0.2, block_beta=0.3)
+    with pytest.raises(ValueError, match="block exponents must satisfy 0 < beta < alpha < 1"):
+        _config(kind="moment_bound", n_list=(5, 6, 7), block_alpha=0.2, block_beta=0.3)
 
 
 def test_validate_shape():

@@ -283,6 +283,9 @@ def test_model_validation():
         ProcessModel(family="iid", phi=0.3)  # parameter from another family
     with pytest.raises(ValueError):
         ProcessModel(family="garch")
+    # a bool would echo into report.json as true
+    with pytest.raises(ValueError, match="innovation_sd must be a finite real number, got True"):
+        ProcessModel(family="iid", innovation_sd=True)
 
 
 def test_generate_path_rejects_bad_n():

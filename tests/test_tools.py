@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import mixkde
+from mixkde import experiments, kernels
 from mixkde.cli import main
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_hashes.py"
@@ -59,6 +60,9 @@ def _report_hashes():
 
 def test_every_config_keeps_its_pinned_report_digest():
     tool = _report_hashes()
+    # a kind or a kernel missing from the tool's lists would have no pinned digest
+    assert tool.KINDS == experiments.KINDS
+    assert tool.FAMILIES == tuple(kernels.FAMILIES)
     pinned = json.loads(DIGESTS.read_text())
     got = {label: tool.digest(entry) for label, entry in tool.hash_all(main, [], False).items()}
     moved: dict[str, list[str]] = {}
