@@ -421,9 +421,9 @@ def _each_path(model: ProcessModel, n: int, count: int, base_seed: int, threads,
     """each(r, values) for r < count, values the length-n path of derive_seed(base_seed, r).
 
     The pool gets blocks of paths_per_block replicates, whose rows
-    generate_paths draws together; a path longer than one piece is its own
-    block. each(r, ...) must write only replicate r's slots; it owns `values`, its
-    row of the block, and may overwrite it.
+    generate_paths draws together; a path longer than one piece is a block
+    alone. each(r, ...) must write only replicate r's slots; it owns
+    `values`, its row of the block, and may overwrite it.
     """
     rows = paths_per_block(model, n)
 
