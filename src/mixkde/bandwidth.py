@@ -38,6 +38,7 @@ class BandwidthSchedule:
         if not self.c > 0.0:
             raise ValueError(f"schedule constant c must be positive, got {self.c}")
         _check_real(self.delta, "schedule exponent delta")
+        object.__setattr__(self, "delta", self.delta + 0.0)  # -0.0 would echo as "delta": -0
         if self.slowly_varying not in SLOWLY_VARYING:
             raise ValueError(
                 f"slowly_varying must be one of {SLOWLY_VARYING}, got {self.slowly_varying!r}"

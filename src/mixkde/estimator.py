@@ -47,8 +47,9 @@ class Grid:
     m: int
 
     def __post_init__(self):
-        _check_real(self.lo, "grid lo")
-        _check_real(self.hi, "grid hi")
+        for name in ("lo", "hi"):
+            _check_real(getattr(self, name), f"grid {name}")
+            object.__setattr__(self, name, getattr(self, name) + 0.0)  # -0.0 would echo as -0
         if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):
             raise ValueError(f"grid needs lo < hi and a finite span hi - lo, got [{self.lo}, {self.hi}]")
         if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 2:

@@ -108,7 +108,10 @@ class ExperimentConfig:
             if isinstance(n, bool) or not (isinstance(n, numbers.Real) and math.isfinite(n) and int(n) == n):
                 raise ValueError(f"n_list entries must be integers, got {n!r}")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
-        object.__setattr__(self, "eval_points", tuple(float(x) for x in self.eval_points))
+        for x in self.eval_points:
+            _check_real(x, "eval_points entry")
+        # + 0.0 turns -0.0 into 0.0, which would otherwise echo as -0
+        object.__setattr__(self, "eval_points", tuple(float(x) + 0.0 for x in self.eval_points))
         if len(self.n_list) == 0:
             raise ValueError("n_list must not be empty")
         for n in self.n_list:

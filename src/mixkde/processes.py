@@ -7,17 +7,25 @@ fixes every bit: the path keyed by a 64-bit seed is the Philox stream with
 that key, read as uniforms, turned into normals by the inverse CDF, then
 filtered. generate_paths draws many paths together, in pieces keyed by their
 stream position, each row with the bits it has when drawn alone
-(generate_path). See README "Library layout" and "Testing" (criterion 2).
+(generate_path). The AR(1) filter is scipy.signal._sigtools._linear_filter,
+the C function under scipy.signal.lfilter, loaded without the scipy.signal
+package (_load_linear_filter). See README "Library layout" and "Testing"
+(criterion 2).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import threading
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
+import scipy
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr, ndtri
 
@@ -62,11 +70,11 @@ class ProcessModel:
             w = self.weights
             if len(w) == 0:
                 raise ValueError("ma family needs a nonempty weight window")
-            if not all(math.isfinite(x) for x in w):
-                raise ValueError("ma weights must be finite")
+            for x in w:
+                _check_real(x, "ma weight")
             if all(x == 0.0 for x in w):
                 raise ValueError("ma weights must not all be zero")
-            object.__setattr__(self, "weights", tuple(float(x) for x in w))
+            object.__setattr__(self, "weights", tuple(float(x) + 0.0 for x in w))
         elif self.weights != ():
             raise ValueError("weights are only meaningful for the ma family")
 
@@ -124,6 +132,32 @@ def _generator() -> np.random.Generator:
     return gen
 
 
+def _load_linear_filter():
+    """scipy.signal._sigtools._linear_filter, the C kernel of scipy.signal.lfilter.
+
+    Importing scipy.signal for it would also import scipy.stats, about half a
+    second and 50 MB, so the one extension module is loaded from scipy's
+    signal directory without its package. A single-phase extension enters
+    itself in sys.modules; it is taken out again, so that a later import of
+    scipy.signal loads it whole. Loading it again beside an imported
+    scipy.signal would replace that entry, so the imported module is used.
+    """
+    name = "scipy.signal._sigtools"
+    module = sys.modules.get(name)
+    if module is None:
+        dirs = [os.path.join(path, "signal") for path in scipy.__path__]
+        spec = importlib.machinery.PathFinder.find_spec(name, dirs)
+        if spec is None:
+            raise ImportError(f"no extension module _sigtools in {dirs} (scipy {scipy.__version__})")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules.pop(name, None)
+    return module._linear_filter
+
+
+_linear_filter = _load_linear_filter()
+
+
 def paths_per_block(model: ProcessModel, n: int) -> int:
     """How many length-n paths of `model` one block draw holds (at least 1)."""
     return max(1, _BLOCK_VALUES // (n + model.window_order))
@@ -137,18 +171,19 @@ def generate_paths(model: ProcessModel, n: int, seeds) -> np.ndarray:
     every row of a piece reads its uniforms from this thread's one Philox
     (_generator), re-keyed at the piece's stream position (_rekey), then the
     clamp, ndtri, scaling and the AR(1) filter each run once on the piece,
-    the filter state carried from piece to piece. _each_path hands it
-    paths_per_block rows, so a path longer than a piece comes alone.
+    the filter state carried from piece to piece. The filter call is the one
+    scipy.signal.lfilter makes for a two-term denominator, so the bits are
+    lfilter's. _each_path hands it paths_per_block rows, so a path longer
+    than a piece comes alone.
     """
     check_int(n, "path length", 1)
-    if model.family == "ar1":
-        from scipy.signal import lfilter  # loaded on first use: it dominates import time
     seeds = [int(s) for s in seeds]
     q = model.window_order
     out = np.empty((len(seeds), n))
     # a moving average's innovations, q more than its values, need a buffer
     eps = np.empty((len(seeds), n + q)) if q else out
-    zi = np.zeros((len(seeds), 1))  # AR(1) filter state
+    # X_t = phi X_{t-1} + e_t as lfilter's numerator and denominator, and its state
+    b, a, zi = np.ones(1), np.array([1.0, -model.phi]), np.zeros((len(seeds), 1))
     gen = _generator()
     for start in range(0, n + q, _BLOCK_VALUES):
         piece = eps[:, start : start + _BLOCK_VALUES]
@@ -168,7 +203,7 @@ def generate_paths(model: ProcessModel, n: int, seeds) -> np.ndarray:
         else:
             piece *= model.innovation_sd
         if model.family == "ar1":
-            piece[...], zi = lfilter([1.0], [1.0, -model.phi], piece, axis=1, zi=zi)
+            piece[...], zi = _linear_filter(b, a, piece, 1, zi)
     if q:
         w = np.asarray(model.weights, dtype=float)
         # X_t = sum_j w_j eps_{t-j}; the q warm-up innovations make X_0

@@ -108,6 +108,10 @@ def test_schedule_validation():
         BandwidthSchedule(c=True, delta=0.5)
     with pytest.raises(ValueError, match="schedule exponent delta must be a finite real number, got True"):
         BandwidthSchedule(c=1.0, delta=True)
+    # -0.0 would echo as "delta": -0 and print as delta=-0
+    zero = BandwidthSchedule(c=1.0, delta=-0.0)
+    assert math.copysign(1.0, zero.delta) == 1.0
+    assert check_conditions(zero)["B1"].detail == "(B1) fails: delta=0 <= 0, so h_n does not tend to 0"
 
 
 def test_bandwidth_at_rejects_bad_n():

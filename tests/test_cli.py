@@ -407,9 +407,18 @@ def test_inverse_log_bandwidth_meets_b1_but_not_b2(tmp_path, capsys):
     # h_n = 2/log n (the paper's Remark 1): the rate kinds need only B1, uniform_as needs B2
     schedule = {"bandwidth.c": "2", "bandwidth.delta": "0", "bandwidth.slowly_varying": "invlog"}
     cfg = _write(tmp_path, _config_text({**RUNNABLE, **schedule, "experiment.kind": "rate_sup_lp",
-                                         "run.eval_points": "0.0"}))
+                                         "run.eval_points": "0.0", "run.replicates": "20"}))
     assert main(["validate", str(cfg)]) == 0
     assert "PASS B1: (B1) holds: delta=0 with l(n)=1/log n" in capsys.readouterr().out
+    # and the rate run goes through end to end
+    sup = tmp_path / "sup"
+    assert main(["run", str(cfg), "--out", str(sup)]) in (0, 3)
+    assert json.loads((sup / "manifest.json").read_text())["files"] == list(ARTIFACTS)
+    for name in ARTIFACTS:
+        assert (sup / name).is_file(), name
+    report = (sup / "report.json").read_text()
+    assert '"bandwidth": {"c": 2, "delta": 0, "slowly_varying": "invlog"}' in report
+    assert "(B1) holds: delta=0 with l(n)=1/log n" in report
     cfg = _write(tmp_path, _config_text({**RUNNABLE, **schedule, "experiment.kind": "uniform_as"}))
     assert main(["validate", str(cfg)]) == 2
     assert "FAIL B2: (B2) fails: delta=0 <= 0 puts the schedule outside" in capsys.readouterr().out
@@ -540,6 +549,23 @@ def test_negative_zero_phi_gives_the_report_of_no_phi(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_negative_zero_reals_give_the_report_of_zero(tmp_path):
+    """-0 in delta, an evaluation point or a grid end echoes as 0, as model.phi does."""
+    base = ("experiment.kind = bias\nmodel.family = iid\nkernel.family = epanechnikov\n"
+            "bandwidth.slowly_varying = log\nrun.n_list = 128, 256, 512\nrun.replicates = 1\n"
+            "run.base_seed = 3\n")
+    reports = []
+    for sign in ("", "-"):
+        text = base + (f"bandwidth.delta = {sign}0\nrun.eval_points = {sign}0, 0.5\n"
+                       f"grid.lo = {sign}0\n")
+        out = tmp_path / f"out{sign}"
+        assert main(["run", str(_write(tmp_path, text)), "--out", str(out)]) in (0, 3)
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    for echo in (b'"delta": 0,', b'"eval_points": [0, 0.5]', b'"grid": {"lo": 0,'):
+        assert echo in reports[1]
+
+
 def test_failed_write_leaves_no_manifest(tmp_path, capsys, monkeypatch):
     """A rerun whose write fails must not leave its report beside the old manifest."""
     import mixkde.cli as cli
@@ -640,15 +666,40 @@ def test_installed_entry_point():
     assert proc.stdout.strip() == f"mixkde {__version__}"
 
 
-def test_cli_import_leaves_out_heavy_scipy_modules():
-    # scipy.signal (for AR(1) paths) loads on first use; scipy.integrate not at all
+def test_cli_import_leaves_out_heavy_scipy_modules(tmp_path):
+    # an AR(1) run filters its paths with lfilter's C kernel alone
+    # (processes._load_linear_filter), so neither scipy.signal nor the
+    # scipy.stats it imports is loaded; scipy.integrate is not used at all
+    cfg = _write(tmp_path, CLT_SMALL)
     proc = _fresh_python(
         "-c",
         "import sys, mixkde.cli; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.integrate') if m in sys.modules))",
+        f"code = mixkde.cli.main(['run', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]); "
+        "print(code, sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.integrate') "
+        "if m in sys.modules))",
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] in ("0 []", "3 []")
+
+
+@pytest.mark.parametrize("signal_first", [False, True], ids=["draw_first", "signal_first"])
+def test_scipy_signal_imports_whole_beside_the_kernel(signal_first):
+    # the kernel is loaded without its package and taken out of sys.modules
+    # again, so a later import of scipy.signal loads its _sigtools whole; an
+    # earlier one lends the kernel its module
+    proc = _fresh_python(
+        "-c",
+        "import sys, numpy as np; "
+        + ("import scipy.signal; " if signal_first else "")
+        + "from mixkde.processes import ProcessModel, generate_path; "
+        "x = generate_path(ProcessModel('ar1', phi=0.5), 300, 7).values; "
+        "import scipy.signal; "
+        "assert scipy.signal._sigtools is sys.modules['scipy.signal._sigtools']; "
+        "print(scipy.signal.lfilter([1.0], [1.0, -0.5], [1.0, 2.0, 0.0]).tolist(), "
+        "np.array_equal(x, generate_path(ProcessModel('ar1', phi=0.5), 300, 7).values))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[1.0, 2.5, 1.25] True"
 
 
 # Under 2^10-value blocks: clt 101 paths of 200 values in 21 blocks of at most

@@ -322,6 +322,17 @@ def test_config_validation():
     # a bool or a non-number would echo into report.json as it came, or as p = 1
     with pytest.raises(ValueError, match="p must be a finite real number, got True"):
         _config(p=True)
+    # each evaluation point is a real number too: a bool would be admitted as 1.0
+    with pytest.raises(ValueError, match="eval_points entry must be a finite real number, got True"):
+        _config(eval_points=(True, 0.5))
+    with pytest.raises(ValueError, match="eval_points entry must be a finite real number, got '0.5'"):
+        _config(eval_points=("0.5",))
+    with pytest.raises(ValueError, match="eval_points entry must be a finite real number, got inf"):
+        _config(eval_points=(math.inf,))
+    # numpy reals stay admitted, as floats, and -0.0 becomes 0.0, which echoes as 0
+    points = _config(eval_points=(np.float64(0.25), np.int64(1), -0.0)).eval_points
+    assert points == (0.25, 1.0, 0.0) and all(type(x) is float for x in points)
+    assert math.copysign(1.0, points[2]) == 1.0
     for kind in experiments.KINDS:
         shape = dict(kind=kind, n_list=(5, 6, 7) if kind == "moment_bound" else (128, 256, 512),
                      replicates=100)

@@ -2,11 +2,16 @@
 
 import hashlib
 import math
+import os
+import re
+import sys
 
 import numpy as np
 import pytest
+import scipy
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
+from scipy.signal import lfilter
 from scipy.special import ndtr
 
 from mixkde import processes
@@ -122,6 +127,30 @@ def test_generate_paths_rows_equal_single_paths(monkeypatch, block_values):
             assert rows.shape == (len(seeds), n)
             for row, single in zip(rows, want[i, n]):
                 assert np.array_equal(row, single)
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.5, -0.9, 0.99])
+@pytest.mark.parametrize("rows, n", [(6, 10**4), (1, 2**16)])
+@pytest.mark.parametrize("strided", [False, True], ids=["whole", "piece"])
+def test_linear_filter_is_lfilter_bit_for_bit(phi, rows, n, strided):
+    # generate_paths calls lfilter's C kernel as lfilter does for a two-term
+    # denominator, on a piece of a wider buffer when a path takes two pieces
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((rows, n + 3))[:, 3:] if strided else rng.standard_normal((rows, n))
+    zi = rng.standard_normal((rows, 1))
+    y, zf = processes._linear_filter(np.ones(1), np.array([1.0, -phi]), x, 1, zi)
+    want_y, want_zf = lfilter([1.0], [1.0, -phi], x, axis=1, zi=zi)
+    assert y.shape == want_y.shape and zf.shape == want_zf.shape == (rows, 1)
+    assert y.tobytes() == want_y.tobytes() and zf.tobytes() == want_zf.tobytes()
+
+
+def test_missing_kernel_names_the_directory_and_scipy(monkeypatch, tmp_path):
+    monkeypatch.delitem(sys.modules, "scipy.signal._sigtools", raising=False)
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    dirs = [os.path.join(tmp_path, "signal")]
+    with pytest.raises(ImportError, match=re.escape(
+            f"no extension module _sigtools in {dirs} (scipy {scipy.__version__})")):
+        processes._load_linear_filter()
 
 
 def test_generate_paths_takes_no_seeds():
@@ -286,6 +315,17 @@ def test_model_validation():
     # a bool would echo into report.json as true
     with pytest.raises(ValueError, match="innovation_sd must be a finite real number, got True"):
         ProcessModel(family="iid", innovation_sd=True)
+    # each moving-average weight too: (True, False) would be admitted as (1.0, 0.0)
+    with pytest.raises(ValueError, match="ma weight must be a finite real number, got True"):
+        ProcessModel(family="ma", weights=(True, False))
+    with pytest.raises(ValueError, match="ma weight must be a finite real number, got nan"):
+        ProcessModel(family="ma", weights=(1.0, math.nan))
+    with pytest.raises(ValueError, match="ma weight must be a finite real number, got '1'"):
+        ProcessModel(family="ma", weights=("1",))
+    # numpy reals stay admitted, as floats, and -0.0 becomes 0.0
+    weights = ProcessModel(family="ma", weights=(np.float64(1.0), np.int64(2), -0.0)).weights
+    assert weights == (1.0, 2.0, 0.0) and all(type(x) is float for x in weights)
+    assert math.copysign(1.0, weights[2]) == 1.0
 
 
 def test_generate_path_rejects_bad_n():

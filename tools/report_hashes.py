@@ -136,7 +136,12 @@ def digest(entry: dict) -> str:
 
 
 def versions() -> dict:
-    """The versions the draws and the reports rest on (scipy's ndtri and lfilter)."""
+    """The versions the draws and the reports rest on.
+
+    The draws rest on scipy's ndtri and on scipy.signal._sigtools._linear_filter,
+    the C function under lfilter, which mixkde loads without the scipy.signal
+    package.
+    """
     import numpy
     import scipy
 
