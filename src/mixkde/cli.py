@@ -32,7 +32,7 @@ from .experiments import (
     run_experiment,
 )
 from .kernels import kernel_from_name
-from .processes import ProcessModel
+from .processes import ProcessModel, versions
 from .util import check_int, dumps_json, fmt_float
 
 THREADS_ENV_VAR = "MIXKDE_THREADS"
@@ -238,6 +238,7 @@ def cmd_run(config_path, out_dir, threads: int | None = None) -> int:
     _write_rows_csv(out / PLOTDATA_NAME, _plotdata_rows(report))
     manifest = {
         "tool_version": __version__,
+        "versions": versions(),
         "config_path": str(config_path),
         "out_dir": str(out_dir),
         "config": config_to_dict(config),

@@ -10,6 +10,8 @@ E f_n(x) and E F_n(x) under the N(0, s^2) marginal come from one oracle
 (_expected), which raises ArithmeticError when its 16- and 32-node rules
 disagree. README "Window sums" and "Oracles" give each path's error bound
 and the crossovers. _centring and _standardized own the CLT statistic.
+The normal CDF ndtr is scipy.special's, taken from mixkde.processes, which
+loads it without the scipy.special package.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from functools import cache, lru_cache, partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import ndtr
 
 from .kernels import KernelSpec, evaluate, horner
 from .processes import (
@@ -29,6 +30,7 @@ from .processes import (
     indicator_long_run_variance,
     marginal_cdf,
     marginal_density,
+    ndtr,
 )
 from .util import _check_real
 

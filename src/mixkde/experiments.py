@@ -19,7 +19,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .bandwidth import BandwidthSchedule, ConditionVerdict, bandwidth_at, check_conditions, condition
 from .blocking import _checked_level, _interpolated_gap, build_partition
@@ -51,6 +50,7 @@ from .processes import (
     marginal_density,
     marginal_density_derivative_sup,
     mixing_tail_bound,
+    ndtr,
     paths_per_block,
     plackett_lags,
     rho_decay,

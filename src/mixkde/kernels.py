@@ -2,9 +2,10 @@
 
 Four classical second-order kernels are provided. A compact kernel's K and
 G_K are its polynomial pieces, which the window sums and the oracle use too;
-the Gaussian keeps its closed forms. Constants are stored in closed form, so
-every normalization downstream is bit-stable; the test suite checks the stored
-numbers against adaptive quadrature.
+the Gaussian keeps its closed forms, its G_K being scipy.special's ndtr as
+mixkde.processes loads it, without the scipy.special package. Constants are
+stored in closed form, so every normalization downstream is bit-stable; the
+test suite checks the stored numbers against adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
+
+from .processes import ndtr
 
 # Beyond 8 standard deviations the Gaussian kernel is below 1.3e-15 of its
 # peak; windowed evaluation treats it as compactly supported at this radius.

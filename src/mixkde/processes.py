@@ -7,10 +7,12 @@ fixes every bit: the path keyed by a 64-bit seed is the Philox stream with
 that key, read as uniforms, turned into normals by the inverse CDF, then
 filtered. generate_paths draws many paths together, in pieces keyed by their
 stream position, each row with the bits it has when drawn alone
-(generate_path). The AR(1) filter is scipy.signal._sigtools._linear_filter,
-the C function under scipy.signal.lfilter, loaded without the scipy.signal
-package (_load_linear_filter). See README "Library layout" and "Testing"
-(criterion 2).
+(generate_path). ndtri and ndtr are the ufuncs of scipy.special._ufuncs and
+the AR(1) filter is scipy.signal._sigtools._linear_filter, the C function
+under scipy.signal.lfilter; each extension module is loaded without its
+package (_load_extension), which halves the start-up of the CLI. The other
+modules take ndtr from here. versions() names what the draw bits rest on.
+See README "Library layout" and "Testing" (criterion 2).
 """
 
 from __future__ import annotations
@@ -19,15 +21,16 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import platform
 import sys
 import threading
+import types
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 import scipy
 from numpy.polynomial.legendre import leggauss
-from scipy.special import ndtr, ndtri
 
 from .util import _check_real, check_int
 
@@ -132,30 +135,65 @@ def _generator() -> np.random.Generator:
     return gen
 
 
-def _load_linear_filter():
-    """scipy.signal._sigtools._linear_filter, the C kernel of scipy.signal.lfilter.
+def _load_extension(subpackage: str, name: str) -> types.ModuleType:
+    """The extension module scipy.<subpackage>.<name>, without its package.
 
-    Importing scipy.signal for it would also import scipy.stats, about half a
-    second and 50 MB, so the one extension module is loaded from scipy's
-    signal directory without its package. A single-phase extension enters
-    itself in sys.modules; it is taken out again, so that a later import of
-    scipy.signal loads it whole. Loading it again beside an imported
-    scipy.signal would replace that entry, so the imported module is used.
+    Importing scipy.special runs its __init__, which imports scipy's
+    array-API layer and numpy.f2py, some 260 modules; scipy.signal also
+    imports scipy.stats, about half a second and 50 MB. So the one extension
+    module is loaded from its directory. Its module init may import the
+    package by name, so while it loads, and only then (inside the import of
+    mixkde.processes), a bare placeholder module with the package's __path__
+    stands in sys.modules for a package not yet imported. Afterwards the
+    placeholder and every scipy.<subpackage> entry the load added are taken
+    out again, so that a later import of the package runs it whole; it gets
+    the same module and objects, which the extension keeps once per process.
+    An extension module already imported is used as it is, since loading it
+    again would replace that entry.
     """
-    name = "scipy.signal._sigtools"
-    module = sys.modules.get(name)
-    if module is None:
-        dirs = [os.path.join(path, "signal") for path in scipy.__path__]
-        spec = importlib.machinery.PathFinder.find_spec(name, dirs)
-        if spec is None:
-            raise ImportError(f"no extension module _sigtools in {dirs} (scipy {scipy.__version__})")
+    package = f"scipy.{subpackage}"
+    full = f"{package}.{name}"
+    module = sys.modules.get(full)
+    if module is not None:
+        return module
+    dirs = [os.path.join(path, subpackage) for path in scipy.__path__]
+    spec = importlib.machinery.PathFinder.find_spec(full, dirs)
+    if spec is None:
+        raise ImportError(f"no extension module {name} in {dirs} (scipy {scipy.__version__})")
+    before = set(sys.modules)
+    placeholder = types.ModuleType(package)
+    placeholder.__path__ = dirs
+    sys.modules.setdefault(package, placeholder)
+    try:
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        sys.modules.pop(name, None)
-    return module._linear_filter
+    finally:
+        for key in set(sys.modules) - before:
+            if key == package or key.startswith(f"{package}."):
+                del sys.modules[key]
+    return module
 
 
-_linear_filter = _load_linear_filter()
+_ufuncs = _load_extension("special", "_ufuncs")
+ndtr, ndtri = _ufuncs.ndtr, _ufuncs.ndtri
+_linear_filter = _load_extension("signal", "_sigtools")._linear_filter
+
+
+def versions() -> dict:
+    """The versions the draws and the reports rest on, for manifest.json.
+
+    The draw bits rest on two private scipy extension modules, loaded by
+    _load_extension: ndtri from scipy.special._ufuncs and _linear_filter, the
+    C function under lfilter, from scipy.signal._sigtools. So a bundle and
+    tools/report_hashes.py's pinned digests record the Python, numpy and
+    scipy versions and the platform.
+    """
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "platform": platform.platform(),
+    }
 
 
 def paths_per_block(model: ProcessModel, n: int) -> int:

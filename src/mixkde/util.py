@@ -41,8 +41,16 @@ def check_int(value, name: str, least: int) -> None:
 
 
 def _check_real(value, name: str) -> None:
-    """Refuse `value` unless it is a finite real number (not a bool), naming the field."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+    """Refuse `value` unless it is a finite real number (not a bool), naming the field.
+
+    An int too large for a double is refused too; math.isfinite raises
+    OverflowError on it.
+    """
+    try:
+        finite = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 

@@ -108,6 +108,9 @@ def test_schedule_validation():
         BandwidthSchedule(c=True, delta=0.5)
     with pytest.raises(ValueError, match="schedule exponent delta must be a finite real number, got True"):
         BandwidthSchedule(c=1.0, delta=True)
+    # an int too large for a double is the field's error, not an OverflowError
+    with pytest.raises(ValueError, match="schedule exponent delta must be a finite real number"):
+        BandwidthSchedule(delta=10**400)
     # -0.0 would echo as "delta": -0 and print as delta=-0
     zero = BandwidthSchedule(c=1.0, delta=-0.0)
     assert math.copysign(1.0, zero.delta) == 1.0

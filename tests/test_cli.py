@@ -1,5 +1,6 @@
 """Command line behavior: artifacts, exit codes, config parsing."""
 
+import ast
 import json
 import os
 import subprocess
@@ -87,6 +88,9 @@ def test_passing_run_writes_all_artifacts(tmp_path, capsys):
 
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["tool_version"] == __version__
+    # the draw bits rest on two private scipy modules: record what ran them
+    assert manifest["versions"] == processes.versions()
+    assert sorted(manifest["versions"]) == ["numpy", "platform", "python", "scipy"]
     assert manifest["files"] == list(ARTIFACTS)
     assert manifest["duration_seconds"] > 0.0
     assert manifest["config"]["model"]["family"] == "ar1"
@@ -666,40 +670,88 @@ def test_installed_entry_point():
     assert proc.stdout.strip() == f"mixkde {__version__}"
 
 
+HEAVY_SCIPY = ("scipy.special", "scipy.signal", "scipy.stats", "scipy.integrate")
+
+
 def test_cli_import_leaves_out_heavy_scipy_modules(tmp_path):
-    # an AR(1) run filters its paths with lfilter's C kernel alone
-    # (processes._load_linear_filter), so neither scipy.signal nor the
-    # scipy.stats it imports is loaded; scipy.integrate is not used at all
+    # ndtr/ndtri and lfilter's C kernel come from their extension modules
+    # alone (processes._load_extension), so an AR(1) run loads neither
+    # scipy.special's __init__ with the array-API layer and numpy.f2py it
+    # imports, nor scipy.signal with scipy.stats; scipy.integrate is not used
     cfg = _write(tmp_path, CLT_SMALL)
+    heavy = (*HEAVY_SCIPY, "scipy._lib._array_api", "numpy.f2py")
     proc = _fresh_python(
         "-c",
         "import sys, mixkde.cli; "
         f"code = mixkde.cli.main(['run', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]); "
-        "print(code, sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.integrate') "
-        "if m in sys.modules))",
+        f"print(code, sorted(m for m in {heavy!r} if m in sys.modules))",
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] in ("0 []", "3 []")
 
 
-@pytest.mark.parametrize("signal_first", [False, True], ids=["draw_first", "signal_first"])
-def test_scipy_signal_imports_whole_beside_the_kernel(signal_first):
-    # the kernel is loaded without its package and taken out of sys.modules
-    # again, so a later import of scipy.signal loads its _sigtools whole; an
-    # earlier one lends the kernel its module
+def _imported_names(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_no_module_imports_a_heavy_scipy_package():
+    # one `from scipy.special import ...` anywhere would bring back the
+    # package __init__s that processes._load_extension keeps out of start-up;
+    # the loader takes the extension modules by path, with no import statement
+    offenders = []
+    for path in sorted(Path(mixkde.__file__).resolve().parent.glob("*.py")):
+        for name in _imported_names(ast.parse(path.read_text(encoding="utf-8"))):
+            if any(name == heavy or name.startswith(f"{heavy}.") for heavy in HEAVY_SCIPY):
+                offenders.append(f"{path.name}: {name}")
+    assert offenders == []
+
+
+# package, the extension module mixkde loads from it, the object it takes,
+# and a call only the package's own __init__ provides
+LFILTER = "module.lfilter([1.0], [1.0, -0.5], [1.0, 2.0, 0.0]).tolist() == [1.0, 2.5, 1.25]"
+ERF = "module.erf(0.0) == 0.0"
+EXTENSIONS = {
+    "draw_first": ("scipy.signal", "_sigtools", "_linear_filter", LFILTER, False),
+    "signal_first": ("scipy.signal", "_sigtools", "_linear_filter", LFILTER, True),
+    "special_draw_first": ("scipy.special", "_ufuncs", "ndtri", ERF, False),
+    "special_first": ("scipy.special", "_ufuncs", "ndtri", ERF, True),
+}
+
+
+@pytest.mark.parametrize("package, extension, kernel, probe, package_first",
+                         EXTENSIONS.values(), ids=EXTENSIONS)
+def test_scipy_signal_imports_whole_beside_the_kernel(package, extension, kernel, probe, package_first):
+    # the extension is loaded without its package, beside a placeholder that
+    # is gone once mixkde.processes is imported, so a later import of the
+    # package runs it whole and hands out the same objects; an earlier one
+    # lends mixkde its extension module. ndtri and the drawn path keep their bits.
     proc = _fresh_python(
         "-c",
         "import sys, numpy as np; "
-        + ("import scipy.signal; " if signal_first else "")
-        + "from mixkde.processes import ProcessModel, generate_path; "
+        + (f"import {package}; " if package_first else "")
+        + f"before = sys.modules.get({package!r}); "
+        "from mixkde import processes; "
+        "from mixkde.processes import ProcessModel, generate_path; "
         "x = generate_path(ProcessModel('ar1', phi=0.5), 300, 7).values; "
-        "import scipy.signal; "
-        "assert scipy.signal._sigtools is sys.modules['scipy.signal._sigtools']; "
-        "print(scipy.signal.lfilter([1.0], [1.0, -0.5], [1.0, 2.0, 0.0]).tolist(), "
+        "u = np.linspace(0.001, 0.999, 999); y = processes.ndtri(u); "
+        f"left = sorted(m for m in sys.modules if m.startswith({package + '.'!r})); "
+        f"kept = sys.modules.get({package!r}) is before and (before is not None or left == []); "
+        f"import {package}; "
+        f"module = sys.modules[{package!r}]; "
+        "print(kept, module.__file__.endswith('__init__.py'), "
+        f"{probe}, "
+        f"getattr(module.{extension}, {kernel!r}) is getattr(processes, {kernel!r}), "
+        f"module.{extension} is sys.modules[{package + '.' + extension!r}], "
+        "processes.ndtri(u).tobytes() == y.tobytes(), "
         "np.array_equal(x, generate_path(ProcessModel('ar1', phi=0.5), 300, 7).values))",
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[1.0, 2.5, 1.25] True"
+    assert proc.stdout.strip() == "True True True True True True True"
 
 
 # Under 2^10-value blocks: clt 101 paths of 200 values in 21 blocks of at most

@@ -517,6 +517,9 @@ def test_grid_validation():
         Grid(False, True, 401)
     with pytest.raises(ValueError, match="grid hi must be a finite real number, got '2'"):
         Grid(-2.0, "2", 401)
+    # an int too large for a double is the field's error, not an OverflowError
+    with pytest.raises(ValueError, match="grid lo must be a finite real number"):
+        Grid(lo=-10**400, hi=1.0, m=5)
     # -0.0 would echo as -0
     assert [math.copysign(1.0, end) for end in (Grid(-0.0, 1.0, 3).lo, Grid(-1.0, -0.0, 3).hi)] == [1.0, 1.0]
     assert Grid(0.0, 1.0, 11).spacing == pytest.approx(0.1, abs=1e-15)

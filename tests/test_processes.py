@@ -145,12 +145,30 @@ def test_linear_filter_is_lfilter_bit_for_bit(phi, rows, n, strided):
 
 
 def test_missing_kernel_names_the_directory_and_scipy(monkeypatch, tmp_path):
-    monkeypatch.delitem(sys.modules, "scipy.signal._sigtools", raising=False)
     monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
-    dirs = [os.path.join(tmp_path, "signal")]
-    with pytest.raises(ImportError, match=re.escape(
-            f"no extension module _sigtools in {dirs} (scipy {scipy.__version__})")):
-        processes._load_linear_filter()
+    for subpackage, name in (("signal", "_sigtools"), ("special", "_ufuncs")):
+        monkeypatch.delitem(sys.modules, f"scipy.{subpackage}.{name}", raising=False)
+        dirs = [os.path.join(tmp_path, subpackage)]
+        with pytest.raises(ImportError, match=re.escape(
+                f"no extension module {name} in {dirs} (scipy {scipy.__version__})")):
+            processes._load_extension(subpackage, name)
+
+
+def test_extension_load_leaves_no_placeholder(monkeypatch, tmp_path):
+    # a module whose init imports its package by name loads beside a
+    # placeholder package; it and the entries the load added are gone after,
+    # whether the init succeeds or raises
+    (tmp_path / "fake").mkdir()
+    (tmp_path / "fake" / "_helper.py").write_text("VALUE = 3\n")
+    (tmp_path / "fake" / "_ok.py").write_text("from scipy.fake._helper import VALUE\n")
+    (tmp_path / "fake" / "_boom.py").write_text("import scipy.fake._helper\nraise RuntimeError('boom')\n")
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    assert processes._load_extension("fake", "_ok").VALUE == 3
+    assert not [m for m in sys.modules if m.startswith("scipy.fake")]
+    with pytest.raises(RuntimeError, match="boom"):
+        processes._load_extension("fake", "_boom")
+    assert not [m for m in sys.modules if m.startswith("scipy.fake")]
+    assert "fake" not in vars(scipy)
 
 
 def test_generate_paths_takes_no_seeds():
@@ -322,6 +340,9 @@ def test_model_validation():
         ProcessModel(family="ma", weights=(1.0, math.nan))
     with pytest.raises(ValueError, match="ma weight must be a finite real number, got '1'"):
         ProcessModel(family="ma", weights=("1",))
+    # an int too large for a double is the field's error, not an OverflowError
+    with pytest.raises(ValueError, match="ma weight must be a finite real number"):
+        ProcessModel("ma", weights=(10**400,))
     # numpy reals stay admitted, as floats, and -0.0 becomes 0.0
     weights = ProcessModel(family="ma", weights=(np.float64(1.0), np.int64(2), -0.0)).weights
     assert weights == (1.0, 2.0, 0.0) and all(type(x) is float for x in weights)

@@ -18,8 +18,9 @@ src/). --only keeps the configs whose label contains one of its strings.
 --diff prints, per config, what differs between two outputs, and per kind
 the largest relative difference of the report numbers; it exits 1 when any
 config's exit codes, validate output or bundle files differ. --pin writes
-one sha256 per config over its exit codes and hashes, with the Python,
-numpy and scipy versions, to the table that tests/test_tools.py checks:
+one sha256 per config over its exit codes and hashes, with the versions
+the bundle's manifest.json records (`mixkde.processes.versions()`), to the
+table that tests/test_tools.py checks:
 
     python tools/report_hashes.py --pin tests/report_digests.json
 """
@@ -32,7 +33,6 @@ import hashlib
 import io
 import itertools
 import json
-import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -135,19 +135,6 @@ def digest(entry: dict) -> str:
     return _sha(json.dumps({k: entry[k] for k in KEYS}, sort_keys=True).encode())
 
 
-def versions() -> dict:
-    """The versions the draws and the reports rest on.
-
-    The draws rest on scipy's ndtri and on scipy.signal._sigtools._linear_filter,
-    the C function under lfilter, which mixkde loads without the scipy.signal
-    package.
-    """
-    import numpy
-    import scipy
-
-    return {"python": platform.python_version(), "numpy": numpy.__version__, "scipy": scipy.__version__}
-
-
 def _relative(a: list[float], b: list[float]) -> float:
     worst = 0.0
     for x, y in zip(a, b):
@@ -206,6 +193,8 @@ def main(argv=None) -> int:
         return 1 if diff(before, after) else 0
     hashes = run(args.src, args.only, args.numbers)
     if args.pin:
+        from mixkde.processes import versions  # the mixkde that run() imported
+
         table = {"versions": versions(), "configs": {k: digest(v) for k, v in hashes.items()}}
         args.pin.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
         return 0
