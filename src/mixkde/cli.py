@@ -33,7 +33,7 @@ from .experiments import (
 )
 from .kernels import kernel_from_name
 from .processes import ProcessModel, versions
-from .util import check_int, dumps_json, fmt_float
+from .util import _encoder, check_int, dumps_json, fmt_float
 
 THREADS_ENV_VAR = "MIXKDE_THREADS"
 
@@ -156,14 +156,8 @@ def parse_config_file(path) -> ExperimentConfig:
     return build_config(parse_config_text(text, origin=str(path)))
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return fmt_float(value)
-    return str(value)
+# a CSV cell is the value's text, with bools in lower case and floats at 17 digits
+_csv_cell = _encoder({bool: lambda cell: str(cell).lower(), int: str, float: fmt_float, object: str})
 
 
 def _write_rows_csv(path: Path, rows: list[dict]) -> None:
@@ -173,7 +167,7 @@ def _write_rows_csv(path: Path, rows: list[dict]) -> None:
     header = list(rows[0].keys())
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_csv_cell(row.get(key)) for key in header))
+        lines.append(",".join([_csv_cell(row.get(key)) for key in header]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

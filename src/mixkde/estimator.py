@@ -17,6 +17,7 @@ loads it without the scipy.special package.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 
@@ -32,7 +33,7 @@ from .processes import (
     marginal_density,
     ndtr,
 )
-from .util import _check_real
+from .util import _check_real, _echo
 
 STRATEGIES = ("direct", "binned")
 
@@ -80,8 +81,9 @@ def _check_h(h: float, xs: np.ndarray | None = None) -> None:
 
     A NaN sorts last, so the range xs[-1] - xs[0] is NaN and the check passes.
     """
-    if isinstance(h, bool) or not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0.0):
-        raise ValueError(f"bandwidth must be a positive finite number, got {h!r}")
+    # compared, not converted: an int too large for a double is refused, not an OverflowError
+    if isinstance(h, bool) or not (isinstance(h, (int, float)) and 0.0 < h <= sys.float_info.max):
+        raise ValueError(f"bandwidth must be a positive finite number, got {_echo(h)}")
     if xs is not None and xs.size > 1:
         rng = float(xs[-1] - xs[0])
         if rng > 0.0 and h < _H_RANGE_FLOOR * rng:
@@ -472,39 +474,53 @@ def _rules() -> tuple:
 
 _ORACLE_TOL = 1e-10
 _MARGINAL_RADIUS = 40.0
+# Oracle points per block, which keeps a panel's values in cache. A lone last point joins the
+# block before it: numpy sums a one-row product as a dot product, whose bits can differ from gemv's.
+_ORACLE_BLOCK = 512
 
 
 def _expected(model: ProcessModel, kernel: KernelSpec, h: float, x, form: str):
     """E f_n(x) (form "density") or E F_n(x) ("cdf"); see README "Oracles"."""
     _check_h(h)
-    x = np.asarray(x, dtype=float)
+    points = np.asarray(x)
+    if points.dtype.kind in "iuf":
+        points = points.astype(float, copy=False)
+    # bools, strings and ints beyond 64 bits (numpy keeps those as objects) stay of other kinds
+    if points.dtype.kind != "f" or np.isnan(points).any():
+        raise ValueError(f"x must be real numbers other than NaN, got {_echo(x)}")
+    x = points
     if kernel.pieces is None:
         smoothed = ProcessModel(family="iid", innovation_sd=math.hypot(model.marginal_sd, h))
         return (marginal_density if form == "density" else marginal_cdf)(smoothed, x)
+    if not x.size:
+        return np.zeros(x.shape)
     pts = x.ravel()
     s = model.marginal_sd
     limit = _MARGINAL_RADIUS * s
-    rules = _rules()
-    sums = [np.zeros(pts.size) for _ in rules]
+    # both rules on one array of nodes: a panel's values are taken once
+    (coarse_nodes, coarse_weights), (fine_nodes, fine_weights) = _rules()
+    nodes, split = np.concatenate((coarse_nodes, fine_nodes)), coarse_nodes.size
+    coarse, fine = np.zeros(pts.size), np.zeros(pts.size)
+    reach = (np.array([[-limit], [limit]]) - pts) / h  # |x + h u| <= limit
+    edges = [*range(0, max(pts.size - 1, 1), _ORACLE_BLOCK), pts.size]
     for piece in kernel.pieces:
         coef = getattr(piece, form)
-        # the piece, clipped to |x + h u| <= limit
-        a = np.clip((-limit - pts) / h, piece.lo, piece.hi)
-        b = np.clip((limit - pts) / h, piece.lo, piece.hi)
-        panels = max(1, math.ceil(float(np.max(b - a, initial=0.0)) * h / s))
-        half = 0.5 * (b - a) / panels
-        for k in range(panels):
-            mid = a + (2 * k + 1) * half
-            for acc, (nodes, weights) in zip(sums, rules):
-                u = mid[:, None] + half[:, None] * nodes
-                values = horner(coef, u) * marginal_density(model, pts[:, None] + h * u)
-                acc += values @ weights * half
-    coarse, fine = sums
+        a, b = np.minimum(np.maximum(reach, piece.lo), piece.hi)  # the piece, clipped to the reach
+        width = b - a
+        panels = max(1, math.ceil(float(width.max()) * h / s))
+        half = 0.5 * width / panels
+        for at in map(slice, edges, edges[1:]):
+            x_at, a_at, half_at = pts[at, None], a[at], half[at]
+            for k in range(panels):
+                u = (a_at + (2 * k + 1) * half_at)[:, None] + half_at[:, None] * nodes
+                values = horner(coef, u) * marginal_density(model, x_at + h * u)
+                coarse[at] += values[:, :split] @ coarse_weights * half_at
+                fine[at] += values[:, split:] @ fine_weights * half_at
     if form == "cdf":
         below = marginal_cdf(model, pts + h * kernel.pieces[0].lo)
         coarse, fine = below + h * coarse, below + h * fine
-    gap = float(np.max(np.abs(fine - coarse), initial=0.0))
-    tol = _ORACLE_TOL * max(1.0, float(np.max(np.abs(fine), initial=0.0)))
+    gap = float(np.abs(fine - coarse).max())
+    tol = _ORACLE_TOL * max(1.0, float(np.abs(fine).max()))
     if gap > tol:
         raise ArithmeticError(f"Gauss-Legendre rules differ by {gap:.3g}, above {tol:.3g}")
     out = fine.reshape(x.shape)

@@ -56,7 +56,7 @@ from .processes import (
     rho_decay,
     rho_mixing_coefficient,
 )
-from .util import _check_real, _run_replicates, check_int, clamped_log, derive_seed, dumps_json
+from .util import _check_real, _echo, _run_replicates, check_int, clamped_log, derive_seed, dumps_json
 
 KS_THRESHOLD = 0.05
 RATE_SLOPE_TOL = 0.1
@@ -104,9 +104,14 @@ class ExperimentConfig:
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
         for n in self.n_list:
-            # a bool is an int, and int() of inf or NaN raises its own error
-            if isinstance(n, bool) or not (isinstance(n, numbers.Real) and math.isfinite(n) and int(n) == n):
-                raise ValueError(f"n_list entries must be integers, got {n!r}")
+            # a bool is an int, int() of inf or NaN raises its own error, and
+            # math.isfinite raises OverflowError on an int too large for a double
+            try:
+                finite = isinstance(n, numbers.Real) and not isinstance(n, bool) and math.isfinite(n)
+            except OverflowError:
+                raise ValueError(f"n_list entries must fit in a double, got {_echo(n)}") from None
+            if not (finite and int(n) == n):
+                raise ValueError(f"n_list entries must be integers, got {_echo(n)}")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         for x in self.eval_points:
             _check_real(x, "eval_points entry")

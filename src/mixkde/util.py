@@ -3,11 +3,12 @@ deterministic serialization."""
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -34,10 +35,18 @@ def derive_seed(base_seed: int, index: int) -> int:
     return splitmix64((base_seed + index * _GOLDEN) & _MASK64)
 
 
+def _echo(value) -> str:
+    """repr(value) cut to 60 characters; an int of over 128 bits (repr fails at 4300 digits) by its size."""
+    if isinstance(value, int) and value.bit_length() > 128:
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def check_int(value, name: str, least: int) -> None:
     """Refuse `value` unless it is an int (not a bool) and at least `least`."""
     if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise ValueError(f"{name} must be an integer >= {least}, got {_echo(value)}")
 
 
 def _check_real(value, name: str) -> None:
@@ -51,7 +60,7 @@ def _check_real(value, name: str) -> None:
     except OverflowError:
         finite = False
     if not finite:
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        raise ValueError(f"{name} must be a finite real number, got {_echo(value)}")
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -91,44 +100,52 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_json(obj, parts: list[str]) -> None:
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            # JSON has no literal for these; keep them readable and parseable
-            # as strings rather than emitting an invalid token.
-            parts.append(json.dumps(str(obj)))
-        else:
-            parts.append(fmt_float(obj))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, (key, val) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            if i:
-                parts.append(", ")
-            parts.append(json.dumps(key))
-            parts.append(": ")
-            _write_json(val, parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, val in enumerate(obj):
-            if i:
-                parts.append(", ")
-            _write_json(val, parts)
-        parts.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+def _encoder(table: dict):
+    """value -> table[type(value)](value); a type not in the table takes its first base's entry.
+
+    The bases are tried in the table's order, which ends with object.
+    """
+    def encode(value) -> str:
+        kind = type(value)
+        text = table.get(kind)
+        if text is None:
+            text = table[kind] = next(table[base] for base in tuple(table) if issubclass(kind, base))
+        return text(value)
+
+    return encode
+
+
+@lru_cache(maxsize=1024)  # a report repeats a few keys many times
+def _key_text(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"JSON object keys must be strings, got {_echo(key)}")
+    return encode_basestring_ascii(key) + ": "
+
+
+def _json_object(obj: dict) -> str:
+    return "{" + ", ".join([_key_text(key) + _json(val) for key, val in obj.items()]) + "}"
+
+
+def _json_array(obj) -> str:
+    return "[" + ", ".join([_json(val) for val in obj]) + "]"
+
+
+def _refuse(obj):
+    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+# JSON has no literal for a non-finite float; it is written as the string of its str()
+_json = _encoder({
+    type(None): lambda obj: "null",
+    bool: lambda obj: "true" if obj else "false",
+    int: str,
+    float: lambda obj: fmt_float(obj) if math.isfinite(obj) else encode_basestring_ascii(str(obj)),
+    str: encode_basestring_ascii,
+    dict: _json_object,
+    list: _json_array,
+    tuple: _json_array,
+    object: _refuse,
+})
 
 
 def dumps_json(obj) -> str:
@@ -138,7 +155,4 @@ def dumps_json(obj) -> str:
     byte-identical. The stdlib encoder is avoided because its float repr is
     shortest-round-trip, not fixed-width, which makes diffs noisier.
     """
-    parts: list[str] = []
-    _write_json(obj, parts)
-    parts.append("\n")
-    return "".join(parts)
+    return _json(obj) + "\n"

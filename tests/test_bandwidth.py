@@ -111,6 +111,10 @@ def test_schedule_validation():
     # an int too large for a double is the field's error, not an OverflowError
     with pytest.raises(ValueError, match="schedule exponent delta must be a finite real number"):
         BandwidthSchedule(delta=10**400)
+    # repr cannot print an int of over 4300 digits; the echo names its size instead
+    with pytest.raises(ValueError, match="^schedule exponent delta must be a finite real number, "
+                                         "got an int of 16610 bits$"):
+        BandwidthSchedule(delta=10**5000)
     # -0.0 would echo as "delta": -0 and print as delta=-0
     zero = BandwidthSchedule(c=1.0, delta=-0.0)
     assert math.copysign(1.0, zero.delta) == 1.0

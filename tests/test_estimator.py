@@ -22,7 +22,7 @@ from mixkde.estimator import (
     expected_density,
     expected_density_curve,
 )
-from mixkde.kernels import FAMILIES, evaluate, kernel_cdf, kernel_from_name
+from mixkde.kernels import FAMILIES, evaluate, horner, kernel_cdf, kernel_from_name
 from mixkde.processes import (
     ProcessModel,
     SamplePath,
@@ -136,11 +136,13 @@ def test_rejects_nonpositive_bandwidth():
 
 def test_rejects_a_bool_bandwidth():
     path = _path_from([0.0, 1.0])
-    calls = (lambda: expected_density(IID, GAUSS, True, 0.0), lambda: clt_statistic(path, GAUSS, True, 0.0),
-             lambda: density_estimate(path, GAUSS, True))
-    for call in calls:
-        with pytest.raises(ValueError, match="bandwidth must be a positive finite number, got True"):
-            call()
+    # an int too large for a double is refused too, not left to raise OverflowError
+    for h, echo in ((True, "True"), (10**400, "an int of 1329 bits")):
+        calls = (lambda: expected_density(IID, GAUSS, h, 0.0), lambda: clt_statistic(path, GAUSS, h, 0.0),
+                 lambda: density_estimate(path, GAUSS, h))
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^bandwidth must be a positive finite number, got {echo}$"):
+                call()
 
 
 def test_rejects_degenerate_bandwidth():
@@ -301,6 +303,79 @@ def test_oracle_raises_when_its_rules_disagree(monkeypatch):
         expected_density(AR, EPAN, 0.35, 0.4)
     with pytest.raises(ArithmeticError, match="rules differ"):
         expected_cdf(AR, EPAN, 0.35, 0.4)
+
+
+def _two_rule_loop(model, kernel, h, x, form):
+    """The oracle as one loop per rule over whole arrays, kept as the reference for its bits."""
+    from numpy.polynomial.legendre import leggauss
+
+    x = np.asarray(x, dtype=float)
+    if kernel.pieces is None:
+        smoothed = ProcessModel(family="iid", innovation_sd=math.hypot(model.marginal_sd, h))
+        return (marginal_density if form == "density" else marginal_cdf)(smoothed, x)
+    pts = x.ravel()
+    s = model.marginal_sd
+    limit = 40.0 * s
+    rules = leggauss(16), leggauss(32)
+    sums = [np.zeros(pts.size) for _ in rules]
+    for piece in kernel.pieces:
+        coef = getattr(piece, form)
+        a = np.clip((-limit - pts) / h, piece.lo, piece.hi)
+        b = np.clip((limit - pts) / h, piece.lo, piece.hi)
+        panels = max(1, math.ceil(float(np.max(b - a, initial=0.0)) * h / s))
+        half = 0.5 * (b - a) / panels
+        for k in range(panels):
+            mid = a + (2 * k + 1) * half
+            for acc, (nodes, weights) in zip(sums, rules):
+                u = mid[:, None] + half[:, None] * nodes
+                values = horner(coef, u) * marginal_density(model, pts[:, None] + h * u)
+                acc += values @ weights * half
+    fine = sums[1]
+    if form == "cdf":
+        fine = marginal_cdf(model, pts + h * kernel.pieces[0].lo) + h * fine
+    out = fine.reshape(x.shape)
+    return out if out.ndim else float(out)
+
+
+ORACLE_MODELS = (IID, AR, ProcessModel(family="ar1", phi=-0.7), ProcessModel(family="ma", weights=(1.0, 0.6, -0.3)),
+                 ProcessModel(family="ar1", phi=0.9, innovation_sd=0.3), ProcessModel(family="iid", innovation_sd=2.5))
+# 513 points are one whole block and one point left over
+ORACLE_POINTS = (0.4, -2.3, np.array([-1.0, 0.0, 2.5]), np.linspace(-3.0, 3.0, 201),
+                 np.random.default_rng(3).normal(size=(7, 5)), np.array([]),
+                 np.array([-45.0, 41.0, 1e3, -1e300, math.inf, -math.inf]), np.linspace(-2.0, 2.0, 513))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # x = -1e300 at h = 1e-9
+@pytest.mark.parametrize("form", ["density", "cdf"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_oracle_keeps_the_bits_of_its_two_rule_loop(family, form):
+    kernel = kernel_from_name(family)
+    def same(model, h, x):
+        got, want = estimator._expected(model, kernel, h, x, form), _two_rule_loop(model, kernel, h, x, form)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (model, h, np.shape(x))
+
+    for model in ORACLE_MODELS:
+        for h in (1e-9, 1e-4, 0.05, 0.35, 3.0, 1e5):
+            for x in ORACLE_POINTS:
+                same(model, h, x)
+    for h in (0.05, 30.0):  # seven blocks
+        same(AR, h, np.linspace(-8.0, 8.0, 3267))
+
+
+def test_oracles_refuse_a_bad_x_for_every_family():
+    # NaN, a bool, a string, an int too large for a double, and arrays holding them
+    bad = ((math.nan, "nan"), (True, "True"), ("0.5", "'0.5'"), (10**400, "an int of 1329 bits"),
+           ([0.1, math.nan], r"\[0.1, nan\]"), (np.array([False, True]), r"array\(\[False,  True\]\)"),
+           ([1.0, None], r"\[1.0, None\]"))
+    for kernel in FAMILIES.values():
+        for oracle in (expected_density, expected_cdf, bias):
+            for x, echo in bad:
+                with pytest.raises(ValueError, match=f"^x must be real numbers other than NaN, got {echo}$"):
+                    oracle(AR, kernel, 0.3, x)
+            # +-inf keep their limits
+            assert oracle(AR, kernel, 0.3, math.inf) == (1.0 if oracle is expected_cdf else 0.0)
+            assert oracle(AR, kernel, 0.3, -math.inf) == 0.0
 
 
 def test_oracle_takes_arrays():

@@ -312,6 +312,9 @@ def test_config_validation():
         _config(n_list=(math.inf,))
     with pytest.raises(ValueError, match="n_list entries must be integers, got nan"):
         _config(n_list=(math.nan,))
+    # an int too large for a double is the field's error, not an OverflowError, with a short echo
+    with pytest.raises(ValueError, match="^n_list entries must fit in a double, got an int of 1329 bits$"):
+        _config(n_list=(128, 256, 10**400))
     # numpy integers and integral floats stay admitted
     assert _config(n_list=(np.int64(256), 512.0)).n_list == (256, 512)
     with pytest.raises(ValueError, match="base_seed"):

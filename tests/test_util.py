@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from mixkde.bandwidth import BandwidthSchedule, bandwidth_at
+from mixkde.cli import _write_rows_csv
 from mixkde.blocking import _checked_level
 from mixkde.experiments import ExperimentConfig, moment_bound_check
 from mixkde.kernels import kernel_from_name
@@ -48,10 +50,29 @@ def test_fmt_float_round_trips():
         assert float(fmt_float(x)) == x
 
 
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
 def test_dumps_json_floats_and_order():
     out = dumps_json({"b": 0.1, "a": [1, 2.5, None, True]})
     assert out == '{"b": 0.10000000000000001, "a": [1, 2.5, null, true]}\n'
     assert json.loads(out) == {"b": 0.1, "a": [1, 2.5, None, True]}
+    # tuples are arrays, numpy floats and other subclasses are written as their base type, and
+    # every double keeps 17 digits, -0.0 and the smallest subnormal included
+    out = dumps_json({"t": (1, 2.5), "np": np.float64(0.1), "e": [[], {}, [[]], {"k": {}}],
+                      "z": -0.0, "tiny": 5e-324, "big": 1e16, "sub": [_Int(3), _Float(0.5)]})
+    assert out == ('{"t": [1, 2.5], "np": 0.10000000000000001, "e": [[], {}, [[]], {"k": {}}], "z": -0, '
+                   '"tiny": 4.9406564584124654e-324, "big": 10000000000000000, "sub": [3, 0.5]}\n')
+    # keys and strings are quoted as json.dumps quotes them, non-ASCII as \u escapes
+    key, text = 'q"\\\n\tn\u00e9', 'a"b\\c\nd\u00e9\u2603\x01'
+    out = dumps_json({key: [text]})
+    assert out == '{"q\\"\\\\\\n\\tn\\u00e9": ["a\\"b\\\\c\\nd\\u00e9\\u2603\\u0001"]}\n'
+    assert json.loads(out) == {key: [text]}
 
 
 def test_dumps_json_nonfinite_as_strings():
@@ -59,6 +80,8 @@ def test_dumps_json_nonfinite_as_strings():
     parsed = json.loads(out)
     assert parsed["v"] == "inf"
     assert parsed["w"] == "nan"
+    out = dumps_json([True, False, math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")])
+    assert out == '[true, false, "nan", "inf", "-inf", "nan", "-inf"]\n'
 
 
 def test_dumps_json_rejects_unknown_types():
@@ -66,6 +89,23 @@ def test_dumps_json_rejects_unknown_types():
         dumps_json({"x": object()})
     with pytest.raises(TypeError, match="keys must be strings"):
         dumps_json({1: "x"})
+    # numpy ints are not ints, sets are not arrays, and a tuple is not a key, at any depth
+    for obj, message in ((np.int64(3), "cannot serialize int64"), ([1, {"a": {2.5}}], "cannot serialize set"),
+                         ({"a": [{(1, 2): 0}]}, r"keys must be strings, got \(1, 2\)")):
+        with pytest.raises(TypeError, match=message):
+            dumps_json(obj)
+
+
+def test_rows_csv_writes_each_cell_type(tmp_path):
+    path = tmp_path / "rows.csv"
+    # the first row's keys are the header; a missing key is None; numpy scalars are written by str
+    _write_rows_csv(path, [{"a": True, "b": 3, "c": 0.1, "d": None, "e": "x y"},
+                           {"a": False, "b": _Int(-7), "c": np.float64(1e16), "e": "s", "d": 2},
+                           {"b": np.int64(5), "c": math.inf}])
+    assert path.read_text(encoding="utf-8") == ("a,b,c,d,e\ntrue,3,0.10000000000000001,None,x y\n"
+                                                "false,-7,10000000000000000,2,s\nNone,5,inf,None,None\n")
+    with pytest.raises(TypeError):
+        _write_rows_csv(path, [{1: 0.5}])
 
 
 AR1 = ProcessModel("ar1", phi=0.5)
@@ -89,7 +129,9 @@ CHECK_INT_SITES = {
 @pytest.mark.parametrize("site", sorted(CHECK_INT_SITES))
 def test_integer_arguments_refuse_bools_fractions_and_small_values(site):
     name, least, call = CHECK_INT_SITES[site]
-    for value in (True, 1.5, least - 1):
+    # repr cannot print an int of over 4300 digits; the echo names its size instead
+    for value, echo in ((True, "True"), (1.5, "1.5"), (least - 1, str(least - 1)),
+                        (-10**5000, "a negative int of 16610 bits")):
         with pytest.raises(ValueError) as info:
             call(value)
-        assert str(info.value) == f"{name} must be an integer >= {least}, got {value!r}"
+        assert str(info.value) == f"{name} must be an integer >= {least}, got {echo}"
