@@ -33,7 +33,7 @@ from .experiments import (
 )
 from .kernels import kernel_from_name
 from .processes import ProcessModel, versions
-from .util import _encoder, check_int, dumps_json, fmt_float
+from .util import _column, _echo, _encoder, _thread_cap, check_int, dumps_json, fmt_float
 
 THREADS_ENV_VAR = "MIXKDE_THREADS"
 
@@ -62,12 +62,12 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{origin}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+            raise ValueError(f"{origin}:{lineno}: expected 'key = value', got {_echo(raw.strip())}")
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
-            raise ValueError(f"{origin}:{lineno}: empty key or value in {raw.strip()!r}")
+            raise ValueError(f"{origin}:{lineno}: empty key or value in {_echo(raw.strip())}")
         if key not in _KEYS:
-            raise ValueError(f"{origin}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{origin}:{lineno}: unknown key {_echo(key)}")
         if key in table:
             raise ValueError(f"{origin}:{lineno}: duplicate key {key!r}")
         table[key] = value
@@ -82,9 +82,9 @@ def _conv_float(key: str, value: str) -> float:
     try:
         out = float(value)
     except ValueError:
-        raise ValueError(f"key {key!r}: expected a number, got {value!r}") from None
+        raise ValueError(f"key {key!r}: expected a number, got {_echo(value)}") from None
     if not math.isfinite(out):
-        raise ValueError(f"key {key!r}: value must be finite, got {value!r}")
+        raise ValueError(f"key {key!r}: value must be finite, got {_echo(value)}")
     return out
 
 
@@ -92,14 +92,14 @@ def _conv_int(key: str, value: str) -> int:
     try:
         return int(value, base=10)
     except ValueError:
-        raise ValueError(f"key {key!r}: expected an integer, got {value!r}") from None
+        raise ValueError(f"key {key!r}: expected an integer, got {_echo(value)}") from None
 
 
 def _list_of(convert):
     def conv(key: str, value: str) -> tuple:
         items = [item.strip() for item in value.split(",") if item.strip()]
         if not items:
-            raise ValueError(f"key {key!r}: expected a comma-separated list, got {value!r}")
+            raise ValueError(f"key {key!r}: expected a comma-separated list, got {_echo(value)}")
         return tuple(convert(key, item) for item in items)
     return conv
 
@@ -165,10 +165,10 @@ def _write_rows_csv(path: Path, rows: list[dict]) -> None:
         path.write_text("", encoding="utf-8")
         return
     header = list(rows[0].keys())
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join([_csv_cell(row.get(key)) for key in header]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = [_column([row.get(key) for row in rows], _csv_cell) for key in header]
+    # with no columns, zip would yield no rows; each row is then an empty line
+    lines = [",".join(cells) for cells in zip(*columns)] if header else [""] * len(rows)
+    path.write_text("\n".join([",".join(header), *lines]) + "\n", encoding="utf-8")
 
 
 def _plotdata_rows(report) -> list[dict]:
@@ -236,6 +236,7 @@ def cmd_run(config_path, out_dir, threads: int | None = None) -> int:
         "config_path": str(config_path),
         "out_dir": str(out_dir),
         "config": config_to_dict(config),
+        "effective_threads": _thread_cap(threads),
         "files": [REPORT_NAME, PER_N_NAME, PLOTDATA_NAME, MANIFEST_NAME],
         "duration_seconds": time.monotonic() - started,
     }

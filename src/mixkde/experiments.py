@@ -131,8 +131,10 @@ class ExperimentConfig:
                 f"{self.kind} needs at least {spec.least_replicates} replicates for a usable "
                 f"distribution comparison, got {self.replicates}"
             )
-        if not isinstance(self.base_seed, int) or isinstance(self.base_seed, bool):
-            raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
+        # derive_seed reduces a seed mod 2^64, so a wider one names no further stream
+        seed = self.base_seed
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed.bit_length() > 64:
+            raise ValueError(f"base_seed must be an integer of at most 64 bits, got {_echo(seed)}")
         for name in ("p", "block_alpha", "block_beta"):
             _check_real(getattr(self, name), name)
         if not self.p >= 1.0:

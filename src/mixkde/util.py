@@ -73,6 +73,11 @@ def resolve_threads(threads: int | None) -> int:
     return threads
 
 
+def _thread_cap(threads: int | None) -> int:
+    """The most threads a replicate pool may run: the resolved cap, at most one per CPU."""
+    return min(resolve_threads(threads), os.cpu_count() or 1)
+
+
 def _run_replicates(count: int, threads: int | None, worker) -> None:
     """Run worker(i) for i in range(count), possibly on a thread pool.
 
@@ -81,7 +86,7 @@ def _run_replicates(count: int, threads: int | None, worker) -> None:
     slots; results are aggregated by index afterwards, so any thread count
     gives identical bytes.
     """
-    t = min(resolve_threads(threads), count, os.cpu_count() or 1)
+    t = min(_thread_cap(threads), count)
     if t <= 1:
         for i in range(count):
             worker(i)
@@ -126,8 +131,28 @@ def _json_object(obj: dict) -> str:
     return "{" + ", ".join([_key_text(key) + _json(val) for key, val in obj.items()]) + "}"
 
 
+def _column(cells, encode) -> list[str]:
+    """The text of each cell: a column of exact, finite floats by one %-format call, others by encode."""
+    if set(map(type, cells)) == {float}:
+        # "%.17g" writes format(x, ".17g"); "inf" and "nan" are the only texts with an "n"
+        text = ("%.17g\n" * len(cells)) % tuple(cells)
+        if "n" not in text:
+            return text[:-1].split("\n")
+    return [encode(cell) for cell in cells]
+
+
 def _json_array(obj) -> str:
-    return "[" + ", ".join([_json(val) for val in obj]) + "]"
+    """A list, rendered by column.
+
+    Two or more dicts with the same keys in the same order give one column
+    per key, joined row by row with one template; any other list is one column.
+    """
+    keys = tuple(obj[0]) if len(obj) > 1 and type(obj[0]) is dict else ()
+    if keys and all(type(row) is dict and tuple(row) == keys for row in obj):
+        template = "{" + ", ".join([_key_text(key).replace("%", "%%") + "%s" for key in keys]) + "}"
+        columns = [_column(cells, _json) for cells in zip(*[row.values() for row in obj])]
+        return "[" + ", ".join([template % cells for cells in zip(*columns)]) + "]"
+    return "[" + ", ".join(_column(obj, _json)) + "]"
 
 
 def _refuse(obj):

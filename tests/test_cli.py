@@ -120,6 +120,17 @@ def test_reruns_and_thread_counts_are_byte_identical(tmp_path):
         assert (out / "plotdata.csv").read_bytes() == ref_plot
 
 
+def test_manifest_records_the_effective_thread_cap(tmp_path):
+    cfg = _write(tmp_path, CLT_SMALL)
+    reports = set()
+    for threads, cap in (("1", 1), ("0", os.cpu_count() or 1), ("100", os.cpu_count() or 1)):
+        out = tmp_path / f"out{threads}"
+        assert main(["run", str(cfg), "--out", str(out), "--threads", threads]) in (0, 3)
+        assert json.loads((out / "manifest.json").read_text())["effective_threads"] == cap
+        reports.add((out / "report.json").read_bytes())
+    assert len(reports) == 1
+
+
 def test_env_var_sets_threads_and_option_wins(tmp_path, monkeypatch):
     cfg = _write(tmp_path, PASSING_RUN)
     monkeypatch.setenv("MIXKDE_THREADS", "2")
@@ -203,6 +214,31 @@ def test_malformed_configs_exit_1(tmp_path, capsys, mangle, fragment):
     cfg = _write(tmp_path, mangle(CLT_SMALL))
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("value, echo", [
+    ("1" * 5000, "'" + "1" * 56 + "..."),  # int() refuses it; the echo is cut to 60 characters
+    ("1" * 100, "an int of 330 bits"),  # parsed, then refused by admission as wider than 64 bits
+    ("x" * 5000, "'" + "x" * 56 + "..."),
+], ids=["5000_digits", "100_digits", "5000_letters"])
+def test_a_huge_seed_exits_1_with_a_short_line(tmp_path, capsys, command, value, echo):
+    cfg = _write(tmp_path, CLT_SMALL.replace("run.base_seed = 42", f"run.base_seed = {value}"))
+    out = tmp_path / "out"
+    assert main([command, str(cfg)] + (["--out", str(out)] if command == "run" else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"got {echo}\n") and len(err) < 120
+    assert not out.exists()
+
+
+def test_long_config_text_is_echoed_short(tmp_path, capsys):
+    for line in ("model.phi = " + "9" * 5000, "model.phi = " + "a" * 5000, "b" * 5000,
+                 "run.eval_points = " + "," * 5000, "x" * 5000 + " = 1"):
+        cfg = _write(tmp_path, "\n".join(kept for kept in CLT_SMALL.splitlines()
+                                         if kept.split(" =")[0] != line.split(" =")[0]) + "\n" + line + "\n")
+        assert main(["validate", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "..." in err and len(err) < 120 + len(str(cfg)), err
 
 
 def test_parse_errors_carry_file_and_line(tmp_path, capsys):

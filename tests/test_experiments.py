@@ -319,6 +319,14 @@ def test_config_validation():
     assert _config(n_list=(np.int64(256), 512.0)).n_list == (256, 512)
     with pytest.raises(ValueError, match="base_seed"):
         _config(base_seed="7")
+    # derive_seed reduces a seed mod 2^64: a wider one is refused, not carried into report.json,
+    # whose writer cannot print an int of over 4300 digits
+    for seed, echo in ((10**5000, "an int of 16610 bits"), (2**64, "18446744073709551616"),
+                       (-2**64, "-18446744073709551616"), (True, "True")):
+        with pytest.raises(ValueError, match=f"^base_seed must be an integer of at most 64 bits, got {echo}$"):
+            _config(base_seed=seed)
+    assert _config(base_seed=2**64 - 1).base_seed == 2**64 - 1
+    assert _config(base_seed=-(2**64 - 1)).base_seed == -(2**64 - 1)
     # a bool is an int, but not a replicate count
     with pytest.raises(ValueError, match="replicates must be an integer >= 1, got True"):
         _config(kind="rate_sup_lp", n_list=(64, 128, 256), replicates=True)

@@ -1,16 +1,19 @@
+import collections
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import pytest
 
 from mixkde.bandwidth import BandwidthSchedule, bandwidth_at
-from mixkde.cli import _write_rows_csv
+from mixkde.cli import _csv_cell, _write_rows_csv
 from mixkde.blocking import _checked_level
 from mixkde.experiments import ExperimentConfig, moment_bound_check
 from mixkde.kernels import kernel_from_name
 from mixkde.processes import ProcessModel, conditional_mean, generate_paths, rho_mixing_coefficient
-from mixkde.util import clamped_log, derive_seed, dumps_json, fmt_float, resolve_threads, splitmix64
+from mixkde.util import (_encoder, _key_text, _refuse, clamped_log, derive_seed, dumps_json, fmt_float,
+                         resolve_threads, splitmix64)
 
 
 def test_splitmix64_known_vector():
@@ -106,6 +109,83 @@ def test_rows_csv_writes_each_cell_type(tmp_path):
                                                 "false,-7,10000000000000000,2,s\nNone,5,inf,None,None\n")
     with pytest.raises(TypeError):
         _write_rows_csv(path, [{1: 0.5}])
+
+
+# The per-value writers that rendered report.json and the CSV tables before lists were rendered by
+# column: the reference that the column writers must match byte for byte.
+def _reference_array(obj) -> str:
+    return "[" + ", ".join([_reference_json(val) for val in obj]) + "]"
+
+
+_reference_json = _encoder({
+    type(None): lambda obj: "null",
+    bool: lambda obj: "true" if obj else "false",
+    int: str,
+    float: lambda obj: fmt_float(obj) if math.isfinite(obj) else encode_basestring_ascii(str(obj)),
+    str: encode_basestring_ascii,
+    dict: lambda obj: "{" + ", ".join([_key_text(key) + _reference_json(val) for key, val in obj.items()]) + "}",
+    list: _reference_array,
+    tuple: _reference_array,
+    object: _refuse,
+})
+
+
+def _reference_csv(rows) -> str:
+    if not rows:
+        return ""
+    header = list(rows[0].keys())
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join([_csv_cell(row.get(key)) for key in header]))
+    return "\n".join(lines) + "\n"
+
+
+_FLOATS = [0.1, -0.0, 5e-324, 1e16, -2.5e-300, 1.7976931348623157e308, 3.0]
+# each table's rows share their keys in one order unless its name says otherwise
+TABLES = {
+    "finite floats": [{"n": 2**k, "h": 2.0**-k / 3.0, "x": x} for k in range(8) for x in _FLOATS],
+    "non-finite among finite": [{"v": x} for x in _FLOATS + [math.nan, math.inf, -math.inf]],
+    "numpy and subclass floats": [{"v": 0.5}, {"v": np.float64(0.1)}, {"v": _Float(2.5)}, {"v": np.float64("nan")}],
+    "bools ints and None": [{"a": True, "b": 3, "c": None}, {"a": False, "b": _Int(-7), "c": 1.5},
+                            {"a": 1, "b": 2**70, "c": 0.25}],
+    "escaped strings and keys": [{'q"': 'a"b\\c\ndé☃\x01', "%s %d %%": 1.0, "é": "%s"},
+                                 {'q"': "", "%s %d %%": -1.0, "é": "%(x)s"}],
+    "lists and dicts as cells": [{"slopes": [{"x": 0.5, "s": 1.0}, {"x": 1.5, "s": math.nan}], "t": (1.0, 2.0)},
+                                 {"slopes": [], "t": {"k": [0.1, {}]}}, {"slopes": [{}], "t": [[]]}],
+    "another key order": [{"a": 1.0, "b": 2.0}, {"b": 3.0, "a": 4.0}, {"a": 5.0, "b": 6.0}],
+    "a missing key": [{"a": 1.0, "b": 2.0}, {"a": 3.0}, {"a": 5.0, "b": 6.0}],
+    "an extra key": [{"a": 1.0}, {"a": 2.0, "b": 3.0}],
+    "a dict subclass row": [{"a": 1.0}, collections.OrderedDict(a=2.0)],
+    "empty dicts": [{}, {}],
+    "one row": [{"a": 0.1, "b": "x"}],
+    "empty": [],
+    "tuple of rows": ({"a": 0.1}, {"a": 0.2}),
+    "flat floats": [0.1, -0.0, 5e-324, 1e16],
+    "flat floats with nan": [0.1, math.nan, 2.0],
+    "flat mixed": [1, 2.5, None, True, "s", np.float64(0.3)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_tables_keep_the_bytes_of_the_per_value_writers(name, tmp_path):
+    table = TABLES[name]
+    assert dumps_json(table) == _reference_json(table) + "\n"
+    assert dumps_json({"rows": table, "summary": {"paths": table}}) == \
+        _reference_json({"rows": table, "summary": {"paths": table}}) + "\n"
+    rows = list(table) if all(isinstance(row, dict) for row in table) else [{"v": v} for v in table]
+    _write_rows_csv(tmp_path / "rows.csv", rows)
+    assert (tmp_path / "rows.csv").read_text(encoding="utf-8") == _reference_csv(rows)
+
+
+def test_tables_refuse_non_string_keys_and_unknown_types(tmp_path):
+    for obj, message in (([{1: 0.5}, {1: 0.5}], "keys must be strings"),
+                         ([{"a": 0.5}, {"a": object()}], "cannot serialize object"),
+                         ([0.5, {2.5}], "cannot serialize set"),
+                         ([{"a": 1.0, (1, 2): 0}, {"a": 1.0, (1, 2): 0}], "keys must be strings")):
+        with pytest.raises(TypeError, match=message):
+            dumps_json(obj)
+    with pytest.raises(TypeError):
+        _write_rows_csv(tmp_path / "rows.csv", [{1: 0.5}, {1: 0.25}])
 
 
 AR1 = ProcessModel("ar1", phi=0.5)
