@@ -14,6 +14,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import replace
@@ -33,7 +34,7 @@ from .experiments import (
 )
 from .kernels import kernel_from_name
 from .processes import ProcessModel, versions
-from .util import _column, _echo, _encoder, _thread_cap, check_int, dumps_json, fmt_float
+from .util import RowTable, _echo, _thread_cap, check_int, dumps_json
 
 THREADS_ENV_VAR = "MIXKDE_THREADS"
 
@@ -88,11 +89,16 @@ def _conv_float(key: str, value: str) -> float:
     return out
 
 
+# the text int(value, base=10) parses, unless it has more digits than sys.get_int_max_str_digits()
+_INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
 def _conv_int(key: str, value: str) -> int:
     try:
         return int(value, base=10)
     except ValueError:
-        raise ValueError(f"key {key!r}: expected an integer, got {_echo(value)}") from None
+        what = "too many digits" if _INT_TEXT.fullmatch(value) else "expected an integer"
+        raise ValueError(f"key {key!r}: {what}, got {_echo(value)}") from None
 
 
 def _list_of(convert):
@@ -156,19 +162,8 @@ def parse_config_file(path) -> ExperimentConfig:
     return build_config(parse_config_text(text, origin=str(path)))
 
 
-# a CSV cell is the value's text, with bools in lower case and floats at 17 digits
-_csv_cell = _encoder({bool: lambda cell: str(cell).lower(), int: str, float: fmt_float, object: str})
-
-
-def _write_rows_csv(path: Path, rows: list[dict]) -> None:
-    if not rows:
-        path.write_text("", encoding="utf-8")
-        return
-    header = list(rows[0].keys())
-    columns = [_column([row.get(key) for row in rows], _csv_cell) for key in header]
-    # with no columns, zip would yield no rows; each row is then an empty line
-    lines = [",".join(cells) for cells in zip(*columns)] if header else [""] * len(rows)
-    path.write_text("\n".join([",".join(header), *lines]) + "\n", encoding="utf-8")
+def _write_rows_csv(path: Path, rows: RowTable) -> None:
+    path.write_text(rows.csv(), encoding="utf-8")
 
 
 def _plotdata_rows(report) -> list[dict]:
@@ -227,9 +222,10 @@ def cmd_run(config_path, out_dir, threads: int | None = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     # the manifest marks a bundle complete: drop an older run's before writing
     (out / MANIFEST_NAME).unlink(missing_ok=True)
-    (out / REPORT_NAME).write_text(report.to_json(), encoding="utf-8")
-    _write_rows_csv(out / PER_N_NAME, report.rows)
-    _write_rows_csv(out / PLOTDATA_NAME, _plotdata_rows(report))
+    rows = RowTable(report.rows)  # each cell's text, made once for report.json and per_n.csv
+    (out / REPORT_NAME).write_text(report.to_json(rows), encoding="utf-8")
+    _write_rows_csv(out / PER_N_NAME, rows)
+    _write_rows_csv(out / PLOTDATA_NAME, RowTable(_plotdata_rows(report)))
     manifest = {
         "tool_version": __version__,
         "versions": versions(),

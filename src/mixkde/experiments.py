@@ -216,8 +216,12 @@ class ExperimentReport:
     verdict: str
     notes: list
 
-    def to_json(self) -> str:
-        return dumps_json({f.name: getattr(self, f.name) for f in fields(self)})
+    def to_json(self, rows=None) -> str:
+        """The report as JSON; rows, if given, is self.rows already rendered (util.RowTable)."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        if rows is not None:
+            doc["rows"] = rows
+        return dumps_json(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -252,19 +256,25 @@ def fit_loglog_slope(xs, ys) -> dict:
     ys = np.asarray(ys, dtype=float)
     if xs.size < 3 or ys.size != xs.size:
         raise ValueError(f"need at least 3 (x, y) pairs, got {xs.size} xs and {ys.size} ys")
-    if np.unique(xs).size != xs.size:
+    # sorted, equal xs are neighbours and NaNs come last; two NaNs count as equal, as np.unique counts them
+    ordered = np.sort(xs, axis=None)
+    if np.count_nonzero(ordered[1:] == ordered[:-1]) or ordered[-2] != ordered[-2]:
         raise ValueError("xs must be distinct")
-    if not (np.all(xs > 0.0) and np.all(ys > 0.0)):
+    if not (ordered[0] > 0.0 and ordered[-1] == ordered[-1] and np.count_nonzero(ys > 0.0) == ys.size):
         raise ValueError("log-log fit needs positive xs and ys")
+    # np.add.reduce is np.sum's pairwise sum, and a mean is that sum over the count
     lx = np.log(xs)
     ly = np.log(ys)
-    mx = lx.mean()
-    sxx = float(np.sum((lx - mx) ** 2))
-    slope = float(np.sum((lx - mx) * (ly - ly.mean())) / sxx)
-    intercept = float(ly.mean() - slope * mx)
+    mx = float(np.add.reduce(lx)) / lx.size
+    my = float(np.add.reduce(ly)) / ly.size
+    dx = lx - mx
+    dy = ly - my
+    sxx = float(np.add.reduce(dx**2))
+    slope = float(np.add.reduce(dx * dy) / sxx)
+    intercept = my - slope * mx
     resid = ly - (intercept + slope * lx)
     sse = float(resid @ resid)
-    sst = float(np.sum((ly - ly.mean()) ** 2))
+    sst = float(np.add.reduce(dy**2))
     if sst > 0.0:
         r_squared = 1.0 - sse / sst
     else:

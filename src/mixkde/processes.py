@@ -10,8 +10,10 @@ stream position, each row with the bits it has when drawn alone
 (generate_path). ndtri and ndtr are the ufuncs of scipy.special._ufuncs and
 the AR(1) filter is scipy.signal._sigtools._linear_filter, the C function
 under scipy.signal.lfilter; each extension module is loaded without its
-package (_load_extension), which halves the start-up of the CLI. The other
-modules take ndtr from here. versions() names what the draw bits rest on.
+package (_load_extension), which halves the start-up of the CLI; where it
+is not found, the public scipy function stands in, with the same bits. The
+other modules take ndtr from here. versions() names what the draw and report
+bits rest on.
 See README "Library layout" and "Testing" (criterion 2).
 """
 
@@ -159,7 +161,7 @@ def _load_extension(subpackage: str, name: str) -> types.ModuleType:
     dirs = [os.path.join(path, subpackage) for path in scipy.__path__]
     spec = importlib.machinery.PathFinder.find_spec(full, dirs)
     if spec is None:
-        raise ImportError(f"no extension module {name} in {dirs} (scipy {scipy.__version__})")
+        raise ModuleNotFoundError(f"no extension module {name} in {dirs} (scipy {scipy.__version__})")
     before = set(sys.modules)
     placeholder = types.ModuleType(package)
     placeholder.__path__ = dirs
@@ -174,9 +176,21 @@ def _load_extension(subpackage: str, name: str) -> types.ModuleType:
     return module
 
 
-_ufuncs = _load_extension("special", "_ufuncs")
+# Where scipy keeps these modules elsewhere, the public functions give the same bits, at the
+# packages' import cost: scipy.special's ndtr and ndtri are the ufuncs of _ufuncs, and lfilter
+# calls _linear_filter as generate_paths does.
+try:
+    _ufuncs = _load_extension("special", "_ufuncs")
+except ModuleNotFoundError:
+    _ufuncs = importlib.import_module("scipy.special")
 ndtr, ndtri = _ufuncs.ndtr, _ufuncs.ndtri
-_linear_filter = _load_extension("signal", "_sigtools")._linear_filter
+try:
+    _linear_filter = _load_extension("signal", "_sigtools")._linear_filter
+except ModuleNotFoundError:
+    _lfilter = importlib.import_module("scipy.signal").lfilter
+
+    def _linear_filter(b, a, x, axis, zi):
+        return _lfilter(b, a, x, axis=axis, zi=zi)
 
 
 def versions() -> dict:
@@ -184,16 +198,35 @@ def versions() -> dict:
 
     The draw bits rest on two private scipy extension modules, loaded by
     _load_extension: ndtri from scipy.special._ufuncs and _linear_filter, the
-    C function under lfilter, from scipy.signal._sigtools. So a bundle and
-    tools/report_hashes.py's pinned digests record the Python, numpy and
-    scipy versions and the platform.
+    C function under lfilter, from scipy.signal._sigtools. The report bits
+    also rest on the SIMD loops numpy dispatches to (its exp and log differ
+    from libm's in the last bit under AVX-512) and on the BLAS kernels under
+    @. So a bundle and tools/report_hashes.py's pinned digests record the
+    Python, numpy and scipy versions, the platform, numpy's baseline and
+    enabled dispatch targets, and its BLAS build.
     """
-    return {
+    return dict(_versions())
+
+
+@cache
+def _versions() -> dict[str, str]:
+    """versions(), read once per process; every value is a string, so a shallow copy is a copy."""
+    out = {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "platform": platform.platform(),
     }
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.25 prints its build config but does not return it
+        return out
+    simd, blas = config["SIMD Extensions"], config["Build Dependencies"]["blas"]
+    build = blas.get("openblas configuration")
+    out["numpy_cpu_baseline"] = " ".join(simd["baseline"])
+    out["numpy_cpu_dispatch"] = " ".join(simd["found"])
+    out["blas"] = f"{blas['name']} {blas['version']}" + (f" ({build})" if build else "")
+    return out
 
 
 def paths_per_block(model: ProcessModel, n: int) -> int:

@@ -141,18 +141,69 @@ def _column(cells, encode) -> list[str]:
     return [encode(cell) for cell in cells]
 
 
-def _json_array(obj) -> str:
-    """A list, rendered by column.
+def _table_keys(rows) -> tuple:
+    """The keys of one or more dicts with the same keys in the same order; () for any other list."""
+    keys = tuple(rows[0]) if rows and type(rows[0]) is dict else ()
+    return keys if all(type(row) is dict and tuple(row) == keys for row in rows) else ()
 
-    Two or more dicts with the same keys in the same order give one column
-    per key, joined row by row with one template; any other list is one column.
-    """
-    keys = tuple(obj[0]) if len(obj) > 1 and type(obj[0]) is dict else ()
-    if keys and all(type(row) is dict and tuple(row) == keys for row in obj):
-        template = "{" + ", ".join([_key_text(key).replace("%", "%%") + "%s" for key in keys]) + "}"
-        columns = [_column(cells, _json) for cells in zip(*[row.values() for row in obj])]
-        return "[" + ", ".join([template % cells for cells in zip(*columns)]) + "]"
+
+def _json_array(obj) -> str:
+    """A list, rendered by column: a table (_table_keys) as a RowTable, any other list as one column."""
+    if _table_keys(obj):
+        return RowTable(obj).json()
     return "[" + ", ".join(_column(obj, _json)) + "]"
+
+
+def _csv_column(cells, texts: list[str]) -> list[str]:
+    """The CSV texts of a column: a JSON text that starts with '"', 'n', '[' or '{' is replaced by str(cell).
+
+    No other JSON text holds one of those characters, so a column without them keeps its texts.
+    """
+    joined = "".join(texts)
+    if not any(char in joined for char in '"n[{'):
+        return texts
+    return [str(cell) if text[0] in '"n[{' else text for cell, text in zip(cells, texts)]
+
+
+class RowTable:
+    """A list of dicts whose cells are rendered once, by column, for a JSON file and a CSV file.
+
+    The header is the first row's keys; column j holds the JSON text of each
+    row's value at header[j], "null" where a row lacks the key. dumps_json
+    writes a RowTable as its rows' JSON array, joined from the columns when
+    the rows share the header's keys in its order (_table_keys), and csv()
+    builds the CSV lines from the same texts.
+    """
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.header = tuple(rows[0]) if rows else ()
+        self.joined = _table_keys(rows) != ()
+        cells = zip(*[row.values() for row in rows]) if self.joined else \
+            [[row.get(key) for row in rows] for key in self.header]
+        self.cells = list(cells)
+        self.columns = [_column(column, _json) for column in self.cells]
+
+    def json(self) -> str:
+        if not self.joined:
+            return _json_array(self.rows)
+        template = "{" + ", ".join([_key_text(key).replace("%", "%%") + "%s" for key in self.header]) + "}"
+        return "[" + ", ".join([template % cells for cells in zip(*self.columns)]) + "]"
+
+    def csv(self) -> str:
+        """The header line and one line per row, or "" for no rows.
+
+        A cell's CSV text is its JSON text, unless that is a string, null, an
+        array or an object, which is written by str(): None as None, a
+        non-finite float as nan, inf or -inf, a string unquoted, a list by its
+        repr.
+        """
+        if not self.rows:
+            return ""
+        columns = [_csv_column(cells, texts) for cells, texts in zip(self.cells, self.columns)]
+        # with no columns, zip would yield no rows; each row is then an empty line
+        lines = [",".join(row) for row in zip(*columns)] if self.header else [""] * len(self.rows)
+        return "\n".join([",".join(self.header), *lines]) + "\n"
 
 
 def _refuse(obj):
@@ -169,6 +220,7 @@ _json = _encoder({
     dict: _json_object,
     list: _json_array,
     tuple: _json_array,
+    RowTable: RowTable.json,
     object: _refuse,
 })
 

@@ -90,7 +90,8 @@ def test_passing_run_writes_all_artifacts(tmp_path, capsys):
     assert manifest["tool_version"] == __version__
     # the draw bits rest on two private scipy modules: record what ran them
     assert manifest["versions"] == processes.versions()
-    assert sorted(manifest["versions"]) == ["numpy", "platform", "python", "scipy"]
+    assert sorted(manifest["versions"]) == ["blas", "numpy", "numpy_cpu_baseline", "numpy_cpu_dispatch",
+                                            "platform", "python", "scipy"]
     assert manifest["files"] == list(ARTIFACTS)
     assert manifest["duration_seconds"] > 0.0
     assert manifest["config"]["model"]["family"] == "ar1"
@@ -217,17 +218,21 @@ def test_malformed_configs_exit_1(tmp_path, capsys, mangle, fragment):
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
-@pytest.mark.parametrize("value, echo", [
-    ("1" * 5000, "'" + "1" * 56 + "..."),  # int() refuses it; the echo is cut to 60 characters
-    ("1" * 100, "an int of 330 bits"),  # parsed, then refused by admission as wider than 64 bits
-    ("x" * 5000, "'" + "x" * 56 + "..."),
-], ids=["5000_digits", "100_digits", "5000_letters"])
-def test_a_huge_seed_exits_1_with_a_short_line(tmp_path, capsys, command, value, echo):
+@pytest.mark.parametrize("value, echo, says", [
+    # int() refuses over 4300 digits; the echo is cut to 60 characters
+    ("1" * 5000, "'" + "1" * 56 + "...", "key 'run.base_seed': too many digits, got"),
+    ("-" + "1_2" * 2200, "'-" + "1_2" * 18 + "1...", "key 'run.base_seed': too many digits, got"),
+    # parsed, then refused by admission as wider than 64 bits
+    ("1" * 100, "an int of 330 bits", "base_seed must be an integer of at most 64 bits, got"),
+    ("x" * 5000, "'" + "x" * 56 + "...", "key 'run.base_seed': expected an integer, got"),
+    ("1" * 4999 + "x", "'" + "1" * 56 + "...", "key 'run.base_seed': expected an integer, got"),
+], ids=["5000_digits", "underscored_digits", "100_digits", "5000_letters", "digits_then_a_letter"])
+def test_a_huge_seed_exits_1_with_a_short_line(tmp_path, capsys, command, value, echo, says):
     cfg = _write(tmp_path, CLT_SMALL.replace("run.base_seed = 42", f"run.base_seed = {value}"))
     out = tmp_path / "out"
     assert main([command, str(cfg)] + (["--out", str(out)] if command == "run" else [])) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.endswith(f"got {echo}\n") and len(err) < 120
+    assert err.startswith(f"error: {says}") and err.endswith(f"got {echo}\n") and len(err) < 120
     assert not out.exists()
 
 
@@ -465,6 +470,33 @@ def test_inverse_log_bandwidth_meets_b1_but_not_b2(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("gate rejection (B2): (B2) fails: delta=0 <= 0")
     assert not (tmp_path / "out").exists()
+
+
+def test_each_row_cell_is_rendered_once(tmp_path, monkeypatch, capsys):
+    """report.json and per_n.csv take each row cell's text from one rendering of its column."""
+    import mixkde.cli as cli
+    import mixkde.util as util
+
+    cfg = _write(tmp_path, (
+        "experiment.kind = bias\nmodel.family = iid\nkernel.family = epanechnikov\n"
+        "bandwidth.delta = 0.3\nrun.n_list = 256, 512, 1024, 2048, 4096\nrun.replicates = 1\n"
+        "run.eval_points = -0.5, 0.5\nrun.base_seed = 7\n"
+    ))
+    lengths = []
+
+    def column(cells, encode, render=util._column):
+        lengths.append(len(cells))
+        return render(cells, encode)
+
+    for module in (cli, util):  # every module that binds the column renderer
+        if getattr(module, "_column", None) is util._column:
+            monkeypatch.setattr(module, "_column", column)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) in (0, 3)
+    rows = json.loads((out / "report.json").read_text())["rows"]
+    assert (out / "per_n.csv").read_text().count("\n") == 1 + len(rows) == 11
+    # one column of 10 cells per key, and no other list of 10 in the bundle
+    assert lengths.count(10) == len(rows[0]) == 7
 
 
 def test_value_error_in_a_run_is_an_error_line(tmp_path, capsys):

@@ -113,6 +113,81 @@ def test_loglog_rejects_degenerate_inputs():
         fit_loglog_slope([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
 
 
+def _reference_fit(xs, ys) -> dict:
+    """fit_loglog_slope as written before its distinct-x check sorted: the reference for its bits."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.size < 3 or ys.size != xs.size:
+        raise ValueError(f"need at least 3 (x, y) pairs, got {xs.size} xs and {ys.size} ys")
+    if np.unique(xs).size != xs.size:
+        raise ValueError("xs must be distinct")
+    if not (np.all(xs > 0.0) and np.all(ys > 0.0)):
+        raise ValueError("log-log fit needs positive xs and ys")
+    lx = np.log(xs)
+    ly = np.log(ys)
+    mx = lx.mean()
+    sxx = float(np.sum((lx - mx) ** 2))
+    slope = float(np.sum((lx - mx) * (ly - ly.mean())) / sxx)
+    intercept = float(ly.mean() - slope * mx)
+    resid = ly - (intercept + slope * lx)
+    sse = float(resid @ resid)
+    sst = float(np.sum((ly - ly.mean()) ** 2))
+    if sst > 0.0:
+        r_squared = 1.0 - sse / sst
+    else:
+        r_squared = 1.0 if sse == 0.0 else 0.0
+    dof = xs.size - 2
+    slope_stderr = math.sqrt(max(sse, 0.0) / dof / sxx) if dof > 0 else 0.0
+    return {"slope": slope, "intercept": intercept, "r_squared": r_squared, "slope_stderr": slope_stderr}
+
+
+def _fit_outcome(fit, xs, ys):
+    """The fit's keys, value types and bits, or the type and message of what it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return [(key, type(value), value.hex()) for key, value in fit(xs, ys).items()]
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def test_loglog_fit_keeps_the_reference_bits_and_messages():
+    rng = np.random.default_rng(26)
+    for trial in range(1200):
+        size = int(rng.integers(3, 41))
+        xs = np.sort(rng.uniform(1e-3, 1e3, size)) if trial % 2 else 2.0 ** -(0.2 * np.arange(5, 5 + size))
+        shape = trial % 4
+        if shape == 0:  # a power law with noise, like the bias scan's |bias| against h
+            ys = 0.3 * xs ** rng.uniform(0.5, 2.5) * (1.0 + 0.05 * rng.standard_normal(size))
+        elif shape == 1:  # an exact power law
+            ys = xs ** float(rng.integers(-2, 3))
+        elif shape == 2:
+            ys = np.full(size, rng.uniform(0.1, 10.0))
+        else:
+            ys = rng.lognormal(0.0, 3.0, size)
+        xs = rng.permutation(xs)
+        args = (xs.tolist(), ys.tolist()) if trial % 3 == 0 else (xs, ys)
+        assert _fit_outcome(fit_loglog_slope, *args) == _fit_outcome(_reference_fit, *args)
+    # every mix of NaN, infinities, signed zeros, negatives and repeats in three or four xs
+    values = [math.nan, -math.inf, -1.0, -0.0, 0.0, 0.5, 2.0, math.inf]
+    messages = set()
+    for size in (2, 3, 4):
+        for _ in range(600):
+            xs = rng.choice(values, size)
+            ys = rng.choice([math.nan, -1.0, 0.0, 0.25, 3.0], size)
+            want = _fit_outcome(_reference_fit, xs, ys)
+            assert _fit_outcome(fit_loglog_slope, xs, ys) == want, (xs, ys)
+            if want[0] is ValueError:
+                messages.add(want[1].split(", got")[0])
+    assert messages == {"need at least 3 (x, y) pairs", "xs must be distinct", "log-log fit needs positive xs and ys"}
+    for xs, ys, message in (([1.0, 2.0, 3.0], [1.0, 2.0], "got 3 xs and 2 ys"),
+                            ([math.nan, 1.0, math.nan], [1.0, 2.0, 3.0], "xs must be distinct"),
+                            ([2.0, 1.0, 2.0], [math.nan, 2.0, 3.0], "xs must be distinct"),
+                            ([math.nan, 1.0, 2.0], [1.0, 2.0, 3.0], "positive xs and ys"),
+                            ([1.0, 2.0, 3.0], [1.0, math.nan, 3.0], "positive xs and ys")):
+        with pytest.raises(ValueError, match=message):
+            fit_loglog_slope(xs, ys)
+
+
 # ---------------------------------------------------------------------------
 # gates
 

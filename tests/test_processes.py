@@ -4,6 +4,7 @@ import hashlib
 import math
 import os
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -152,6 +153,45 @@ def test_missing_kernel_names_the_directory_and_scipy(monkeypatch, tmp_path):
         with pytest.raises(ImportError, match=re.escape(
                 f"no extension module {name} in {dirs} (scipy {scipy.__version__})")):
             processes._load_extension(subpackage, name)
+
+
+# The first lookup of each extension module is _load_extension's; hiding it there leaves the
+# packages' own imports to find it.
+HIDE_EXTENSIONS = """
+import hashlib, importlib.machinery, sys
+hidden = {"scipy.special._ufuncs", "scipy.signal._sigtools"}
+find_spec = importlib.machinery.PathFinder.find_spec
+
+def hide_once(name, path=None, target=None):
+    if name in hidden:
+        hidden.remove(name)
+        return None
+    return find_spec(name, path, target)
+
+importlib.machinery.PathFinder.find_spec = staticmethod(hide_once)
+from mixkde import processes
+from mixkde.processes import ProcessModel, generate_path
+import scipy.special, scipy.signal
+print(not hidden, processes.ndtri is scipy.special.ndtri, processes._linear_filter.__module__)
+for model, n, keys in CASES:
+    digest = hashlib.sha256()
+    for key in keys:
+        digest.update(generate_path(eval(model), n, key).values.astype("<f8").tobytes())
+    print(digest.hexdigest())
+"""
+
+
+def test_draws_keep_their_bits_through_the_public_scipy_functions():
+    # where scipy keeps neither extension module where _load_extension looks, the
+    # draws go through scipy.special's ndtri and scipy.signal.lfilter, bit for bit
+    cases = [("iid", 65536), ("ar1-0.5", 65537), ("ar1--0.9-sd2", 5), ("ma", 131072)]
+    args = [(repr(DRAW_MODELS[label]), n, DRAW_KEYS) for label, n in cases]
+    package_root = os.path.dirname(os.path.dirname(processes.__file__))
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", f"CASES = {args!r}" + HIDE_EXTENSIONS], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True True mixkde.processes"] + [DRAW_DIGESTS[case] for case in cases]
 
 
 def test_extension_load_leaves_no_placeholder(monkeypatch, tmp_path):

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from mixkde.bandwidth import BandwidthSchedule, bandwidth_at
-from mixkde.cli import _csv_cell, _write_rows_csv
+from mixkde.cli import _write_rows_csv
 from mixkde.blocking import _checked_level
 from mixkde.experiments import ExperimentConfig, moment_bound_check
 from mixkde.kernels import kernel_from_name
 from mixkde.processes import ProcessModel, conditional_mean, generate_paths, rho_mixing_coefficient
-from mixkde.util import (_encoder, _key_text, _refuse, clamped_log, derive_seed, dumps_json, fmt_float,
+from mixkde.util import (RowTable, _encoder, _key_text, _refuse, clamped_log, derive_seed, dumps_json, fmt_float,
                          resolve_threads, splitmix64)
 
 
@@ -101,14 +101,17 @@ def test_dumps_json_rejects_unknown_types():
 
 def test_rows_csv_writes_each_cell_type(tmp_path):
     path = tmp_path / "rows.csv"
-    # the first row's keys are the header; a missing key is None; numpy scalars are written by str
-    _write_rows_csv(path, [{"a": True, "b": 3, "c": 0.1, "d": None, "e": "x y"},
-                           {"a": False, "b": _Int(-7), "c": np.float64(1e16), "e": "s", "d": 2},
-                           {"b": np.int64(5), "c": math.inf}])
+    # the first row's keys are the header; a missing key is None; a numpy float is written as a float
+    _write_rows_csv(path, RowTable([{"a": True, "b": 3, "c": 0.1, "d": None, "e": "x y"},
+                                    {"a": False, "b": _Int(-7), "c": np.float64(1e16), "e": "s", "d": 2},
+                                    {"b": 5, "c": math.inf}]))
     assert path.read_text(encoding="utf-8") == ("a,b,c,d,e\ntrue,3,0.10000000000000001,None,x y\n"
                                                 "false,-7,10000000000000000,2,s\nNone,5,inf,None,None\n")
-    with pytest.raises(TypeError):
-        _write_rows_csv(path, [{1: 0.5}])
+    # a cell's text is its JSON text, so the CSV refuses what report.json refuses: a numpy int, say
+    for rows, message in (([{1: 0.5}], "expected str instance, int found"),
+                          ([{"b": 3}, {"b": np.int64(5)}], "cannot serialize int64")):
+        with pytest.raises(TypeError, match=message):
+            _write_rows_csv(path, RowTable(rows))
 
 
 # The per-value writers that rendered report.json and the CSV tables before lists were rendered by
@@ -130,13 +133,17 @@ _reference_json = _encoder({
 })
 
 
+# cli._csv_cell before CSV cells were taken from their JSON texts: the type table of a CSV cell
+_reference_csv_cell = _encoder({bool: lambda cell: str(cell).lower(), int: str, float: fmt_float, object: str})
+
+
 def _reference_csv(rows) -> str:
     if not rows:
         return ""
     header = list(rows[0].keys())
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join([_csv_cell(row.get(key)) for key in header]))
+        lines.append(",".join([_reference_csv_cell(row.get(key)) for key in header]))
     return "\n".join(lines) + "\n"
 
 
@@ -145,6 +152,10 @@ _FLOATS = [0.1, -0.0, 5e-324, 1e16, -2.5e-300, 1.7976931348623157e308, 3.0]
 TABLES = {
     "finite floats": [{"n": 2**k, "h": 2.0**-k / 3.0, "x": x} for k in range(8) for x in _FLOATS],
     "non-finite among finite": [{"v": x} for x in _FLOATS + [math.nan, math.inf, -math.inf]],
+    "mixed cells": [{"f": 0.1, "g": math.inf, "i": 3, "b": True, "z": None, "s": "a,b", "m": 1.5},
+                    {"f": -math.inf, "g": 2.5, "i": -7, "b": False, "z": 1.5, "s": 'q"', "m": "x"},
+                    {"f": math.nan, "g": -0.0, "i": 2**70, "b": True, "z": -math.inf, "s": "", "m": None},
+                    {"f": 5e-324, "g": math.nan, "i": 0, "b": False, "z": "null", "s": "nan", "m": 7}],
     "numpy and subclass floats": [{"v": 0.5}, {"v": np.float64(0.1)}, {"v": _Float(2.5)}, {"v": np.float64("nan")}],
     "bools ints and None": [{"a": True, "b": 3, "c": None}, {"a": False, "b": _Int(-7), "c": 1.5},
                             {"a": 1, "b": 2**70, "c": 0.25}],
@@ -172,8 +183,11 @@ def test_tables_keep_the_bytes_of_the_per_value_writers(name, tmp_path):
     assert dumps_json(table) == _reference_json(table) + "\n"
     assert dumps_json({"rows": table, "summary": {"paths": table}}) == \
         _reference_json({"rows": table, "summary": {"paths": table}}) + "\n"
-    rows = list(table) if all(isinstance(row, dict) for row in table) else [{"v": v} for v in table]
-    _write_rows_csv(tmp_path / "rows.csv", rows)
+    rows = table if all(isinstance(row, dict) for row in table) else [{"v": v} for v in table]
+    # one RowTable renders each cell once, for the JSON array and for the CSV lines
+    rendered = RowTable(rows)
+    assert dumps_json({"rows": rendered, "n": 1}) == _reference_json({"rows": rows, "n": 1}) + "\n"
+    _write_rows_csv(tmp_path / "rows.csv", rendered)
     assert (tmp_path / "rows.csv").read_text(encoding="utf-8") == _reference_csv(rows)
 
 
@@ -185,7 +199,7 @@ def test_tables_refuse_non_string_keys_and_unknown_types(tmp_path):
         with pytest.raises(TypeError, match=message):
             dumps_json(obj)
     with pytest.raises(TypeError):
-        _write_rows_csv(tmp_path / "rows.csv", [{1: 0.5}, {1: 0.25}])
+        _write_rows_csv(tmp_path / "rows.csv", RowTable([{1: 0.5}, {1: 0.25}]))
 
 
 AR1 = ProcessModel("ar1", phi=0.5)
