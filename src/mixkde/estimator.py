@@ -474,9 +474,6 @@ def _rules() -> tuple:
 
 _ORACLE_TOL = 1e-10
 _MARGINAL_RADIUS = 40.0
-# Oracle points per block, which keeps a panel's values in cache. A lone last point joins the
-# block before it: numpy sums a one-row product as a dot product, whose bits can differ from gemv's.
-_ORACLE_BLOCK = 512
 
 
 def _expected(model: ProcessModel, kernel: KernelSpec, h: float, x, form: str):
@@ -502,20 +499,17 @@ def _expected(model: ProcessModel, kernel: KernelSpec, h: float, x, form: str):
     nodes, split = np.concatenate((coarse_nodes, fine_nodes)), coarse_nodes.size
     coarse, fine = np.zeros(pts.size), np.zeros(pts.size)
     reach = (np.array([[-limit], [limit]]) - pts) / h  # |x + h u| <= limit
-    edges = [*range(0, max(pts.size - 1, 1), _ORACLE_BLOCK), pts.size]
     for piece in kernel.pieces:
         coef = getattr(piece, form)
         a, b = np.minimum(np.maximum(reach, piece.lo), piece.hi)  # the piece, clipped to the reach
         width = b - a
         panels = max(1, math.ceil(float(width.max()) * h / s))
         half = 0.5 * width / panels
-        for at in map(slice, edges, edges[1:]):
-            x_at, a_at, half_at = pts[at, None], a[at], half[at]
-            for k in range(panels):
-                u = (a_at + (2 * k + 1) * half_at)[:, None] + half_at[:, None] * nodes
-                values = horner(coef, u) * marginal_density(model, x_at + h * u)
-                coarse[at] += values[:, :split] @ coarse_weights * half_at
-                fine[at] += values[:, split:] @ fine_weights * half_at
+        for k in range(panels):
+            u = (a + (2 * k + 1) * half)[:, None] + half[:, None] * nodes
+            values = horner(coef, u) * marginal_density(model, pts[:, None] + h * u)
+            coarse += values[:, :split] @ coarse_weights * half
+            fine += values[:, split:] @ fine_weights * half
     if form == "cdf":
         below = marginal_cdf(model, pts + h * kernel.pieces[0].lo)
         coarse, fine = below + h * coarse, below + h * fine

@@ -270,6 +270,8 @@ def fit_loglog_slope(xs, ys) -> dict:
     dx = lx - mx
     dy = ly - my
     sxx = float(np.add.reduce(dx**2))
+    if sxx == 0.0:  # a sum of squares: 0 when the logs of distinct xs all round to one double
+        raise ValueError("log-log fit needs xs whose logarithms differ")
     slope = float(np.add.reduce(dx * dy) / sxx)
     intercept = my - slope * mx
     resid = ly - (intercept + slope * lx)

@@ -201,32 +201,23 @@ def versions() -> dict:
     C function under lfilter, from scipy.signal._sigtools. The report bits
     also rest on the SIMD loops numpy dispatches to (its exp and log differ
     from libm's in the last bit under AVX-512) and on the BLAS kernels under
-    @. So a bundle and tools/report_hashes.py's pinned digests record the
-    Python, numpy and scipy versions, the platform, numpy's baseline and
-    enabled dispatch targets, and its BLAS build.
+    @. So a bundle records the Python, numpy and scipy versions, the
+    platform, numpy's baseline and enabled dispatch targets, and its BLAS
+    build; tools/report_hashes.py's pinned digests record all but the
+    platform.
     """
-    return dict(_versions())
-
-
-@cache
-def _versions() -> dict[str, str]:
-    """versions(), read once per process; every value is a string, so a shallow copy is a copy."""
-    out = {
+    config = np.show_config(mode="dicts")
+    simd, blas = config["SIMD Extensions"], config["Build Dependencies"]["blas"]
+    build = blas.get("openblas configuration")
+    return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "platform": platform.platform(),
+        "numpy_cpu_baseline": " ".join(simd["baseline"]),
+        "numpy_cpu_dispatch": " ".join(simd["found"]),
+        "blas": f"{blas['name']} {blas['version']}" + (f" ({build})" if build else ""),
     }
-    try:
-        config = np.show_config(mode="dicts")
-    except TypeError:  # numpy before 1.25 prints its build config but does not return it
-        return out
-    simd, blas = config["SIMD Extensions"], config["Build Dependencies"]["blas"]
-    build = blas.get("openblas configuration")
-    out["numpy_cpu_baseline"] = " ".join(simd["baseline"])
-    out["numpy_cpu_dispatch"] = " ".join(simd["found"])
-    out["blas"] = f"{blas['name']} {blas['version']}" + (f" ({build})" if build else "")
-    return out
 
 
 def paths_per_block(model: ProcessModel, n: int) -> int:

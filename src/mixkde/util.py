@@ -7,7 +7,6 @@ import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -63,19 +62,13 @@ def _check_real(value, name: str) -> None:
         raise ValueError(f"{name} must be a finite real number, got {_echo(value)}")
 
 
-def resolve_threads(threads: int | None) -> int:
-    """0 or None means one worker per CPU; otherwise the explicit cap."""
+def _thread_cap(threads: int | None) -> int:
+    """The most threads a replicate pool may run: 0 or None means one per CPU; no cap exceeds that."""
+    cpus = os.cpu_count() or 1
     if threads is None:
         threads = 0
     check_int(threads, "threads", 0)
-    if threads == 0:
-        return os.cpu_count() or 1
-    return threads
-
-
-def _thread_cap(threads: int | None) -> int:
-    """The most threads a replicate pool may run: the resolved cap, at most one per CPU."""
-    return min(resolve_threads(threads), os.cpu_count() or 1)
+    return min(threads, cpus) if threads else cpus
 
 
 def _run_replicates(count: int, threads: int | None, worker) -> None:
@@ -120,7 +113,6 @@ def _encoder(table: dict):
     return encode
 
 
-@lru_cache(maxsize=1024)  # a report repeats a few keys many times
 def _key_text(key) -> str:
     if not isinstance(key, str):
         raise TypeError(f"JSON object keys must be strings, got {_echo(key)}")
@@ -166,43 +158,35 @@ def _csv_column(cells, texts: list[str]) -> list[str]:
 
 
 class RowTable:
-    """A list of dicts whose cells are rendered once, by column, for a JSON file and a CSV file.
+    """A table (_table_keys) whose cells are rendered once, by column, for a JSON file and a CSV file.
 
-    The header is the first row's keys; column j holds the JSON text of each
-    row's value at header[j], "null" where a row lacks the key. dumps_json
-    writes a RowTable as its rows' JSON array, joined from the columns when
-    the rows share the header's keys in its order (_table_keys), and csv()
-    builds the CSV lines from the same texts.
+    The header is the rows' keys; column j holds the JSON text of each row's
+    value at header[j]. dumps_json writes a RowTable as its rows' JSON array,
+    joined from the columns, and csv() builds the CSV lines from the same
+    texts. Any list that is not a table is refused with ValueError.
     """
 
     def __init__(self, rows):
-        self.rows = rows
-        self.header = tuple(rows[0]) if rows else ()
-        self.joined = _table_keys(rows) != ()
-        cells = zip(*[row.values() for row in rows]) if self.joined else \
-            [[row.get(key) for row in rows] for key in self.header]
-        self.cells = list(cells)
+        self.header = _table_keys(rows)
+        if not self.header:
+            raise ValueError(f"rows must be dicts with the same keys in the same order, got {_echo(rows)}")
+        self.cells = list(zip(*[row.values() for row in rows]))
         self.columns = [_column(column, _json) for column in self.cells]
 
     def json(self) -> str:
-        if not self.joined:
-            return _json_array(self.rows)
         template = "{" + ", ".join([_key_text(key).replace("%", "%%") + "%s" for key in self.header]) + "}"
         return "[" + ", ".join([template % cells for cells in zip(*self.columns)]) + "]"
 
     def csv(self) -> str:
-        """The header line and one line per row, or "" for no rows.
+        """The header line and one line per row.
 
         A cell's CSV text is its JSON text, unless that is a string, null, an
         array or an object, which is written by str(): None as None, a
         non-finite float as nan, inf or -inf, a string unquoted, a list by its
         repr.
         """
-        if not self.rows:
-            return ""
         columns = [_csv_column(cells, texts) for cells, texts in zip(self.cells, self.columns)]
-        # with no columns, zip would yield no rows; each row is then an empty line
-        lines = [",".join(row) for row in zip(*columns)] if self.header else [""] * len(self.rows)
+        lines = [",".join(row) for row in zip(*columns)]
         return "\n".join([",".join(self.header), *lines]) + "\n"
 
 

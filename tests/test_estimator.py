@@ -339,7 +339,7 @@ def _two_rule_loop(model, kernel, h, x, form):
 
 ORACLE_MODELS = (IID, AR, ProcessModel(family="ar1", phi=-0.7), ProcessModel(family="ma", weights=(1.0, 0.6, -0.3)),
                  ProcessModel(family="ar1", phi=0.9, innovation_sd=0.3), ProcessModel(family="iid", innovation_sd=2.5))
-# 513 points are one whole block and one point left over
+# each panel runs on all points at once, as one matrix product of 513 rows here (and 3267 below)
 ORACLE_POINTS = (0.4, -2.3, np.array([-1.0, 0.0, 2.5]), np.linspace(-3.0, 3.0, 201),
                  np.random.default_rng(3).normal(size=(7, 5)), np.array([]),
                  np.array([-45.0, 41.0, 1e3, -1e300, math.inf, -math.inf]), np.linspace(-2.0, 2.0, 513))
@@ -359,7 +359,7 @@ def test_oracle_keeps_the_bits_of_its_two_rule_loop(family, form):
         for h in (1e-9, 1e-4, 0.05, 0.35, 3.0, 1e5):
             for x in ORACLE_POINTS:
                 same(model, h, x)
-    for h in (0.05, 30.0):  # seven blocks
+    for h in (0.05, 30.0):  # as many points as the whole-line uniform_as grid
         same(AR, h, np.linspace(-8.0, 8.0, 3267))
 
 

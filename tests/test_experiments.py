@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -22,7 +23,7 @@ from mixkde.processes import (
     indicator_long_run_variance,
     marginal_cdf,
 )
-from mixkde.util import derive_seed, resolve_threads
+from mixkde.util import _thread_cap, derive_seed
 from mixkde import estimator, experiments, processes, util
 from mixkde.experiments import (
     GateError,
@@ -111,6 +112,11 @@ def test_loglog_rejects_degenerate_inputs():
         fit_loglog_slope([1.0, 1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         fit_loglog_slope([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
+    # distinct xs whose logarithms are one double: 1e300 and its next two doubles
+    xs = [1e300, math.nextafter(1e300, math.inf), math.nextafter(math.nextafter(1e300, math.inf), math.inf)]
+    assert len(set(xs)) == 3 and len(set(np.log(xs))) == 1
+    with pytest.raises(ValueError, match="xs whose logarithms differ"):
+        fit_loglog_slope(xs, [1.0, 2.0, 3.0])
 
 
 def _reference_fit(xs, ys) -> dict:
@@ -448,14 +454,15 @@ def test_single_replicate_rate_run_warns_nothing():
     assert all(math.isnan(row["mc_stderr"]) for row in report.rows)
 
 
-def test_resolve_threads():
-    assert resolve_threads(3) == 3
-    assert resolve_threads(0) >= 1
-    assert resolve_threads(None) >= 1
+def test_thread_cap():
+    cpus = os.cpu_count() or 1
+    assert _thread_cap(1) == 1
+    assert _thread_cap(0) == _thread_cap(None) == cpus
+    assert _thread_cap(cpus + 3) == cpus
     with pytest.raises(ValueError):
-        resolve_threads(-1)
+        _thread_cap(-1)
     with pytest.raises(ValueError):
-        resolve_threads(1.5)
+        _thread_cap(1.5)
 
 
 def test_replicate_pool_is_capped_at_cpu_count(monkeypatch):

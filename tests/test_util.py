@@ -12,8 +12,8 @@ from mixkde.blocking import _checked_level
 from mixkde.experiments import ExperimentConfig, moment_bound_check
 from mixkde.kernels import kernel_from_name
 from mixkde.processes import ProcessModel, conditional_mean, generate_paths, rho_mixing_coefficient
-from mixkde.util import (RowTable, _encoder, _key_text, _refuse, clamped_log, derive_seed, dumps_json, fmt_float,
-                         resolve_threads, splitmix64)
+from mixkde.util import (RowTable, _encoder, _key_text, _refuse, _thread_cap, clamped_log, derive_seed, dumps_json,
+                         fmt_float, splitmix64)
 
 
 def test_splitmix64_known_vector():
@@ -101,10 +101,10 @@ def test_dumps_json_rejects_unknown_types():
 
 def test_rows_csv_writes_each_cell_type(tmp_path):
     path = tmp_path / "rows.csv"
-    # the first row's keys are the header; a missing key is None; a numpy float is written as a float
+    # the rows' keys are the header; None is written as None; a numpy float is written as a float
     _write_rows_csv(path, RowTable([{"a": True, "b": 3, "c": 0.1, "d": None, "e": "x y"},
-                                    {"a": False, "b": _Int(-7), "c": np.float64(1e16), "e": "s", "d": 2},
-                                    {"b": 5, "c": math.inf}]))
+                                    {"a": False, "b": _Int(-7), "c": np.float64(1e16), "d": 2, "e": "s"},
+                                    {"a": None, "b": 5, "c": math.inf, "d": None, "e": None}]))
     assert path.read_text(encoding="utf-8") == ("a,b,c,d,e\ntrue,3,0.10000000000000001,None,x y\n"
                                                 "false,-7,10000000000000000,2,s\nNone,5,inf,None,None\n")
     # a cell's text is its JSON text, so the CSV refuses what report.json refuses: a numpy int, say
@@ -175,6 +175,8 @@ TABLES = {
     "flat floats with nan": [0.1, math.nan, 2.0],
     "flat mixed": [1, 2.5, None, True, "s", np.float64(0.3)],
 }
+# the lists above that are not tables (util._table_keys), which RowTable refuses
+NOT_TABLES = {"another key order", "a missing key", "an extra key", "a dict subclass row", "empty dicts", "empty"}
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))
@@ -184,6 +186,10 @@ def test_tables_keep_the_bytes_of_the_per_value_writers(name, tmp_path):
     assert dumps_json({"rows": table, "summary": {"paths": table}}) == \
         _reference_json({"rows": table, "summary": {"paths": table}}) + "\n"
     rows = table if all(isinstance(row, dict) for row in table) else [{"v": v} for v in table]
+    if name in NOT_TABLES:
+        with pytest.raises(ValueError, match="same keys in the same order"):
+            RowTable(rows)
+        return
     # one RowTable renders each cell once, for the JSON array and for the CSV lines
     rendered = RowTable(rows)
     assert dumps_json({"rows": rendered, "n": 1}) == _reference_json({"rows": rows, "n": 1}) + "\n"
@@ -211,7 +217,7 @@ CHECK_INT_SITES = {
     "generate_paths": ("path length", 1, lambda v: generate_paths(AR1, v, [1])),
     "rho_mixing_coefficient": ("lag", 1, lambda v: rho_mixing_coefficient(AR1, v)),
     "conditional_mean": ("horizon", 1, lambda v: conditional_mean(AR1, 1.0, v)),
-    "resolve_threads": ("threads", 0, resolve_threads),
+    "_thread_cap": ("threads", 0, _thread_cap),
     "ExperimentConfig": ("replicates", 1, lambda v: ExperimentConfig(
         kind="rate_sup_lp", model=AR1, kernel=kernel_from_name("gaussian"),
         schedule=BandwidthSchedule(c=1.0, delta=0.2), n_list=(64, 128, 256),

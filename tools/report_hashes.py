@@ -19,8 +19,9 @@ src/). --only keeps the configs whose label contains one of its strings.
 the largest relative difference of the report numbers; it exits 1 when any
 config's exit codes, validate output or bundle files differ. --pin writes
 one sha256 per config over its exit codes and hashes, with the versions
-the bundle's manifest.json records (`mixkde.processes.versions()`), to the
-table that tests/test_tools.py checks:
+the bundle's manifest.json records (`mixkde.processes.versions()`) but the
+platform, whose kernel release differs between hosts that give the same
+bits, to the table that tests/test_tools.py checks:
 
     python tools/report_hashes.py --pin tests/report_digests.json
 """
@@ -195,7 +196,8 @@ def main(argv=None) -> int:
     if args.pin:
         from mixkde.processes import versions  # the mixkde that run() imported
 
-        table = {"versions": versions(), "configs": {k: digest(v) for k, v in hashes.items()}}
+        pinned = {key: value for key, value in versions().items() if key != "platform"}
+        table = {"versions": pinned, "configs": {k: digest(v) for k, v in hashes.items()}}
         args.pin.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
         return 0
     json.dump(hashes, sys.stdout, indent=1, sort_keys=True)
