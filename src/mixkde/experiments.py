@@ -37,7 +37,7 @@ from .estimator import (
     bias,
     expected_cdf,  # noqa: F401  (perfbench/spans.py traces this name)
     expected_density,
-    expected_density_curve,
+    expected_density_curve,  # noqa: F401  (perfbench/spans.py traces this name)
 )
 from .kernels import KernelSpec
 from .processes import generate_path  # noqa: F401  (perfbench/spans.py traces this name)
@@ -103,6 +103,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
+        # a wrong-typed field would otherwise fail later, or in the run, with its own error
+        for name, types, what in (
+            ("model", ProcessModel, "a ProcessModel"), ("kernel", KernelSpec, "a KernelSpec"),
+            ("schedule", BandwidthSchedule, "a BandwidthSchedule"), ("grid", Grid, "a Grid"),
+            ("n_list", (tuple, list), "a tuple or list"), ("eval_points", (tuple, list), "a tuple or list"),
+        ):
+            if not isinstance(getattr(self, name), types):
+                raise ValueError(f"{name} must be {what}, got {_echo(getattr(self, name))}")
         for n in self.n_list:
             # a bool is an int, int() of inf or NaN raises its own error, and
             # math.isfinite raises OverflowError on an int too large for a double
@@ -538,6 +546,29 @@ def _run_clt(config: ExperimentConfig, threads, *, centre: str) -> dict:
                 verdict=verdict, notes=notes)
 
 
+def _deviations(config: ExperimentConfig, threads, pts: np.ndarray, fold, shape) -> np.ndarray:
+    """out[r, j] = fold(|f_n - E f_n| at pts) for replicate r's first n_list[j] values.
+
+    E f_n is one oracle call over pts per bandwidth, and _sorted_prefixes
+    runs the paths; each fold result has the trailing shape `shape`. A size
+    at which every deviation is 0 has no log-log fit: only points far out in
+    the tails, where E f_n is 0 and no window holds a value, give it, and
+    the f(x) > 0 gate keeps evaluation points out of there.
+    """
+    kernel, h_list = config.kernel, config.h_list
+    centers = [expected_density(config.model, kernel, h, pts) for h in h_list]
+
+    def reduce(j: int, xs: np.ndarray):
+        dev = np.abs(_estimate(xs, kernel, h_list[j], pts, "density") - centers[j])
+        if not dev.any():
+            raise ValueError(f"every deviation |f_n - E f_n| is 0 at n = {xs.size}: no evaluation "
+                             f"point's window held a value (grid spacing {config.grid.spacing:g} "
+                             f"against 2h = {2.0 * h_list[j]:g})")
+        return fold(dev)
+
+    return _sorted_prefixes(config, threads, config.n_list, reduce, shape)
+
+
 def _run_rate(config: ExperimentConfig, threads, *, sup: bool) -> dict:
     """Error-vs-n slope reading for the sup or integral L^p deviation.
 
@@ -547,34 +578,22 @@ def _run_rate(config: ExperimentConfig, threads, *, sup: bool) -> dict:
     must match -(1 - delta)/2 within 0.1.
     """
     xs_eval = np.asarray(config.eval_points, dtype=float) if sup else config.grid.points
-    model, kernel = config.model, config.kernel
     p = float(config.p)
     n_list, h_list = config.n_list, config.h_list
-
-    centers = [expected_density(model, kernel, h, xs_eval) for h in h_list]
-
-    def reduce(j: int, xs: np.ndarray):
-        dev = np.abs(_estimate(xs, kernel, h_list[j], xs_eval, "density") - centers[j]) ** p
-        return dev if sup else np.trapezoid(dev, xs_eval)
-
-    raw = _sorted_prefixes(config, threads, n_list, reduce, (xs_eval.size,) if sup else ())
+    # moments[r, j, i]: |f_n - E f_n|^p at point i, or its integral over the grid as one column
+    fold = (lambda d: d**p) if sup else (lambda d: np.trapezoid(d**p, xs_eval))
+    moments = _deviations(config, threads, xs_eval, fold, (xs_eval.size if sup else 1,))
 
     rows = []
     for j, n in enumerate(n_list):
-        if sup:
-            mom = raw[:, j, :].mean(axis=0)
-            best = int(np.argmax(mom))
-            level = float(mom[best])
-            se_level = _stderr(raw[:, j, best])
-            extra = {"argmax_x": float(xs_eval[best])}
-        else:
-            col = raw[:, j]
-            level = float(col.mean())
-            se_level = _stderr(col)
-            extra = {}
+        mom = moments[:, j, :].mean(axis=0)
+        best = int(np.argmax(mom))
+        level = float(mom[best])
+        se_level = _stderr(moments[:, j, best])
         error = level ** (1.0 / p)
         # delta method for the p-th root of the estimated moment
         mc_stderr = se_level / p * level ** (1.0 / p - 1.0) if level > 0.0 else 0.0
+        extra = {"argmax_x": float(xs_eval[best])} if sup else {}
         rows.append({"n": n, "h": h_list[j], "error": error, "mc_stderr": mc_stderr, **extra})
 
     errors = np.asarray([row["error"] for row in rows])
@@ -585,7 +604,7 @@ def _run_rate(config: ExperimentConfig, threads, *, sup: bool) -> dict:
         "replicate paths are shared across sample sizes (nested prefixes)",
     ]
     if not sup:
-        half = max(abs(config.grid.lo), abs(config.grid.hi)) / model.marginal_sd
+        half = max(abs(config.grid.lo), abs(config.grid.hi)) / config.model.marginal_sd
         notes.append(
             f"the integral is truncated to the grid span ({half:.3g} marginal sds); "
             "the omitted tail is dominated by the Gaussian tail of the marginal"
@@ -654,19 +673,12 @@ def _run_uniform(config: ExperimentConfig, threads) -> dict:
     prefixes, as an almost-sure statement is about one path); the verdict
     is uniform_verdict's.
     """
-    model, kernel = config.model, config.kernel
     n_list, h_list = config.n_list, config.h_list
-    pts = config.grid.points
-    centers = [expected_density_curve(model, kernel, h, config.grid).values for h in h_list]
     # |log h| under the clamped-log convention: never below 1
     rates = [
         math.sqrt(max(abs(math.log(h)), 1.0) / (n * h)) for n, h in zip(n_list, h_list)
     ]
-
-    def reduce(j: int, xs: np.ndarray):
-        return np.max(np.abs(_estimate(xs, kernel, h_list[j], pts, "density") - centers[j]))
-
-    sups = _sorted_prefixes(config, threads, n_list, reduce, ())
+    sups = _deviations(config, threads, config.grid.points, np.max, ())
     ratios = sups / np.asarray(rates)
     summary, verdict = uniform_verdict(n_list, ratios)
     rows = [

@@ -123,13 +123,25 @@ def _json_object(obj: dict) -> str:
     return "{" + ", ".join([_key_text(key) + _json(val) for key, val in obj.items()]) + "}"
 
 
+_BOOL_TEXT = {False: "false", True: "true"}
+
+
 def _column(cells, encode) -> list[str]:
-    """The text of each cell: a column of exact, finite floats by one %-format call, others by encode."""
-    if set(map(type, cells)) == {float}:
+    """The text of each cell, by encode unless the column is all of one exact type.
+
+    A column of finite floats takes one %-format call, one of ints str, and
+    one of bools a lookup; each gives encode's text.
+    """
+    types = set(map(type, cells))
+    if types == {float}:
         # "%.17g" writes format(x, ".17g"); "inf" and "nan" are the only texts with an "n"
         text = ("%.17g\n" * len(cells)) % tuple(cells)
         if "n" not in text:
             return text[:-1].split("\n")
+    elif types == {int}:
+        return list(map(str, cells))
+    elif types == {bool}:
+        return list(map(_BOOL_TEXT.__getitem__, cells))
     return [encode(cell) for cell in cells]
 
 
@@ -197,7 +209,7 @@ def _refuse(obj):
 # JSON has no literal for a non-finite float; it is written as the string of its str()
 _json = _encoder({
     type(None): lambda obj: "null",
-    bool: lambda obj: "true" if obj else "false",
+    bool: _BOOL_TEXT.__getitem__,
     int: str,
     float: lambda obj: fmt_float(obj) if math.isfinite(obj) else encode_basestring_ascii(str(obj)),
     str: encode_basestring_ascii,

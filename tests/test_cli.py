@@ -514,6 +514,23 @@ def test_value_error_in_a_run_is_an_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["rate_integral_lp", "uniform_as"])
+def test_a_grid_that_meets_no_window_is_an_error_line(tmp_path, capsys, kind):
+    # two grid points, 40 marginal sds out: no window holds a value and E f_n is 0 at both
+    cfg = _write(tmp_path, (
+        f"experiment.kind = {kind}\nmodel.family = ar1\nmodel.phi = 0.25\n"
+        "kernel.family = epanechnikov\nbandwidth.delta = 0.3\nrun.n_list = 128, 256, 512\n"
+        "run.replicates = 2\nrun.base_seed = 7\ngrid.lo = -41\ngrid.hi = 41\ngrid.m = 2\n"
+    ))
+    assert main(["validate", str(cfg)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: every deviation |f_n - E f_n| is 0 at n = 128: no evaluation point's "
+                   "window held a value (grid spacing 82 against 2h = 0.466516)\n")
+    assert not out.exists()
+
+
 # a kind that needs no evaluation points, so the required keys make a runnable config
 REQUIRED_ONLY = """\
 experiment.kind = rate_integral_lp

@@ -438,6 +438,21 @@ def test_config_validation():
         _config(kind="moment_bound", n_list=(5, 6, 7), block_alpha=0.2, block_beta=0.3)
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("kernel", "epanechnikov", "kernel must be a KernelSpec, got 'epanechnikov'"),
+    ("model", "ar1", "model must be a ProcessModel, got 'ar1'"),
+    ("schedule", 0.3, "schedule must be a BandwidthSchedule, got 0.3"),
+    ("grid", (-2.0, 2.0, 41), r"grid must be a Grid, got \(-2.0, 2.0, 41\)"),
+    ("n_list", 32, "n_list must be a tuple or list, got 32"),
+    ("n_list", np.array([32, 64]), r"n_list must be a tuple or list, got array\(\[32, 64\]\)"),
+    ("eval_points", 0.5, "eval_points must be a tuple or list, got 0.5"),
+    ("eval_points", "0.5", "eval_points must be a tuple or list, got '0.5'"),
+])
+def test_wrong_typed_fields_are_refused_by_name(name, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _config(**{name: value})
+
+
 def test_validate_shape():
     with pytest.raises(ValueError, match="evaluation point"):
         _config(eval_points=())

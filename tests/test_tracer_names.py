@@ -12,8 +12,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from mixkde import estimator, experiments, util
 from mixkde.bandwidth import BandwidthSchedule
+from mixkde.estimator import Grid
 from mixkde.kernels import kernel_from_name
 from mixkde.processes import ProcessModel
 
@@ -78,3 +81,21 @@ def test_a_traced_clt_run_records_its_oracle_calls(monkeypatch):
     # one oracle call over both points, one long-run variance per point
     assert layers.count("estimator.oracle") == 1
     assert layers.count("processes.indicator_long_run_variance") == 2
+
+
+@pytest.mark.parametrize("kind", ["rate_sup_lp", "rate_integral_lp", "uniform_as"])
+def test_a_traced_deviation_run_takes_one_oracle_call_per_bandwidth(monkeypatch, kind):
+    """The nested-prefix kinds take E f_n once per size, over all their points, for all replicates."""
+    n_list = (64, 128, 256)
+    config = experiments.ExperimentConfig(
+        kind=kind, model=ProcessModel(family="ar1", phi=0.25),
+        kernel=kernel_from_name("epanechnikov"), schedule=BandwidthSchedule(c=1.0, delta=0.3),
+        n_list=n_list, replicates=3, base_seed=3, eval_points=(-0.5, 0.5), grid=Grid(-2.0, 2.0, 41),
+    )
+    tracer = _load_spans(monkeypatch).Tracer()
+    try:
+        tracer.install({name: importlib.import_module(f"mixkde.{name}") for name in MODULES})
+        experiments.run_experiment(config)
+    finally:
+        tracer.uninstall()
+    assert [span.layer for span in tracer.take()].count("estimator.oracle") == len(n_list)

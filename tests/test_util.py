@@ -157,6 +157,8 @@ TABLES = {
                     {"f": math.nan, "g": -0.0, "i": 2**70, "b": True, "z": -math.inf, "s": "", "m": None},
                     {"f": 5e-324, "g": math.nan, "i": 0, "b": False, "z": "null", "s": "nan", "m": 7}],
     "numpy and subclass floats": [{"v": 0.5}, {"v": np.float64(0.1)}, {"v": _Float(2.5)}, {"v": np.float64("nan")}],
+    # a column all of exact ints or all of bools is rendered whole, not cell by cell
+    "int and bool columns": [{"n": n, "b": n % 3 == 0, "x": 0.5 * n} for n in (-7, 0, 1, 2**70, -2**64, 10**30)],
     "bools ints and None": [{"a": True, "b": 3, "c": None}, {"a": False, "b": _Int(-7), "c": 1.5},
                             {"a": 1, "b": 2**70, "c": 0.25}],
     "escaped strings and keys": [{'q"': 'a"b\\c\ndé☃\x01', "%s %d %%": 1.0, "é": "%s"},
@@ -173,6 +175,8 @@ TABLES = {
     "tuple of rows": ({"a": 0.1}, {"a": 0.2}),
     "flat floats": [0.1, -0.0, 5e-324, 1e16],
     "flat floats with nan": [0.1, math.nan, 2.0],
+    "flat ints": [3, -1, 0, 2**70],
+    "flat bools": [True, False, False],
     "flat mixed": [1, 2.5, None, True, "s", np.float64(0.3)],
 }
 # the lists above that are not tables (util._table_keys), which RowTable refuses
