@@ -7,8 +7,8 @@ raw sums of _kernel_window_sums and _cdf_window_sums. One engine
 (_window_sums) computes the sums by a direct, a prefix (compact kernels) or
 a Hermite (Gaussian) path, chosen from the input alone. The exact centerings
 E f_n(x) and E F_n(x) under the N(0, s^2) marginal come from one oracle
-(_expected), which raises ArithmeticError when its 16- and 32-node rules
-disagree. README "Window sums" and "Oracles" give each path's error bound
+(_expected), which takes one point on Python floats and more as arrays,
+and raises ArithmeticError when its 16- and 32-node rules disagree. README "Window sums" and "Oracles" give each path's error bound
 and the crossovers. _centring and _standardized own the CLT statistic.
 The normal CDF ndtr is scipy.special's, taken from mixkde.processes, which
 loads it without the scipy.special package.
@@ -28,6 +28,9 @@ from .kernels import KernelSpec, evaluate, horner
 from .processes import (
     ProcessModel,
     SamplePath,
+    _normal_density,
+    _real_point,
+    _real_points,
     indicator_long_run_variance,
     marginal_cdf,
     marginal_density,
@@ -76,14 +79,19 @@ class EstimateCurve:
     values: np.ndarray
 
 
-def _check_h(h: float, xs: np.ndarray | None = None) -> None:
-    """Reject h unless finite, positive and, given xs sorted ascending, above its range floor.
+def _check_h(h: float, xs: np.ndarray | None = None) -> float:
+    """h as a float; refused unless finite, positive and, given xs sorted ascending, above its range floor.
 
-    A NaN sorts last, so the range xs[-1] - xs[0] is NaN and the check passes.
+    Real numpy scalars count by value; bools are refused. A NaN sorts last,
+    so the range xs[-1] - xs[0] is NaN and the check passes.
     """
-    # compared, not converted: an int too large for a double is refused, not an OverflowError
-    if isinstance(h, bool) or not (isinstance(h, (int, float)) and 0.0 < h <= sys.float_info.max):
+    # compared, not converted: an int too large for a double is refused, not an OverflowError;
+    # a numpy scalar as the Python number it holds, as a float16 cannot hold the bound
+    value = h.item() if isinstance(h, np.generic) else h
+    if isinstance(value, bool) or not (
+            isinstance(value, (int, float, np.floating)) and 0.0 < value <= sys.float_info.max):
         raise ValueError(f"bandwidth must be a positive finite number, got {_echo(h)}")
+    h = float(value)
     if xs is not None and xs.size > 1:
         rng = float(xs[-1] - xs[0])
         if rng > 0.0 and h < _H_RANGE_FLOOR * rng:
@@ -91,6 +99,7 @@ def _check_h(h: float, xs: np.ndarray | None = None) -> None:
                 f"bandwidth {h:g} is below {_H_RANGE_FLOOR:g} of the data range {rng:g}; "
                 "sums of point spikes are not a usable estimate"
             )
+    return h
 
 
 def _kernel_window_sums(xs: np.ndarray, kernel: KernelSpec, h: float, pts: np.ndarray) -> np.ndarray:
@@ -427,7 +436,7 @@ def density_estimate(
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     xs = np.sort(path.values)
-    _check_h(h, xs)
+    h = _check_h(h, xs)
     if strategy == "direct":
         return EstimateCurve(grid=grid, values=_estimate(xs, kernel, h, grid.points, "density"))
 
@@ -462,14 +471,23 @@ def cdf_estimate(path: SamplePath, kernel: KernelSpec, h: float, grid: Grid = DE
     a genuine distribution function up to the kernel window at the edges.
     """
     xs = np.sort(path.values)
-    _check_h(h, xs)
+    h = _check_h(h, xs)
     return EstimateCurve(grid=grid, values=_estimate(xs, kernel, h, grid.points, "cdf"))
+
+
+def _panel_rules(coarse: tuple, fine: tuple) -> tuple:
+    """Two (nodes, weights) rules as the oracle takes them: (nodes, split, coarse weights, fine weights).
+
+    Both rules' nodes lie on one row of shape (1, coarse + fine nodes), the
+    coarse rule's first `split`, so that a panel's values are taken once.
+    """
+    return np.concatenate((coarse[0], fine[0]))[None, :], coarse[0].size, coarse[1], fine[1]
 
 
 @cache
 def _rules() -> tuple:
-    """The oracle's coarse and fine Gauss-Legendre rules, built on first use."""
-    return leggauss(16), leggauss(32)
+    """The oracle's 16- and 32-node Gauss-Legendre rules (_panel_rules), built on first use."""
+    return _panel_rules(leggauss(16), leggauss(32))
 
 
 _ORACLE_TOL = 1e-10
@@ -477,29 +495,36 @@ _MARGINAL_RADIUS = 40.0
 
 
 def _expected(model: ProcessModel, kernel: KernelSpec, h: float, x, form: str):
-    """E f_n(x) (form "density") or E F_n(x) ("cdf"); see README "Oracles"."""
-    _check_h(h)
-    points = np.asarray(x)
-    if points.dtype.kind in "iuf":
-        points = points.astype(float, copy=False)
-    # bools, strings and ints beyond 64 bits (numpy keeps those as objects) stay of other kinds
-    if points.dtype.kind != "f" or np.isnan(points).any():
-        raise ValueError(f"x must be real numbers other than NaN, got {_echo(x)}")
-    x = points
+    """E f_n(x) (form "density") or E F_n(x) ("cdf"); see README "Oracles".
+
+    A compact kernel asked for one point takes _expected_point, for more
+    points _expected_points; both give one point the same bits.
+    """
+    h = _check_h(h)
+    points = _real_points(x)
     if kernel.pieces is None:
         smoothed = ProcessModel(family="iid", innovation_sd=math.hypot(model.marginal_sd, h))
-        return (marginal_density if form == "density" else marginal_cdf)(smoothed, x)
-    if not x.size:
-        return np.zeros(x.shape)
-    pts = x.ravel()
+        return (marginal_density if form == "density" else marginal_cdf)(smoothed, points)
+    if points.size != 1:
+        # at far-out points or a tiny h the reach and x + h u overflow to inf, which the
+        # clipping and the marginals turn into the limits
+        with np.errstate(over="ignore"):
+            return _expected_points(model, kernel.pieces, h, points, form)
+    value = _expected_point(model, kernel.pieces, h, points.item(), form)
+    return np.full(points.shape, value) if points.ndim else value
+
+
+def _expected_points(model: ProcessModel, pieces, h: float, points: np.ndarray, form: str) -> np.ndarray:
+    """_expected at every point at once: each panel is one array over all points, as many as any point needs."""
+    if not points.size:
+        return np.zeros(points.shape)
+    pts = points.ravel()
     s = model.marginal_sd
     limit = _MARGINAL_RADIUS * s
-    # both rules on one array of nodes: a panel's values are taken once
-    (coarse_nodes, coarse_weights), (fine_nodes, fine_weights) = _rules()
-    nodes, split = np.concatenate((coarse_nodes, fine_nodes)), coarse_nodes.size
+    nodes, split, coarse_weights, fine_weights = _rules()
     coarse, fine = np.zeros(pts.size), np.zeros(pts.size)
     reach = (np.array([[-limit], [limit]]) - pts) / h  # |x + h u| <= limit
-    for piece in kernel.pieces:
+    for piece in pieces:
         coef = getattr(piece, form)
         a, b = np.minimum(np.maximum(reach, piece.lo), piece.hi)  # the piece, clipped to the reach
         width = b - a
@@ -507,18 +532,57 @@ def _expected(model: ProcessModel, kernel: KernelSpec, h: float, x, form: str):
         half = 0.5 * width / panels
         for k in range(panels):
             u = (a + (2 * k + 1) * half)[:, None] + half[:, None] * nodes
-            values = horner(coef, u) * marginal_density(model, pts[:, None] + h * u)
+            values = horner(coef, u) * _normal_density(pts[:, None] + h * u, s)
             coarse += values[:, :split] @ coarse_weights * half
             fine += values[:, split:] @ fine_weights * half
     if form == "cdf":
-        below = marginal_cdf(model, pts + h * kernel.pieces[0].lo)
+        below = marginal_cdf(model, pts + h * pieces[0].lo)
         coarse, fine = below + h * coarse, below + h * fine
-    gap = float(np.abs(fine - coarse).max())
-    tol = _ORACLE_TOL * max(1.0, float(np.abs(fine).max()))
+    _check_rules(float(np.abs(fine - coarse).max()), float(np.abs(fine).max()))
+    return fine.reshape(points.shape)
+
+
+def _expected_point(model: ProcessModel, pieces, h: float, x: float, form: str) -> float:
+    """_expected at one point x.
+
+    Every per-point quantity is a Python float; only the node arithmetic is
+    numpy, on the (1, 48) row that _expected_points would take for this
+    point alone, so every operation, and so every bit, is the same. A piece
+    outside the reach has width 0 and adds exactly 0, so it is skipped. A
+    Python float overflows to inf without a warning, and wherever a piece
+    has width, x + h u stays within a few hundred s of 0 (the reach plus
+    rounding), so this path needs no errstate.
+    """
+    s = model.marginal_sd
+    limit = _MARGINAL_RADIUS * s
+    nodes, split, coarse_weights, fine_weights = _rules()
+    coarse = fine = 0.0
+    reach_lo, reach_hi = (-limit - x) / h, (limit - x) / h
+    for piece in pieces:
+        coef = getattr(piece, form)
+        a, b = min(max(reach_lo, piece.lo), piece.hi), min(max(reach_hi, piece.lo), piece.hi)
+        width = b - a
+        if not width:
+            continue
+        panels = max(1, math.ceil(width * h / s))
+        half = 0.5 * width / panels
+        for k in range(panels):
+            u = (a + (2 * k + 1) * half) + half * nodes
+            values = horner(coef, u) * _normal_density(x + h * u, s)
+            coarse += (values[:, :split] @ coarse_weights).item() * half
+            fine += (values[:, split:] @ fine_weights).item() * half
+    if form == "cdf":
+        below = float(ndtr((x + h * pieces[0].lo) / s))  # F(x + h lo), as marginal_cdf takes it
+        coarse, fine = below + h * coarse, below + h * fine
+    _check_rules(abs(fine - coarse), abs(fine))
+    return fine
+
+
+def _check_rules(gap: float, largest: float) -> None:
+    """Raise ArithmeticError when the rules differ by more than _ORACLE_TOL times max(1, largest value)."""
+    tol = _ORACLE_TOL * max(1.0, largest)
     if gap > tol:
         raise ArithmeticError(f"Gauss-Legendre rules differ by {gap:.3g}, above {tol:.3g}")
-    out = fine.reshape(x.shape)
-    return out if out.ndim else float(out)
 
 
 def expected_density(model: ProcessModel, kernel: KernelSpec, h: float, x):
@@ -579,11 +643,11 @@ def _standardized(xs, kernel: KernelSpec, h: float, pts, form: str, centres, var
 
 
 def _statistic(path: SamplePath, kernel: KernelSpec, h: float, x: float, form: str):
-    """The statistic of `form` at x, its centre and variance read from the cache."""
+    """The statistic of `form` at the checked point x, its centre and variance read from the cache."""
     xs = np.sort(path.values)
-    _check_h(h, xs)
-    centres, variances = _standardization(path.model, kernel, h, (float(x),), form)
-    return _standardized(xs, kernel, h, np.array([float(x)]), form, centres, variances)[0]
+    h = _check_h(h, xs)
+    centres, variances = _standardization(path.model, kernel, h, (x,), form)
+    return _standardized(xs, kernel, h, np.array([x]), form, centres, variances)[0]
 
 
 def clt_statistic(path: SamplePath, kernel: KernelSpec, h: float, x: float) -> float:
@@ -594,8 +658,10 @@ def clt_statistic(path: SamplePath, kernel: KernelSpec, h: float, x: float) -> f
     and dependence conditions hold. The centre and scale are fixed by
     (model, kernel, h, x) and computed once per key (_standardization, the
     cached _centring); only f_n(x) is summed on every call, and _standardized
-    gives the formula, as for the CLT runners.
+    gives the formula, as for the CLT runners. x must be one real point
+    other than NaN (_real_point).
     """
+    x = _real_point(x)
     if not marginal_density(path.model, x) > _DENSITY_FLOOR:
         raise ValueError(f"marginal density vanishes at x={x:g}")
     return _statistic(path, kernel, h, x, "density")
@@ -608,8 +674,9 @@ def cdf_clt_statistic(path: SamplePath, kernel: KernelSpec, h: float, x: float) 
     1{X_t <= x} (indicator_long_run_variance), the limit variance of
     sqrt(n)(F_n(x) - F(x)) under summable dependence; for iid models it is
     F(x)(1 - F(x)). E F_n(x) and sigma_LR(x) are fixed by (model, kernel, h, x)
-    and computed once per key, as for clt_statistic.
+    and computed once per key, and x is checked, as for clt_statistic.
     """
+    x = _real_point(x)
     fx = marginal_cdf(path.model, x)
     if not (_CDF_EDGE < fx < 1.0 - _CDF_EDGE):
         raise ValueError(f"F(x) = {fx:g} is too close to 0 or 1 for standardization")

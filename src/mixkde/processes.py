@@ -34,7 +34,7 @@ import numpy as np
 import scipy
 from numpy.polynomial.legendre import leggauss
 
-from .util import _check_real, check_int
+from .util import _check_real, _echo, check_int
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -285,11 +285,37 @@ def generate_path(model: ProcessModel, n: int, seed: int) -> SamplePath:
     return SamplePath(values=generate_paths(model, n, (seed,))[0], model=model, seed=seed)
 
 
+def _real_points(x) -> np.ndarray:
+    """x as a float array; NaN, bools, strings and ints beyond 64 bits get a ValueError naming x."""
+    points = np.asarray(x)
+    if points.dtype.kind in "iuf":
+        points = points.astype(float, copy=False)
+    # bools, strings, None and ints beyond 64 bits (numpy keeps those as objects) stay of other kinds
+    if points.dtype.kind != "f" or np.count_nonzero(np.isnan(points)):
+        raise ValueError(f"x must be real numbers other than NaN, got {_echo(x)}")
+    return points
+
+
+def _real_point(x) -> float:
+    """One point x as a float, checked as _real_points checks it; an array of another size is refused."""
+    points = _real_points(x)
+    if points.size != 1:
+        raise ValueError(f"x must be one point, got {_echo(x)}")
+    return points.item()
+
+
+def _normal_density(x, s: float):
+    """The N(0, s^2) density at a float array x; numpy warns of overflow from |x| = 1.3e154 s on."""
+    return np.exp(-0.5 * (x / s) ** 2) / (s * _SQRT_2PI)
+
+
+# Far out, x/s or its square overflows to inf, which gives the limits 0 and 0 or 1
+# exactly; the overflow is not reported, as at +-inf.
 def marginal_density(model: ProcessModel, x):
     """Stationary one-dimensional density f(x); vectorized over x."""
-    s = model.marginal_sd
     x = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * (x / s) ** 2) / (s * _SQRT_2PI)
+    with np.errstate(over="ignore"):
+        out = _normal_density(x, model.marginal_sd)
     return out if out.ndim else float(out)
 
 
@@ -297,7 +323,8 @@ def marginal_cdf(model: ProcessModel, x):
     """Stationary one-dimensional distribution function F(x)."""
     s = model.marginal_sd
     x = np.asarray(x, dtype=float)
-    out = ndtr(x / s)
+    with np.errstate(over="ignore"):
+        out = ndtr(x / s)
     return out if out.ndim else float(out)
 
 
@@ -453,9 +480,10 @@ def indicator_long_run_variance(model: ProcessModel, x: float) -> float:
     Plackett integrals and, for the far AR(1) lags, a Mehler series
     (_mehler_far_sum) truncated below 1e-17 F(1-F). iid models and phi = 0
     return F(1-F) exactly. plackett_lags raises ValueError for |phi| from
-    about 1 - 6.61e-7 on.
+    about 1 - 6.61e-7 on, and _real_point for an x that is not one real
+    point other than NaN.
     """
-    z = float(x) / model.marginal_sd
+    z = _real_point(x) / model.marginal_sd
     # F(1-F) as Phi(z) Phi(-z): symmetric in z, and 1 - F loses no digits
     marginal = float(ndtr(z) * ndtr(-z))
     if model.family == "ma":

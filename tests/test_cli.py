@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -514,6 +515,22 @@ def test_value_error_in_a_run_is_an_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_bias_point_at_1e300_is_one_error_line(tmp_path, capsys):
+    # f and E f_n are 0 there without an overflow warning, so the run ends as at x = 60
+    for far in ("1e300", "-1e300"):
+        cfg = _write(tmp_path, (
+            "experiment.kind = bias\nmodel.family = iid\nkernel.family = epanechnikov\n"
+            "bandwidth.delta = 0.3\nrun.n_list = 256, 512, 1024\nrun.replicates = 1\n"
+            f"run.eval_points = 0.5, {far}\nrun.base_seed = 7\n"
+        ))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: log-log fit needs positive xs and ys\n"
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["rate_integral_lp", "uniform_as"])
 def test_a_grid_that_meets_no_window_is_an_error_line(tmp_path, capsys, kind):
     # two grid points, 40 marginal sds out: no window holds a value and E f_n is 0 at both
@@ -593,7 +610,7 @@ def test_oracle_failure_is_an_error_line(tmp_path, capsys, monkeypatch):
     import mixkde.estimator as estimator
     from numpy.polynomial.legendre import leggauss
 
-    monkeypatch.setattr(estimator, "_rules", lambda: (leggauss(1), leggauss(2)))
+    monkeypatch.setattr(estimator, "_rules", lambda: estimator._panel_rules(leggauss(1), leggauss(2)))
     cfg = _write(tmp_path, TINY_SCALE_RUN)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 1

@@ -1,6 +1,8 @@
 """Estimator oracles: brute-force sums, closed-form expectations, invariants."""
 
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,12 +139,24 @@ def test_rejects_nonpositive_bandwidth():
 def test_rejects_a_bool_bandwidth():
     path = _path_from([0.0, 1.0])
     # an int too large for a double is refused too, not left to raise OverflowError
-    for h, echo in ((True, "True"), (10**400, "an int of 1329 bits")):
+    for h, echo in ((True, "True"), (np.True_, "np.True_"), (10**400, "an int of 1329 bits")):
         calls = (lambda: expected_density(IID, GAUSS, h, 0.0), lambda: clt_statistic(path, GAUSS, h, 0.0),
                  lambda: density_estimate(path, GAUSS, h))
         for call in calls:
             with pytest.raises(ValueError, match=f"^bandwidth must be a positive finite number, got {echo}$"):
                 call()
+
+
+def test_numpy_scalar_bandwidths_count_by_value():
+    path = generate_path(AR, 300, seed=2)
+    calls = (lambda h: density_estimate(path, EPAN, h).values, lambda h: cdf_estimate(path, EPAN, h).values,
+             lambda h: expected_density(AR, EPAN, h, 0.4), lambda h: expected_cdf(AR, EPAN, h, 0.4),
+             lambda h: bias(AR, GAUSS, h, 0.4), lambda h: clt_statistic(path, EPAN, h, 0.4),
+             lambda h: cdf_clt_statistic(path, EPAN, h, 0.4))
+    for h in (np.float32(0.3), np.float16(0.5), np.int64(1), np.uint8(2)):
+        for call in calls:
+            got, want = call(h), call(float(h))
+            assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_rejects_degenerate_bandwidth():
@@ -298,7 +312,7 @@ def test_oracle_raises_when_its_rules_disagree(monkeypatch):
     import mixkde.estimator as estimator
     from numpy.polynomial.legendre import leggauss
 
-    monkeypatch.setattr(estimator, "_rules", lambda: (leggauss(1), leggauss(2)))
+    monkeypatch.setattr(estimator, "_rules", lambda: estimator._panel_rules(leggauss(1), leggauss(2)))
     with pytest.raises(ArithmeticError, match="rules differ"):
         expected_density(AR, EPAN, 0.35, 0.4)
     with pytest.raises(ArithmeticError, match="rules differ"):
@@ -339,19 +353,27 @@ def _two_rule_loop(model, kernel, h, x, form):
 
 ORACLE_MODELS = (IID, AR, ProcessModel(family="ar1", phi=-0.7), ProcessModel(family="ma", weights=(1.0, 0.6, -0.3)),
                  ProcessModel(family="ar1", phi=0.9, innovation_sd=0.3), ProcessModel(family="iid", innovation_sd=2.5))
-# each panel runs on all points at once, as one matrix product of 513 rows here (and 3267 below)
+# each panel runs on all points at once, as one matrix product of 513 rows here (and 3267 below);
+# one point, as a scalar or a one-element array, takes the oracle's one-point path
 ORACLE_POINTS = (0.4, -2.3, np.array([-1.0, 0.0, 2.5]), np.linspace(-3.0, 3.0, 201),
                  np.random.default_rng(3).normal(size=(7, 5)), np.array([]),
-                 np.array([-45.0, 41.0, 1e3, -1e300, math.inf, -math.inf]), np.linspace(-2.0, 2.0, 513))
+                 np.array([-45.0, 41.0, 1e3, -1e300, math.inf, -math.inf]), np.linspace(-2.0, 2.0, 513),
+                 np.array([0.7]), np.array([[-1.2]]), 41.0, 1e3, -1e300, math.inf)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")  # x = -1e300 at h = 1e-9
 @pytest.mark.parametrize("form", ["density", "cdf"])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_oracle_keeps_the_bits_of_its_two_rule_loop(family, form):
+def test_oracle_keeps_the_bits_of_its_two_rule_loop(family, form, monkeypatch):
+    from numpy.polynomial import legendre
+
+    # the reference builds its rules on every call: the same arrays, each built once
+    monkeypatch.setattr(legendre, "leggauss", functools.cache(legendre.leggauss))
     kernel = kernel_from_name(family)
     def same(model, h, x):
-        got, want = estimator._expected(model, kernel, h, x, form), _two_rule_loop(model, kernel, h, x, form)
+        got = estimator._expected(model, kernel, h, x, form)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "overflow encountered")  # x = -1e300 at h = 1e-9
+            want = _two_rule_loop(model, kernel, h, x, form)
         assert type(got) is type(want) and np.shape(got) == np.shape(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (model, h, np.shape(x))
 
@@ -364,18 +386,49 @@ def test_oracle_keeps_the_bits_of_its_two_rule_loop(family, form):
 
 
 def test_oracles_refuse_a_bad_x_for_every_family():
-    # NaN, a bool, a string, an int too large for a double, and arrays holding them
-    bad = ((math.nan, "nan"), (True, "True"), ("0.5", "'0.5'"), (10**400, "an int of 1329 bits"),
+    # NaN, a bool, a string, None, an int too large for a double, and arrays holding them
+    bad = ((math.nan, "nan"), (True, "True"), ("0.5", "'0.5'"), (None, "None"), (10**400, "an int of 1329 bits"),
            ([0.1, math.nan], r"\[0.1, nan\]"), (np.array([False, True]), r"array\(\[False,  True\]\)"),
            ([1.0, None], r"\[1.0, None\]"))
+    path = generate_path(AR, 200, seed=3)
     for kernel in FAMILIES.values():
-        for oracle in (expected_density, expected_cdf, bias):
+        # the statistics and the long-run variance take one point, and check it as the oracles do
+        one_point = (lambda x: clt_statistic(path, kernel, 0.3, x), lambda x: cdf_clt_statistic(path, kernel, 0.3, x),
+                     lambda x: indicator_long_run_variance(AR, x))
+        for oracle in (lambda x: expected_density(AR, kernel, 0.3, x), lambda x: expected_cdf(AR, kernel, 0.3, x),
+                       lambda x: bias(AR, kernel, 0.3, x)) + one_point:
             for x, echo in bad:
                 with pytest.raises(ValueError, match=f"^x must be real numbers other than NaN, got {echo}$"):
-                    oracle(AR, kernel, 0.3, x)
+                    oracle(x)
+        for statistic in one_point:
+            for x, echo in (([0.1, 0.2], r"\[0.1, 0.2\]"), (np.zeros((1, 2)), r"array\(\[\[0., 0.\]\]\)")):
+                with pytest.raises(ValueError, match=f"^x must be one point, got {echo}$"):
+                    statistic(x)
+            assert statistic(np.array([0.3])) == statistic(0.3)
+        for oracle in (expected_density, expected_cdf, bias):
             # +-inf keep their limits
             assert oracle(AR, kernel, 0.3, math.inf) == (1.0 if oracle is expected_cdf else 0.0)
             assert oracle(AR, kernel, 0.3, -math.inf) == 0.0
+
+
+def test_far_out_points_give_the_limits_without_a_warning():
+    path = generate_path(AR, 200, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1e300, -1e300, 1e200, 1.7e308):
+            cdf_limit = 1.0 if x > 0 else 0.0
+            for point in (x, np.array([x, 0.0])):
+                assert np.ravel(marginal_density(AR, point))[0] == 0.0
+                assert np.ravel(marginal_cdf(ProcessModel(family="iid", innovation_sd=0.3), point))[0] == cdf_limit
+                for kernel in FAMILIES.values():
+                    for h in (1e-12, 0.5, 1e5):
+                        for oracle, limit in ((expected_density, 0.0), (bias, 0.0), (expected_cdf, cdf_limit)):
+                            assert np.ravel(oracle(AR, kernel, h, point))[0] == limit
+            assert indicator_long_run_variance(AR, x) == 0.0
+            with pytest.raises(ValueError, match="^marginal density vanishes at x="):
+                clt_statistic(path, GAUSS, 0.3, x)
+            with pytest.raises(ValueError, match="^F\\(x\\) = [01] is too close to 0 or 1"):
+                cdf_clt_statistic(path, EPAN, 0.3, x)
 
 
 def test_oracle_takes_arrays():
@@ -540,7 +593,7 @@ def test_oracle_failure_is_raised_on_every_call_not_cached(cold_statistics, monk
     from numpy.polynomial.legendre import leggauss
 
     path = generate_path(AR, 300, seed=5)
-    monkeypatch.setattr(estimator, "_rules", lambda: (leggauss(1), leggauss(2)))
+    monkeypatch.setattr(estimator, "_rules", lambda: estimator._panel_rules(leggauss(1), leggauss(2)))
     for _ in range(2):
         for statistic in (clt_statistic, cdf_clt_statistic):
             with pytest.raises(ArithmeticError, match="rules differ"):
@@ -572,7 +625,7 @@ def test_public_oracles_are_not_cached(monkeypatch):
     assert first != float(ndtr(z) * ndtr(-z))
     expected_density(AR, EPAN, 0.35, 0.4)
     expected_cdf(AR, EPAN, 0.35, 0.4)
-    monkeypatch.setattr(estimator, "_rules", lambda: (leggauss(1), leggauss(2)))
+    monkeypatch.setattr(estimator, "_rules", lambda: estimator._panel_rules(leggauss(1), leggauss(2)))
     with pytest.raises(ArithmeticError, match="rules differ"):
         expected_density(AR, EPAN, 0.35, 0.4)
     with pytest.raises(ArithmeticError, match="rules differ"):

@@ -778,7 +778,7 @@ def test_no_run_reads_the_statistics_cache(monkeypatch):
     path = generate_path(IID, 96, derive_seed(cfg.base_seed, 0))
     h = run_experiment(cfg).rows[0]["h"]
     filled = clt_statistic(path, EPAN, h, 0.4)
-    monkeypatch.setattr(estimator, "_rules", lambda: (leggauss(1), leggauss(2)))
+    monkeypatch.setattr(estimator, "_rules", lambda: estimator._panel_rules(leggauss(1), leggauss(2)))
     assert clt_statistic(path, EPAN, h, 0.4) == filled  # the statistic reads its cached key
     with pytest.raises(ArithmeticError, match="rules differ"):
         run_experiment(cfg)
