@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .util import _check_real, check_int, clamped_log
+from .util import check_int, check_real, clamped_log
 
 SLOWLY_VARYING = ("one", "log", "invlog")
 
@@ -34,11 +34,10 @@ class BandwidthSchedule:
     slowly_varying: str = "one"
 
     def __post_init__(self):
-        _check_real(self.c, "schedule constant c")
+        object.__setattr__(self, "c", check_real(self.c, "schedule constant c"))
         if not self.c > 0.0:
             raise ValueError(f"schedule constant c must be positive, got {self.c}")
-        _check_real(self.delta, "schedule exponent delta")
-        object.__setattr__(self, "delta", self.delta + 0.0)  # -0.0 would echo as "delta": -0
+        object.__setattr__(self, "delta", check_real(self.delta, "schedule exponent delta"))
         if self.slowly_varying not in SLOWLY_VARYING:
             raise ValueError(
                 f"slowly_varying must be one of {SLOWLY_VARYING}, got {self.slowly_varying!r}"
@@ -62,7 +61,7 @@ def condition(name: str, passed: bool, holds: str, fails: str) -> ConditionVerdi
 
 def bandwidth_at(schedule: BandwidthSchedule, n: int) -> float:
     """h_n for sample size n >= 1."""
-    check_int(n, "sample size", 1)
+    n = check_int(n, "sample size", 1)
     if schedule.slowly_varying == "one":
         l = 1.0
     elif schedule.slowly_varying == "log":

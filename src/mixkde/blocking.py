@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .processes import generate_path  # noqa: F401  (perfbench/spans.py traces this name)
-from .util import check_int
+from .util import check_int, check_real
 
 _BRACKET_SCAN_MAX = 64
 # The largest level accepted: a 2^21-value path and fewer than 2^19 blocks.
@@ -47,11 +47,11 @@ class BlockPartition:
     bracket_ok: bool
 
 
-def _check_block_params(alpha: float, beta: float) -> None:
+def _check_block_params(alpha: float, beta: float) -> tuple[float, float]:
+    alpha, beta = check_real(alpha, "block exponent alpha"), check_real(beta, "block exponent beta")
     if not (0.0 < beta < alpha < 1.0):
-        raise ValueError(
-            f"block exponents must satisfy 0 < beta < alpha < 1, got alpha={alpha}, beta={beta}"
-        )
+        raise ValueError(f"block exponents must satisfy 0 < beta < alpha < 1, got alpha={alpha}, beta={beta}")
+    return alpha, beta
 
 
 def _level_sizes(k: int, alpha: float, beta: float) -> tuple[int, int, int]:
@@ -65,7 +65,7 @@ def bracket_threshold(alpha: float, beta: float) -> int:
     """Smallest k0 with r_k in [2^{(1-alpha)k}/2, 2*2^{(1-alpha)k}] for all
     k in [k0, 64]; the block-count bracket is asymptotic and this records
     where it starts holding on the scanned range."""
-    _check_block_params(alpha, beta)
+    alpha, beta = _check_block_params(alpha, beta)
     k0 = _BRACKET_SCAN_MAX + 1
     for k in range(_BRACKET_SCAN_MAX, 0, -1):
         p, q, r = _level_sizes(k, alpha, beta)
@@ -79,8 +79,8 @@ def bracket_threshold(alpha: float, beta: float) -> int:
     return k0
 
 
-def _checked_level(k: int, alpha: float, beta: float) -> tuple[int, int, int]:
-    """(p_k, q_k, r_k) of a level that holds a usable partition.
+def _checked_level(k: int, alpha: float, beta: float) -> tuple[int, float, float, int, int, int]:
+    """(k, alpha, beta, p_k, q_k, r_k) of a level that holds a usable partition, as admitted.
 
     Rejects parameter order violations, levels above MAX_LEVEL, levels too
     small to hold one big/small pair, and degenerate levels where the big
@@ -88,8 +88,8 @@ def _checked_level(k: int, alpha: float, beta: float) -> tuple[int, int, int]:
     (alpha, beta) collapses to p = q = 1, which leaves nothing to distinguish
     the two roles).
     """
-    _check_block_params(alpha, beta)
-    check_int(k, "level k", 1)
+    alpha, beta = _check_block_params(alpha, beta)
+    k = check_int(k, "level k", 1)
     if k > MAX_LEVEL:
         raise ValueError(f"level k={k} is above the largest level {MAX_LEVEL}")
     p, q, r = _level_sizes(k, alpha, beta)
@@ -103,7 +103,7 @@ def _checked_level(k: int, alpha: float, beta: float) -> tuple[int, int, int]:
             f"degenerate blocks at k={k}: big length p={p} does not exceed small length q={q}, "
             "so the level carries no usable big/small structure"
         )
-    return p, q, r
+    return k, alpha, beta, p, q, r
 
 
 def build_partition(k: int, alpha: float, beta: float) -> BlockPartition:
@@ -111,7 +111,7 @@ def build_partition(k: int, alpha: float, beta: float) -> BlockPartition:
 
     Raises ValueError for the levels and exponents _checked_level rejects.
     """
-    p, q, r = _checked_level(k, alpha, beta)
+    k, alpha, beta, p, q, r = _checked_level(k, alpha, beta)
     base = 2**k
     big = []
     small = []

@@ -208,8 +208,7 @@ def _resolve_cli_threads(option: int | None) -> int:
                 f"environment variable {THREADS_ENV_VAR} must be an integer, got {raw!r}"
             ) from None
         source = f"environment variable {THREADS_ENV_VAR}"
-    check_int(value, source, 0)
-    return value
+    return check_int(value, source, 0)
 
 
 def cmd_run(config_path, out_dir, threads: int | None = None) -> int:

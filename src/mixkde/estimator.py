@@ -17,7 +17,6 @@ loads it without the scipy.special package.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 
@@ -29,14 +28,12 @@ from .processes import (
     ProcessModel,
     SamplePath,
     _normal_density,
-    _real_point,
-    _real_points,
     indicator_long_run_variance,
     marginal_cdf,
     marginal_density,
     ndtr,
 )
-from .util import _check_real, _echo
+from .util import _as_real, _echo, _real_point, _real_points, check_int, check_real
 
 STRATEGIES = ("direct", "binned")
 
@@ -54,12 +51,10 @@ class Grid:
 
     def __post_init__(self):
         for name in ("lo", "hi"):
-            _check_real(getattr(self, name), f"grid {name}")
-            object.__setattr__(self, name, getattr(self, name) + 0.0)  # -0.0 would echo as -0
+            object.__setattr__(self, name, check_real(getattr(self, name), f"grid {name}"))
         if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):
             raise ValueError(f"grid needs lo < hi and a finite span hi - lo, got [{self.lo}, {self.hi}]")
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 2:
-            raise ValueError(f"grid needs at least 2 points, got m={self.m!r}")
+        object.__setattr__(self, "m", check_int(self.m, "grid m", 2))
 
     @property
     def spacing(self) -> float:
@@ -79,19 +74,14 @@ class EstimateCurve:
     values: np.ndarray
 
 
-def _check_h(h: float, xs: np.ndarray | None = None) -> float:
-    """h as a float; refused unless finite, positive and, given xs sorted ascending, above its range floor.
+def _check_h(value: float, xs: np.ndarray | None = None) -> float:
+    """value as a float bandwidth (util._as_real): positive, finite and, given xs sorted, above its range floor.
 
-    Real numpy scalars count by value; bools are refused. A NaN sorts last,
-    so the range xs[-1] - xs[0] is NaN and the check passes.
+    A NaN sorts last, so the range xs[-1] - xs[0] is NaN and the check passes.
     """
-    # compared, not converted: an int too large for a double is refused, not an OverflowError;
-    # a numpy scalar as the Python number it holds, as a float16 cannot hold the bound
-    value = h.item() if isinstance(h, np.generic) else h
-    if isinstance(value, bool) or not (
-            isinstance(value, (int, float, np.floating)) and 0.0 < value <= sys.float_info.max):
-        raise ValueError(f"bandwidth must be a positive finite number, got {_echo(h)}")
-    h = float(value)
+    h = _as_real(value)
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"bandwidth must be a positive finite number, got {_echo(value)}")
     if xs is not None and xs.size > 1:
         rng = float(xs[-1] - xs[0])
         if rng > 0.0 and h < _H_RANGE_FLOOR * rng:

@@ -13,7 +13,6 @@ and "Admissibility gates".
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable
@@ -56,7 +55,8 @@ from .processes import (
     rho_decay,
     rho_mixing_coefficient,
 )
-from .util import _check_real, _echo, _run_replicates, check_int, clamped_log, derive_seed, dumps_json
+from .util import (_as_real, _echo, _run_replicates, check_int, check_real, check_seed, clamped_log, derive_seed,
+                   dumps_json)
 
 KS_THRESHOLD = 0.05
 RATE_SLOPE_TOL = 0.1
@@ -112,39 +112,27 @@ class ExperimentConfig:
             if not isinstance(getattr(self, name), types):
                 raise ValueError(f"{name} must be {what}, got {_echo(getattr(self, name))}")
         for n in self.n_list:
-            # a bool is an int, int() of inf or NaN raises its own error, and
-            # math.isfinite raises OverflowError on an int too large for a double
-            try:
-                finite = isinstance(n, numbers.Real) and not isinstance(n, bool) and math.isfinite(n)
-            except OverflowError:
-                raise ValueError(f"n_list entries must fit in a double, got {_echo(n)}") from None
-            if not (finite and int(n) == n):
+            # an integral float counts; util._as_real reads a bool as NaN, an int too large for a double as inf
+            if _as_real(n) == math.inf != n:
+                raise ValueError(f"n_list entries must fit in a double, got {_echo(n)}")
+            if not _as_real(n).is_integer():
                 raise ValueError(f"n_list entries must be integers, got {_echo(n)}")
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
-        for x in self.eval_points:
-            _check_real(x, "eval_points entry")
-        # + 0.0 turns -0.0 into 0.0, which would otherwise echo as -0
-        object.__setattr__(self, "eval_points", tuple(float(x) + 0.0 for x in self.eval_points))
+        object.__setattr__(self, "n_list", tuple(check_int(int(n), "n_list entries", 1) for n in self.n_list))
+        object.__setattr__(self, "eval_points", tuple(check_real(x, "eval_points entry") for x in self.eval_points))
         if len(self.n_list) == 0:
             raise ValueError("n_list must not be empty")
-        for n in self.n_list:
-            if n < 1:
-                raise ValueError(f"n_list entries must be >= 1, got {n}")
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ValueError(f"n_list must be strictly increasing, got {self.n_list}")
-        check_int(self.replicates, "replicates", 1)
+        object.__setattr__(self, "replicates", check_int(self.replicates, "replicates", 1))
         spec = _KIND_TABLE[self.kind]
         if self.replicates < spec.least_replicates:
             raise ValueError(
                 f"{self.kind} needs at least {spec.least_replicates} replicates for a usable "
                 f"distribution comparison, got {self.replicates}"
             )
-        # derive_seed reduces a seed mod 2^64, so a wider one names no further stream
-        seed = self.base_seed
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed.bit_length() > 64:
-            raise ValueError(f"base_seed must be an integer of at most 64 bits, got {_echo(seed)}")
+        object.__setattr__(self, "base_seed", check_seed(self.base_seed, "base_seed"))
         for name in ("p", "block_alpha", "block_beta"):
-            _check_real(getattr(self, name), name)
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
         if not self.p >= 1.0:
             raise ValueError(f"p must be a finite number >= 1, got {self.p!r}")
         if spec.needs_points and len(self.eval_points) == 0:
@@ -206,7 +194,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "n_list": list(config.n_list),
         "replicates": config.replicates,
         "eval_points": list(config.eval_points),
-        "p": float(config.p),
+        "p": config.p,
         "base_seed": config.base_seed,
         "block": {"alpha": config.block_alpha, "beta": config.block_beta},
     }
@@ -578,7 +566,7 @@ def _run_rate(config: ExperimentConfig, threads, *, sup: bool) -> dict:
     must match -(1 - delta)/2 within 0.1.
     """
     xs_eval = np.asarray(config.eval_points, dtype=float) if sup else config.grid.points
-    p = float(config.p)
+    p = config.p
     n_list, h_list = config.n_list, config.h_list
     # moments[r, j, i]: |f_n - E f_n|^p at point i, or its integral over the grid as one column
     fold = (lambda d: d**p) if sup else (lambda d: np.trapezoid(d**p, xs_eval))
@@ -785,9 +773,10 @@ def moment_bound_check(
     """
     if model.family not in ("iid", "ar1"):
         raise ValueError("moment_bound_check needs a Markov model (iid or ar1)")
-    if not isinstance(p, int) or isinstance(p, bool) or p < 2 or p % 2 != 0:
+    p = check_int(p, "moment order p", 2)
+    if p % 2 != 0:
         raise ValueError(f"moment order p must be an even integer >= 2, got {p!r}")
-    check_int(replicates, "replicates", 1)
+    replicates, base_seed = check_int(replicates, "replicates", 1), check_seed(base_seed, "base_seed")
     part = build_partition(k, alpha, beta)
     starts = np.array([s for s, _ in part.big_blocks], dtype=np.int64)
     ends = np.array([e for _, e in part.big_blocks], dtype=np.int64)
@@ -803,11 +792,11 @@ def moment_bound_check(
         xi[r] = cs[ends] - cs[starts]
         g[r] = coef * float(values[anchors].sum())
 
-    _each_path(model, 2 ** (k + 1), replicates, base_seed, threads, each)
+    _each_path(model, 2 ** (part.k + 1), replicates, base_seed, threads, each)
     lhs = sum(abs(v) ** p for v in g) / replicates
     xi_sq = (xi * xi).sum(axis=0) / replicates
     xi_pp = (np.abs(xi) ** p).sum(axis=0) / replicates
-    gaps = np.array([_interpolated_gap(beta, 0.5 * m) for m in range(1, part.r_k + 1)])
+    gaps = np.array([_interpolated_gap(part.beta, 0.5 * m) for m in range(1, part.r_k + 1)])
     rho = np.array([rho_decay(model, g) for g in gaps])
     log_factor = clamped_log(2.0 * part.r_k) ** p
     rhs = log_factor * (
@@ -817,7 +806,7 @@ def moment_bound_check(
         "lhs_estimate": lhs,
         "rhs_bound_shape": rhs,
         "ratio": lhs / rhs if rhs != 0.0 else 0.0 if lhs == 0.0 else math.inf,
-        "k": k,
+        "k": part.k,
         "p_k": part.p_k,
         "q_k": part.q_k,
         "r_k": part.r_k,

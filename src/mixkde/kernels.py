@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .processes import ndtr
+from .util import _real_points
 
 # Beyond 8 standard deviations the Gaussian kernel is below 1.3e-15 of its
 # peak; windowed evaluation treats it as compactly supported at this radius.
@@ -138,8 +139,7 @@ def horner(coefs, u: np.ndarray) -> np.ndarray:
 
 
 def _from_pieces(pieces: tuple[PolyPiece, ...], u, form: str, below: float, above: float):
-    """The pieces' `form` polynomial at u; `below` left of the support, `above` right of it."""
-    u = np.asarray(u, dtype=float)
+    """The pieces' `form` polynomial at a float array u; `below` left of the support, `above` right of it."""
     # clipped first, so that +-inf reaches Horner's rule as a support edge
     v = np.clip(u, pieces[0].lo, pieces[-1].hi)
     out = horner(getattr(pieces[0], form), v)
@@ -151,18 +151,20 @@ def _from_pieces(pieces: tuple[PolyPiece, ...], u, form: str, below: float, abov
 
 
 def evaluate(kernel: KernelSpec, u):
-    """K(u) for a scalar or array argument; exactly zero outside the support."""
+    """K(u) for a scalar or array argument (util._real_points); exactly zero outside the support."""
+    u = _real_points(u)
     if kernel.pieces is not None:
         return _from_pieces(kernel.pieces, u, "density", 0.0, 0.0)
-    u = np.clip(np.asarray(u, dtype=float), -_GAUSSIAN_CLIP, _GAUSSIAN_CLIP)
+    u = np.clip(u, -_GAUSSIAN_CLIP, _GAUSSIAN_CLIP)
     out = np.exp(-0.5 * np.square(u)) / _SQRT_2PI
     return out if out.ndim else float(out)
 
 
 def kernel_cdf(kernel: KernelSpec, u):
-    """G_K(u) = integral of K over (-inf, u]; the cdf pieces hold G_K(-u)."""
+    """G_K(u) = integral of K over (-inf, u], u as for evaluate; the cdf pieces hold G_K(-u)."""
+    u = _real_points(u)
     if kernel.pieces is not None:
-        return _from_pieces(kernel.pieces, -np.asarray(u, dtype=float), "cdf", 1.0, 0.0)
-    out = ndtr(np.asarray(u, dtype=float))
+        return _from_pieces(kernel.pieces, -u, "cdf", 1.0, 0.0)
+    out = ndtr(u)
     return out if out.ndim else float(out)
 

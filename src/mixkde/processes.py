@@ -2,18 +2,19 @@
 
 iid Gaussians, the stationary AR(1) recursion and finite moving averages,
 all centered, so the marginal law, the maximal-correlation coefficients and
-the long-run variance of 1{X_t <= x} are known exactly. The draw contract
-fixes every bit: the path keyed by a 64-bit seed is the Philox stream with
-that key, read as uniforms, turned into normals by the inverse CDF, then
-filtered. generate_paths draws many paths together, in pieces keyed by their
-stream position, each row with the bits it has when drawn alone
-(generate_path). ndtri and ndtr are the ufuncs of scipy.special._ufuncs and
-the AR(1) filter is scipy.signal._sigtools._linear_filter, the C function
-under scipy.signal.lfilter; each extension module is loaded without its
-package (_load_extension), which halves the start-up of the CLI; where it
-is not found, the public scipy function stands in, with the same bits. The
-other modules take ndtr from here. versions() names what the draw and report
-bits rest on.
+the long-run variance of 1{X_t <= x} are known exactly. Parameters, seeds
+and points are admitted by mixkde.util. The draw contract fixes every bit:
+the path keyed by a 64-bit seed is the Philox stream with that key, read as
+uniforms, turned into normals by the inverse CDF, then filtered.
+generate_paths draws many paths together, in pieces keyed by their stream
+position, each row with the bits it has when drawn alone (generate_path).
+ndtri and ndtr are the ufuncs of scipy.special._ufuncs and the AR(1) filter
+is scipy.signal._sigtools._linear_filter, the C function under
+scipy.signal.lfilter; each extension module is loaded without its package
+(_load_extension), which halves the start-up of the CLI; where it is not
+found, the public scipy function stands in, with the same bits. The other
+modules take ndtr from here. versions() names what the draw and report bits
+rest on.
 See README "Library layout" and "Testing" (criterion 2).
 """
 
@@ -34,7 +35,7 @@ import numpy as np
 import scipy
 from numpy.polynomial.legendre import leggauss
 
-from .util import _check_real, _echo, check_int
+from .util import _real_point, _real_points, check_int, check_real, check_seed
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -62,24 +63,21 @@ class ProcessModel:
     def __post_init__(self):
         if self.family not in ("iid", "ar1", "ma"):
             raise ValueError(f"unknown process family {self.family!r}")
-        _check_real(self.innovation_sd, "innovation_sd")
+        object.__setattr__(self, "innovation_sd", check_real(self.innovation_sd, "innovation_sd"))
         if not self.innovation_sd > 0.0:
             raise ValueError(f"innovation_sd must be positive, got {self.innovation_sd}")
+        object.__setattr__(self, "phi", check_real(self.phi, "phi"))
         if self.family == "ar1":
             if not abs(self.phi) < 1.0:
                 raise ValueError(f"AR(1) needs |phi| < 1 for stationarity, got phi={self.phi}")
         elif self.phi != 0.0:
             raise ValueError("phi is only meaningful for the ar1 family")
-        object.__setattr__(self, "phi", self.phi + 0.0)  # -0.0 would echo as "phi": -0
         if self.family == "ma":
-            w = self.weights
-            if len(w) == 0:
+            object.__setattr__(self, "weights", tuple(check_real(x, "ma weight") for x in self.weights))
+            if len(self.weights) == 0:
                 raise ValueError("ma family needs a nonempty weight window")
-            for x in w:
-                _check_real(x, "ma weight")
-            if all(x == 0.0 for x in w):
+            if all(x == 0.0 for x in self.weights):
                 raise ValueError("ma weights must not all be zero")
-            object.__setattr__(self, "weights", tuple(float(x) + 0.0 for x in w))
         elif self.weights != ():
             raise ValueError("weights are only meaningful for the ma family")
 
@@ -238,8 +236,8 @@ def generate_paths(model: ProcessModel, n: int, seeds) -> np.ndarray:
     lfilter's. _each_path hands it paths_per_block rows, so a path longer
     than a piece comes alone.
     """
-    check_int(n, "path length", 1)
-    seeds = [int(s) for s in seeds]
+    n = check_int(n, "path length", 1)
+    seeds = [check_seed(s, "seed") for s in seeds]
     q = model.window_order
     out = np.empty((len(seeds), n))
     # a moving average's innovations, q more than its values, need a buffer
@@ -282,26 +280,7 @@ def generate_path(model: ProcessModel, n: int, seed: int) -> SamplePath:
     The same (model, n, seed) triple always produces the same bits, and the
     first m values of a length-n path equal the length-m path for m <= n.
     """
-    return SamplePath(values=generate_paths(model, n, (seed,))[0], model=model, seed=seed)
-
-
-def _real_points(x) -> np.ndarray:
-    """x as a float array; NaN, bools, strings and ints beyond 64 bits get a ValueError naming x."""
-    points = np.asarray(x)
-    if points.dtype.kind in "iuf":
-        points = points.astype(float, copy=False)
-    # bools, strings, None and ints beyond 64 bits (numpy keeps those as objects) stay of other kinds
-    if points.dtype.kind != "f" or np.count_nonzero(np.isnan(points)):
-        raise ValueError(f"x must be real numbers other than NaN, got {_echo(x)}")
-    return points
-
-
-def _real_point(x) -> float:
-    """One point x as a float, checked as _real_points checks it; an array of another size is refused."""
-    points = _real_points(x)
-    if points.size != 1:
-        raise ValueError(f"x must be one point, got {_echo(x)}")
-    return points.item()
+    return SamplePath(values=generate_paths(model, n, (seed,))[0], model=model, seed=check_seed(seed, "seed"))
 
 
 def _normal_density(x, s: float):
@@ -312,17 +291,17 @@ def _normal_density(x, s: float):
 # Far out, x/s or its square overflows to inf, which gives the limits 0 and 0 or 1
 # exactly; the overflow is not reported, as at +-inf.
 def marginal_density(model: ProcessModel, x):
-    """Stationary one-dimensional density f(x); vectorized over x."""
-    x = np.asarray(x, dtype=float)
+    """Stationary one-dimensional density f(x); vectorized over x (util._real_points)."""
+    x = _real_points(x)
     with np.errstate(over="ignore"):
         out = _normal_density(x, model.marginal_sd)
     return out if out.ndim else float(out)
 
 
 def marginal_cdf(model: ProcessModel, x):
-    """Stationary one-dimensional distribution function F(x)."""
+    """Stationary one-dimensional distribution function F(x); vectorized over x (util._real_points)."""
     s = model.marginal_sd
-    x = np.asarray(x, dtype=float)
+    x = _real_points(x)
     with np.errstate(over="ignore"):
         out = ndtr(x / s)
     return out if out.ndim else float(out)
@@ -345,7 +324,7 @@ def rho_mixing_coefficient(model: ProcessModel, lag: int) -> float:
     autocorrelation at separations >= lag, which is the operative figure for
     every summability certificate used here.
     """
-    check_int(lag, "lag", 1)
+    lag = check_int(lag, "lag", 1)
     if model.family != "ma":  # iid is AR(1) with phi = 0
         return abs(model.phi) ** lag
     return float(np.max(np.abs(_ma_correlations(model.weights)[lag - 1 :]), initial=0.0))
@@ -367,7 +346,8 @@ def rho_decay(model: ProcessModel, lag: float) -> float:
     """
     if model.family == "ma":
         raise ValueError("real-lag decay is only defined for the iid and ar1 families")
-    if not (lag >= 0.0):
+    lag = check_real(lag, "lag")
+    if not lag >= 0.0:
         raise ValueError(f"lag must be >= 0, got {lag!r}")
     return abs(model.phi) ** lag
 
@@ -379,6 +359,7 @@ def mixing_tail_bound(model: ProcessModel, power: float = 1.0) -> dict:
     family the omitted tail is below 1e-12 (geometric decay or exact zeros),
     which is what the experiment gates record.
     """
+    power = check_real(power, "power")
     if not power > 0.0:
         raise ValueError(f"power must be positive, got {power}")
     total = 0.0
@@ -510,5 +491,5 @@ def conditional_mean(model: ProcessModel, last_value: float, horizon: int) -> fl
     if model.family == "ma":
         raise ValueError("conditional_mean needs the Markov property; the ma family is not "
                          "Markov in its own value")
-    check_int(horizon, "horizon", 1)
-    return model.phi**horizon * float(last_value)
+    last_value = check_real(last_value, "last_value")
+    return model.phi ** check_int(horizon, "horizon", 1) * last_value

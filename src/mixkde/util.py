@@ -1,5 +1,9 @@
-"""Shared helpers: seed derivation, the replicate pool, the log convention,
-deterministic serialization."""
+"""Shared helpers: scalar admission, seed derivation, the replicate pool, the
+log convention, deterministic serialization.
+
+check_int, check_seed, check_real and _real_points admit every integer, seed,
+real and point argument by one rule (README "Library layout", mixkde.util).
+"""
 
 from __future__ import annotations
 
@@ -8,6 +12,8 @@ import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -29,9 +35,8 @@ def derive_seed(base_seed: int, index: int) -> int:
     of the on-disk reproducibility contract: the same (base_seed, index) pair
     must yield the same stream on every platform.
     """
-    if index < 0:
-        raise ValueError(f"work-unit index must be >= 0, got {index}")
-    return splitmix64((base_seed + index * _GOLDEN) & _MASK64)
+    index = check_int(index, "work-unit index", 0)
+    return splitmix64((check_seed(base_seed, "base_seed") + index * _GOLDEN) & _MASK64)
 
 
 def _echo(value) -> str:
@@ -42,32 +47,66 @@ def _echo(value) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
-def check_int(value, name: str, least: int) -> None:
-    """Refuse `value` unless it is an int (not a bool) and at least `least`."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+def check_int(value, name: str, least: int) -> int:
+    """value as an int; refused unless an integer (numpy's by value, never a bool) of at least `least`."""
+    if type(value) is int and value >= least:  # the common case, without the ABC and bool tests
+        return value
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {_echo(value)}")
+    return int(value)
 
 
-def _check_real(value, name: str) -> None:
-    """Refuse `value` unless it is a finite real number (not a bool), naming the field.
+def check_seed(value, name: str) -> int:
+    """value as an int; refused unless an integer (as for check_int) of at most 64 bits, the width of a key."""
+    if type(value) is int and value.bit_length() <= 64:  # as in check_int
+        return value
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or int(value).bit_length() > 64:
+        raise ValueError(f"{name} must be an integer of at most 64 bits, got {_echo(value)}")
+    return int(value)
 
-    An int too large for a double is refused too; math.isfinite raises
-    OverflowError on it.
-    """
+
+def _as_real(value) -> float:
+    """value as a float, -0.0 as 0.0, inf for an int too large for a double; NaN unless a real number
+    (numpy's by value, never a bool)."""
+    if not isinstance(value, (float, int, numbers.Real)) or isinstance(value, bool):  # float, int skip the ABC
+        return math.nan
     try:
-        finite = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+        return float(value) + 0.0
     except OverflowError:
-        finite = False
-    if not finite:
+        return math.inf
+
+
+def check_real(value, name: str) -> float:
+    """value as a float (_as_real); refused unless finite."""
+    real = _as_real(value)
+    if not math.isfinite(real):
         raise ValueError(f"{name} must be a finite real number, got {_echo(value)}")
+    return real
+
+
+def _real_points(x) -> np.ndarray:
+    """x as a float array; NaN, bools, strings and ints beyond 64 bits get a ValueError naming x; +-inf stay."""
+    points = np.asarray(x)
+    if points.dtype.kind in "iuf":
+        points = points.astype(float, copy=False)
+    # other kinds: bools, strings, None, ints beyond 64 bits (objects); math.isnan takes one point 20x faster
+    if points.dtype.kind != "f" or (np.count_nonzero(np.isnan(points)) if points.ndim else math.isnan(points)):
+        raise ValueError(f"x must be real numbers other than NaN, got {_echo(x)}")
+    return points
+
+
+def _real_point(x) -> float:
+    """One point x as a float, checked as _real_points checks it; an array of another size is refused."""
+    points = _real_points(x)
+    if points.size != 1:
+        raise ValueError(f"x must be one point, got {_echo(x)}")
+    return points.item()
 
 
 def _thread_cap(threads: int | None) -> int:
     """The most threads a replicate pool may run: 0 or None means one per CPU; no cap exceeds that."""
     cpus = os.cpu_count() or 1
-    if threads is None:
-        threads = 0
-    check_int(threads, "threads", 0)
+    threads = check_int(0 if threads is None else threads, "threads", 0)
     return min(threads, cpus) if threads else cpus
 
 

@@ -386,7 +386,8 @@ def test_oracle_keeps_the_bits_of_its_two_rule_loop(family, form, monkeypatch):
 
 
 def test_oracles_refuse_a_bad_x_for_every_family():
-    # NaN, a bool, a string, None, an int too large for a double, and arrays holding them
+    # NaN, a bool, a string, None, an int too large for a double, and arrays holding them; the kernels and
+    # marginals read their points by the oracles' check, so "0.5" is refused, not parsed
     bad = ((math.nan, "nan"), (True, "True"), ("0.5", "'0.5'"), (None, "None"), (10**400, "an int of 1329 bits"),
            ([0.1, math.nan], r"\[0.1, nan\]"), (np.array([False, True]), r"array\(\[False,  True\]\)"),
            ([1.0, None], r"\[1.0, None\]"))
@@ -395,8 +396,10 @@ def test_oracles_refuse_a_bad_x_for_every_family():
         # the statistics and the long-run variance take one point, and check it as the oracles do
         one_point = (lambda x: clt_statistic(path, kernel, 0.3, x), lambda x: cdf_clt_statistic(path, kernel, 0.3, x),
                      lambda x: indicator_long_run_variance(AR, x))
+        points = (lambda u: evaluate(kernel, u), lambda u: kernel_cdf(kernel, u), lambda x: marginal_density(AR, x),
+                  lambda x: marginal_cdf(AR, x))
         for oracle in (lambda x: expected_density(AR, kernel, 0.3, x), lambda x: expected_cdf(AR, kernel, 0.3, x),
-                       lambda x: bias(AR, kernel, 0.3, x)) + one_point:
+                       lambda x: bias(AR, kernel, 0.3, x)) + one_point + points:
             for x, echo in bad:
                 with pytest.raises(ValueError, match=f"^x must be real numbers other than NaN, got {echo}$"):
                     oracle(x)
@@ -409,6 +412,8 @@ def test_oracles_refuse_a_bad_x_for_every_family():
             # +-inf keep their limits
             assert oracle(AR, kernel, 0.3, math.inf) == (1.0 if oracle is expected_cdf else 0.0)
             assert oracle(AR, kernel, 0.3, -math.inf) == 0.0
+        for point, limits in zip(points, ((0.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.0, 1.0))):
+            assert (point(-math.inf), point(math.inf)) == limits
 
 
 def test_far_out_points_give_the_limits_without_a_warning():

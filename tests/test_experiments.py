@@ -669,6 +669,20 @@ def test_bias_run_slopes_and_bound():
     assert rep.verdict == "pass"
 
 
+@pytest.mark.parametrize("integer", [int, np.int64])
+def test_a_config_of_numpy_scalars_writes_the_bytes_of_its_python_twin(integer):
+    # a numpy field stored as it came would reach report.json, whose writer refuses a float32
+    def bias_config(real, integer):
+        return ExperimentConfig(
+            kind="bias", model=ProcessModel("ar1", phi=real(0.5), innovation_sd=integer(2)), kernel=GAUSS,
+            schedule=BandwidthSchedule(c=real(1.0), delta=real(0.25)), n_list=tuple(map(integer, (64, 128, 256))),
+            replicates=integer(1), base_seed=integer(7), grid=Grid(real(-2.0), real(2.0), integer(9)),
+            eval_points=(real(0.3), real(-0.0)), p=real(2.0), block_alpha=real(0.5), block_beta=real(0.25))
+
+    numpy = run_experiment(bias_config(np.float32, integer)).to_json()
+    assert numpy == run_experiment(bias_config(lambda v: float(np.float32(v)), int)).to_json()
+
+
 def test_moment_bound_run_levels():
     cfg = _config(
         kind="moment_bound",

@@ -8,10 +8,12 @@ import pytest
 
 from mixkde.bandwidth import BandwidthSchedule, bandwidth_at
 from mixkde.cli import _write_rows_csv
-from mixkde.blocking import _checked_level
+from mixkde.blocking import _checked_level, bracket_threshold, build_partition
+from mixkde.estimator import Grid, _check_h
 from mixkde.experiments import ExperimentConfig, moment_bound_check
 from mixkde.kernels import kernel_from_name
-from mixkde.processes import ProcessModel, conditional_mean, generate_paths, rho_mixing_coefficient
+from mixkde.processes import (ProcessModel, conditional_mean, generate_path, generate_paths, mixing_tail_bound,
+                              rho_decay, rho_mixing_coefficient)
 from mixkde.util import (RowTable, _encoder, _key_text, _refuse, _thread_cap, clamped_log, derive_seed, dumps_json,
                          fmt_float, splitmix64)
 
@@ -214,6 +216,25 @@ def test_tables_refuse_non_string_keys_and_unknown_types(tmp_path):
 
 AR1 = ProcessModel("ar1", phi=0.5)
 
+
+def _config(**fields):
+    base = dict(kind="rate_sup_lp", model=AR1, kernel=kernel_from_name("gaussian"),
+                schedule=BandwidthSchedule(c=1.0, delta=0.2), n_list=(64, 128, 256), eval_points=(0.0,),
+                replicates=4, base_seed=7)
+    return ExperimentConfig(**{**base, **fields})
+
+
+def _outcome(call, value):
+    """call(value) as text that shows every type and bit, or the ValueError it raises."""
+    try:
+        got = call(value)
+    except ValueError as error:
+        return f"ValueError: {error}"
+    if isinstance(got, np.ndarray):
+        return f"{got.dtype} {got.tobytes().hex()}"
+    return repr(got)
+
+
 # every integer argument admitted by util.check_int: (name, least, call with value)
 CHECK_INT_SITES = {
     "bandwidth_at": ("sample size", 1, lambda v: bandwidth_at(BandwidthSchedule(c=1.0, delta=0.2), v)),
@@ -222,11 +243,9 @@ CHECK_INT_SITES = {
     "rho_mixing_coefficient": ("lag", 1, lambda v: rho_mixing_coefficient(AR1, v)),
     "conditional_mean": ("horizon", 1, lambda v: conditional_mean(AR1, 1.0, v)),
     "_thread_cap": ("threads", 0, _thread_cap),
-    "ExperimentConfig": ("replicates", 1, lambda v: ExperimentConfig(
-        kind="rate_sup_lp", model=AR1, kernel=kernel_from_name("gaussian"),
-        schedule=BandwidthSchedule(c=1.0, delta=0.2), n_list=(64, 128, 256),
-        eval_points=(0.0,), replicates=v, base_seed=7)),
+    "ExperimentConfig": ("replicates", 1, lambda v: _config(replicates=v).replicates),
     "moment_bound_check": ("replicates", 1, lambda v: moment_bound_check(AR1, 2, 4, 0.5, 0.25, v, 7)),
+    "Grid": ("grid m", 2, lambda v: Grid(-1.0, 1.0, v).m),
 }
 
 
@@ -239,3 +258,81 @@ def test_integer_arguments_refuse_bools_fractions_and_small_values(site):
         with pytest.raises(ValueError) as info:
             call(value)
         assert str(info.value) == f"{name} must be an integer >= {least}, got {echo}"
+
+
+@pytest.mark.parametrize("site", sorted(CHECK_INT_SITES))
+def test_numpy_integers_count_by_value(site):
+    _, least, call = CHECK_INT_SITES[site]
+    for value in (np.int64(least), np.uint8(least + 3)):
+        assert _outcome(call, value) == _outcome(call, int(value))
+
+
+# every real argument admitted by util.check_real, and the bandwidth by estimator._check_h:
+# (the start of the error, call with value, the numpy and -0.0 values it admits);
+# a site that needs a positive value refuses -0.0 as it refuses 0.0
+REALS = (np.float32(0.5), np.int64(0), -0.0)
+POSITIVE = (np.float32(0.5), np.int64(2))
+CHECK_REAL_SITES = {
+    "Grid.lo": ("grid lo", lambda v: Grid(v, 3.0, 5).lo, REALS),
+    "Grid.hi": ("grid hi", lambda v: Grid(-3.0, v, 5).hi, REALS),
+    "ProcessModel.phi": ("phi", lambda v: ProcessModel("ar1", phi=v).phi, REALS),
+    "ProcessModel.innovation_sd": ("innovation_sd", lambda v: ProcessModel("iid", innovation_sd=v).innovation_sd,
+                                   POSITIVE),
+    "ProcessModel.weights": ("ma weight", lambda v: ProcessModel("ma", weights=(1.0, v)).weights[1], REALS),
+    "BandwidthSchedule.c": ("schedule constant c", lambda v: BandwidthSchedule(c=v, delta=0.2).c, POSITIVE),
+    "BandwidthSchedule.delta": ("schedule exponent delta", lambda v: BandwidthSchedule(delta=v).delta, REALS),
+    "ExperimentConfig.eval_points": ("eval_points entry", lambda v: _config(eval_points=(v,)).eval_points[0],
+                                     REALS),
+    "ExperimentConfig.p": ("p", lambda v: _config(p=v).p, (np.float32(1.5), np.int64(2))),
+    "ExperimentConfig.block_alpha": ("block_alpha", lambda v: _config(block_alpha=v).block_alpha, REALS),
+    "ExperimentConfig.block_beta": ("block_beta", lambda v: _config(block_beta=v).block_beta, REALS),
+    "build_partition.alpha": ("block exponent alpha", lambda v: build_partition(5, v, 0.25).alpha,
+                              (np.float32(0.5),)),
+    "build_partition.beta": ("block exponent beta", lambda v: build_partition(5, 0.6, v).beta, (np.float32(0.25),)),
+    "bracket_threshold.alpha": ("block exponent alpha", lambda v: bracket_threshold(v, 0.25), (np.float32(0.5),)),
+    "bracket_threshold.beta": ("block exponent beta", lambda v: bracket_threshold(0.6, v), (np.float32(0.25),)),
+    "rho_decay": ("lag", lambda v: rho_decay(AR1, v), REALS),
+    "mixing_tail_bound": ("power", lambda v: mixing_tail_bound(AR1, v)["partial_sum"], POSITIVE),
+    "conditional_mean": ("last_value", lambda v: conditional_mean(AR1, v, 1), REALS),
+    "bandwidth": ("bandwidth", _check_h, POSITIVE),
+}
+
+
+@pytest.mark.parametrize("site", sorted(CHECK_REAL_SITES))
+def test_real_arguments_refuse_bools_text_and_non_finite_values(site):
+    name, call, admitted = CHECK_REAL_SITES[site]
+    what = "a positive finite number" if site == "bandwidth" else "a finite real number"
+    for value, echo in ((True, "True"), (np.True_, "np.True_"), ("0.5", "'0.5'"), (None, "None"),
+                        (0.5 + 0j, "(0.5+0j)"), (math.nan, "nan"), (math.inf, "inf"),
+                        (10**400, "an int of 1329 bits")):
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value) == f"{name} must be {what}, got {echo}"
+    # stored, and computed with, as the Python float; -0.0 as 0.0
+    for value in admitted:
+        assert _outcome(call, value) == _outcome(call, float(value) if value else 0.0), value
+
+
+def _path_bits(path):
+    return path.values.tobytes(), path.seed
+
+
+# every seed admitted by util.check_seed: (name, call with seed)
+CHECK_SEED_SITES = {
+    "ExperimentConfig": ("base_seed", lambda s: _config(base_seed=s).base_seed),
+    "generate_path": ("seed", lambda s: _path_bits(generate_path(AR1, 4, s))),
+    "generate_paths": ("seed", lambda s: generate_paths(AR1, 4, [5, s])),
+    "moment_bound_check": ("base_seed", lambda s: moment_bound_check(AR1, 2, 4, 0.5, 0.25, 2, s)),
+    "derive_seed": ("base_seed", lambda s: derive_seed(s, 3)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(CHECK_SEED_SITES))
+def test_seeds_are_integers_of_at_most_64_bits(site):
+    name, call = CHECK_SEED_SITES[site]
+    # 1.9 and True would draw seed 1, "1" would be parsed, and 2^70 would lose its high bits
+    for value, echo in ((True, "True"), (1.9, "1.9"), ("1", "'1'"), (2**70, "1180591620717411303424")):
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value) == f"{name} must be an integer of at most 64 bits, got {echo}"
+    assert _outcome(call, np.uint64(2**64 - 1)) == _outcome(call, 2**64 - 1)
