@@ -27,6 +27,7 @@ from .kernels import KernelSpec, evaluate, horner
 from .processes import (
     ProcessModel,
     SamplePath,
+    _normal,
     _normal_density,
     indicator_long_run_variance,
     marginal_cdf,
@@ -402,9 +403,13 @@ def binned_accuracy_bound(kernel: KernelSpec, h: float, spacing: float) -> float
     L*spacing/h; the factor 10 absorbs the accumulation across the window.
     Requires spacing <= h (cells must resolve the kernel) and a Lipschitz
     kernel, both of which density_estimate enforces for the binned strategy.
+    h is admitted as a bandwidth (_check_h), spacing as a positive real number.
     """
     if kernel.lipschitz_const is None:
         raise ValueError("no accuracy bound without a Lipschitz constant")
+    h, spacing = _check_h(h), check_real(spacing, "grid spacing")
+    if not spacing > 0.0:
+        raise ValueError(f"grid spacing must be positive, got {spacing!r}")
     return 10.0 * kernel.lipschitz_const * spacing / h
 
 
@@ -492,9 +497,9 @@ def _expected(model: ProcessModel, kernel: KernelSpec, h: float, x, form: str):
     """
     h = _check_h(h)
     points = _real_points(x)
-    if kernel.pieces is None:
-        smoothed = ProcessModel(family="iid", innovation_sd=math.hypot(model.marginal_sd, h))
-        return (marginal_density if form == "density" else marginal_cdf)(smoothed, points)
+    if kernel.pieces is None:  # the marginal N(0, s^2) smoothed by N(0, h^2)
+        s = check_real(math.hypot(model.marginal_sd, h), "the smoothed sd sqrt(s^2 + h^2)")
+        return _normal(points, s, form)
     if points.size != 1:
         # at far-out points or a tiny h the reach and x + h u overflow to inf, which the
         # clipping and the marginals turn into the limits

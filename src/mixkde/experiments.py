@@ -402,7 +402,7 @@ def _p_gate(config: ExperimentConfig) -> ConditionVerdict:
 def _markov_gate(config: ExperimentConfig) -> ConditionVerdict:
     family = config.model.family
     return condition(
-        "markov-model", family in ("iid", "ar1"),
+        "markov-model", config.model.markov,
         f"holds: the {family} family is Markov in its own value",
         f"fails: the {family} family is not Markov in its own value, "
         "so block anchors have no single-state conditional mean",
@@ -771,8 +771,6 @@ def moment_bound_check(
     on the replicate pool and the sums in replicate order afterwards, so the
     result does not depend on the thread count.
     """
-    if model.family not in ("iid", "ar1"):
-        raise ValueError("moment_bound_check needs a Markov model (iid or ar1)")
     p = check_int(p, "moment order p", 2)
     if p % 2 != 0:
         raise ValueError(f"moment order p must be an even integer >= 2, got {p!r}")

@@ -28,7 +28,7 @@ import platform
 import sys
 import threading
 import types
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -59,6 +59,10 @@ class ProcessModel:
     phi: float = 0.0
     weights: tuple[float, ...] = ()
     innovation_sd: float = 1.0
+    # computed here: innovation_sd sqrt(sum w^2) / sqrt(1 - phi^2), w = (1,) for iid and AR(1) (sigma 1.0 and
+    # x / 1.0 are exact), and an MA's signed lag-1..q autocorrelations, () for iid and AR(1) (phi^k at lag k)
+    marginal_sd: float = field(init=False, repr=False, compare=False)
+    correlations: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in ("iid", "ar1", "ma"):
@@ -80,18 +84,20 @@ class ProcessModel:
                 raise ValueError("ma weights must not all be zero")
         elif self.weights != ():
             raise ValueError("weights are only meaningful for the ma family")
+        sd = self.innovation_sd * math.sqrt(sum(x * x for x in self.weights or (1.0,))) / math.sqrt(
+            1.0 - self.phi * self.phi)
+        if not 0.0 < sd < math.inf:
+            raise ValueError(f"marginal sd innovation_sd * sqrt(sum of squared weights) / sqrt(1 - phi^2) "
+                             f"must be positive and finite, got {sd!r}")
+        object.__setattr__(self, "marginal_sd", sd)
+        w = np.asarray(self.weights, dtype=float)
+        lagged = [float(w[: w.size - k] @ w[k:]) for k in range(1, w.size)]
+        object.__setattr__(self, "correlations", tuple(np.divide(lagged, float(w @ w)).tolist()))
 
     @property
-    def marginal_sd(self) -> float:
-        # iid is AR(1) with phi = 0, which divides by sqrt(1.0) exactly
-        if self.family == "ma":
-            return self.innovation_sd * math.sqrt(sum(x * x for x in self.weights))
-        return self.innovation_sd / math.sqrt(1.0 - self.phi * self.phi)
-
-    @property
-    def window_order(self) -> int:
-        """Number of lags a moving average looks back; 0 otherwise."""
-        return len(self.weights) - 1 if self.family == "ma" else 0
+    def markov(self) -> bool:
+        """iid and AR(1) are Markov in their own value; a moving average is not."""
+        return self.family != "ma"
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,7 +226,7 @@ def versions() -> dict:
 
 def paths_per_block(model: ProcessModel, n: int) -> int:
     """How many length-n paths of `model` one block draw holds (at least 1)."""
-    return max(1, _BLOCK_VALUES // (n + model.window_order))
+    return max(1, _BLOCK_VALUES // (n + len(model.correlations)))
 
 
 def generate_paths(model: ProcessModel, n: int, seeds) -> np.ndarray:
@@ -238,7 +244,7 @@ def generate_paths(model: ProcessModel, n: int, seeds) -> np.ndarray:
     """
     n = check_int(n, "path length", 1)
     seeds = [check_seed(s, "seed") for s in seeds]
-    q = model.window_order
+    q = len(model.correlations)
     out = np.empty((len(seeds), n))
     # a moving average's innovations, q more than its values, need a buffer
     eps = np.empty((len(seeds), n + q)) if q else out
@@ -288,23 +294,25 @@ def _normal_density(x, s: float):
     return np.exp(-0.5 * (x / s) ** 2) / (s * _SQRT_2PI)
 
 
-# Far out, x/s or its square overflows to inf, which gives the limits 0 and 0 or 1
-# exactly; the overflow is not reported, as at +-inf.
+def _normal(x: np.ndarray, s: float, form: str):
+    """The N(0, s^2) density (form "density") or distribution function ("cdf") at float array x; 0-d gives a float.
+
+    Far out, x/s or its square overflows to inf, which gives the limits 0 and 0 or 1 exactly; the overflow is
+    not reported, as at +-inf.
+    """
+    with np.errstate(over="ignore"):
+        out = _normal_density(x, s) if form == "density" else ndtr(x / s)
+    return out if out.ndim else float(out)
+
+
 def marginal_density(model: ProcessModel, x):
     """Stationary one-dimensional density f(x); vectorized over x (util._real_points)."""
-    x = _real_points(x)
-    with np.errstate(over="ignore"):
-        out = _normal_density(x, model.marginal_sd)
-    return out if out.ndim else float(out)
+    return _normal(_real_points(x), model.marginal_sd, "density")
 
 
 def marginal_cdf(model: ProcessModel, x):
     """Stationary one-dimensional distribution function F(x); vectorized over x (util._real_points)."""
-    s = model.marginal_sd
-    x = _real_points(x)
-    with np.errstate(over="ignore"):
-        out = ndtr(x / s)
-    return out if out.ndim else float(out)
+    return _normal(_real_points(x), model.marginal_sd, "cdf")
 
 
 def marginal_density_derivative_sup(model: ProcessModel) -> float:
@@ -314,26 +322,22 @@ def marginal_density_derivative_sup(model: ProcessModel) -> float:
 
 
 def rho_mixing_coefficient(model: ProcessModel, lag: int) -> float:
-    """Correlation-decay coefficient between the past and the lag-step future.
+    """The figure the dependence gates read as rho(lag), for an integer lag >= 1.
 
-    For Gaussian sequences the maximal correlation between sigma-fields
-    separated by `lag` steps reduces to a correlation computation:
-    iid gives 0, AR(1) gives |phi|^lag. For a moving average of window
-    order q the sequence is q-dependent, so the coefficient is exactly 0 for
-    lag > q; inside the window the value exposed is the largest absolute
-    autocorrelation at separations >= lag, which is the operative figure for
-    every summability certificate used here.
+    rho(k) is the largest correlation between the closed linear spans of
+    {X_t : t <= 0} and {X_t : t >= k} (Kolmogorov & Rozanov 1960), which for a
+    Gaussian sequence is its rho-mixing coefficient. iid gives 0 and AR(1)
+    |phi|^k, both exactly. A moving average of window order q is q-dependent,
+    so rho(k) = 0 for k > q, exactly; inside the window the value returned is
+    the largest |autocorrelation| at lags >= k, which is only a lower bound on
+    rho(k): weights (1, 0.26) give 0.2435 where rho(1) is 0.26.
     """
-    lag = check_int(lag, "lag", 1)
-    if model.family != "ma":  # iid is AR(1) with phi = 0
-        return abs(model.phi) ** lag
-    return float(np.max(np.abs(_ma_correlations(model.weights)[lag - 1 :]), initial=0.0))
+    return _rho(model, check_int(lag, "lag", 1))
 
 
-def _ma_correlations(weights) -> np.ndarray:
-    """The signed lag-1..q autocorrelations of a moving average with these weights."""
-    w = np.asarray(weights, dtype=float)
-    return np.array([float(w[: w.size - k] @ w[k:]) for k in range(1, w.size)]) / float(w @ w)
+def _rho(model: ProcessModel, lag: int) -> float:
+    """rho_mixing_coefficient without the check of its lag."""
+    return max(map(abs, model.correlations[lag - 1 :]), default=0.0) if model.correlations else abs(model.phi) ** lag
 
 
 def rho_decay(model: ProcessModel, lag: float) -> float:
@@ -344,7 +348,7 @@ def rho_decay(model: ProcessModel, lag: float) -> float:
     when the decay is a pure power |phi|^lag (iid has phi = 0, and 0.0 ** 0
     is 1.0); moving averages are refused.
     """
-    if model.family == "ma":
+    if not model.markov:
         raise ValueError("real-lag decay is only defined for the iid and ar1 families")
     lag = check_real(lag, "lag")
     if not lag >= 0.0:
@@ -364,8 +368,8 @@ def mixing_tail_bound(model: ProcessModel, power: float = 1.0) -> dict:
         raise ValueError(f"power must be positive, got {power}")
     total = 0.0
     for i in range(41):
-        total += rho_mixing_coefficient(model, 2**i) ** power
-    first_omitted = rho_mixing_coefficient(model, 2**41) ** power
+        total += _rho(model, 2**i) ** power
+    first_omitted = _rho(model, 2**41) ** power
     return {"partial_sum": total, "first_omitted_term": first_omitted}
 
 
@@ -405,9 +409,13 @@ def plackett_lags(phi: float) -> int:
     """L = floor(ln 2 / -ln|phi|), the AR(1) lags whose covariance is integrated.
 
     Every later lag has |phi|^k <= 1/2. Raises ValueError when L exceeds
-    MAX_PLACKETT_LAGS, that is for |phi| from about 1 - 6.61e-7 on.
+    MAX_PLACKETT_LAGS, that is for |phi| from about 1 - 6.61e-7 on, and for a
+    phi that is not a real number with |phi| < 1 (util.check_real).
     """
+    phi = check_real(phi, "phi")
     a = abs(phi)
+    if not a < 1.0:
+        raise ValueError(f"plackett_lags needs |phi| < 1, got phi={phi!r}")
     if a == 0.0:
         return 0
     lags = math.floor(math.log(2.0) / -math.log(a))
@@ -467,9 +475,9 @@ def indicator_long_run_variance(model: ProcessModel, x: float) -> float:
     z = _real_point(x) / model.marginal_sd
     # F(1-F) as Phi(z) Phi(-z): symmetric in z, and 1 - F loses no digits
     marginal = float(ndtr(z) * ndtr(-z))
-    if model.family == "ma":
-        return marginal + 2.0 * float(np.sum(_plackett_covariances(z, _ma_correlations(model.weights))))
-    if model.phi == 0.0:  # iid too
+    if model.correlations:
+        return marginal + 2.0 * float(np.sum(_plackett_covariances(z, np.array(model.correlations))))
+    if model.phi == 0.0:  # iid too, and a moving average of one weight
         return marginal
     lags = plackett_lags(model.phi)
     total = 0.0
@@ -488,7 +496,7 @@ def conditional_mean(model: ProcessModel, last_value: float, horizon: int) -> fl
     A moving average is not Markov in its own value, so it is refused; the
     answer is phi^horizon times the conditioning value (iid has phi = 0).
     """
-    if model.family == "ma":
+    if not model.markov:
         raise ValueError("conditional_mean needs the Markov property; the ma family is not "
                          "Markov in its own value")
     last_value = check_real(last_value, "last_value")

@@ -414,6 +414,16 @@ ADMISSION_RULES = {
     "replicate count": ({"run.replicates": "0"}, "replicates must be an integer >= 1, got 0"),
     "innovation sd": ({"model.innovation_sd": "0"}, "innovation_sd must be positive, got 0.0"),
     "weights on AR(1)": ({"model.weights": "1, 0.5"}, "weights are only meaningful for the ma family"),
+    # each square of 1e-200 underflows to 0; 1e308 / sqrt(0.19) overflows (moment_bound ran to nan ratios)
+    "marginal sd of 0": ({"model.family": "ma", "model.phi": "0", "model.weights": "1e-200, 1e-200"},
+                         "marginal sd innovation_sd * sqrt(sum of squared weights) / sqrt(1 - phi^2) must be "
+                         "positive and finite, got 0.0"),
+    "marginal sd of inf": ({"model.phi": "0.9", "model.innovation_sd": "1e308"},
+                           "marginal sd innovation_sd * sqrt(sum of squared weights) / sqrt(1 - phi^2) must be "
+                           "positive and finite, got inf"),
+    "marginal sd of inf for moment_bound": ({"experiment.kind": "moment_bound", "run.n_list": "6, 7, 8",
+                                             "model.phi": "0.9", "model.innovation_sd": "1e308"},
+                                            "marginal sd innovation_sd * sqrt(sum of squared weights) / "),
     "distinct h for bias": ({"experiment.kind": "bias", "bandwidth.delta": "0",
                              "run.eval_points": "0.5"},
                             "bias fits its slope against h, but h_n = 1 at both n = 128 and n = 256"),

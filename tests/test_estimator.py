@@ -112,6 +112,15 @@ def test_binned_rejects_uniform_kernel():
         binned_accuracy_bound(kernel_from_name("uniform"), 0.5, 0.01)
 
 
+def test_binned_accuracy_bound_refuses_a_zero_h_and_a_spacing_not_above_zero():
+    # h = 0 was a ZeroDivisionError, and spacing = -1 gave a "bound" of -8.07
+    with pytest.raises(ValueError, match="^bandwidth must be a positive finite number, got 0.0$"):
+        binned_accuracy_bound(EPAN, 0.0, 0.1)
+    for spacing in (0.0, -1.0):
+        with pytest.raises(ValueError, match=f"^grid spacing must be positive, got {spacing}$"):
+            binned_accuracy_bound(EPAN, 0.3, spacing)
+
+
 def test_rejects_unknown_strategy():
     with pytest.raises(ValueError, match="strategy must be one of"):
         density_estimate(_path_from(np.linspace(-1, 1, 50)), EPAN, 0.5, strategy="exact")
@@ -434,6 +443,27 @@ def test_far_out_points_give_the_limits_without_a_warning():
                 clt_statistic(path, GAUSS, 0.3, x)
             with pytest.raises(ValueError, match="^F\\(x\\) = [01] is too close to 0 or 1"):
                 cdf_clt_statistic(path, EPAN, 0.3, x)
+
+
+def test_gaussian_oracle_is_the_normal_law_at_hypot_s_h():
+    """E f_n and E F_n of the Gaussian kernel are the N(0, s^2 + h^2) density and distribution, bit for bit."""
+    points = (0.0, -1.3, 2.5, 1e300, -1e300, np.array([-1e300, -2.0, 0.0, 0.7, 1e300]), np.array([[0.3]]))
+    for model in ORACLE_MODELS:
+        for h in (1e-9, 0.3, 5.0):
+            s = math.hypot(model.marginal_sd, h)
+            for x in points:
+                with np.errstate(over="ignore"):
+                    want = processes._normal_density(np.asarray(x), s), ndtr(np.asarray(x) / s)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = expected_density(model, GAUSS, h, x), expected_cdf(model, GAUSS, h, x)
+                for g, w in zip(got, want):
+                    assert type(g) is (np.ndarray if np.ndim(x) else float)
+                    assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), (model, h, x)
+    # an sd that overflows is refused, as the iid model the oracle once built refused it
+    for oracle in (expected_density, expected_cdf):
+        with pytest.raises(ValueError, match=r"^the smoothed sd sqrt\(s\^2 \+ h\^2\) must be a finite real number, got inf$"):
+            oracle(ProcessModel(family="iid", innovation_sd=1.5e308), GAUSS, 1.5e308, math.inf)
 
 
 def test_oracle_takes_arrays():

@@ -1,5 +1,6 @@
 """Path generation, marginals, and mixing coefficients for the built-in models."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -296,12 +297,44 @@ def test_rho_ma_within_window():
 
 
 def test_ma_correlations_are_signed_and_bound_rho():
-    weights = (1.0, 0.6, -0.3)
-    corr = processes._ma_correlations(weights)
-    assert corr.tolist() == [(0.6 - 0.18) / 1.45, -0.3 / 1.45]
-    model = ProcessModel(family="ma", weights=weights)
+    model = ProcessModel(family="ma", weights=(1.0, 0.6, -0.3))
+    corr = model.correlations
+    assert corr == ((0.6 - 0.18) / 1.45, -0.3 / 1.45)
     assert [rho_mixing_coefficient(model, lag) for lag in (1, 2, 3)] == [abs(corr[0]), abs(corr[1]), 0.0]
-    assert processes._ma_correlations((2.0,)).size == 0
+    for model in (ProcessModel(family="ma", weights=(2.0,)), IID, AR_HALF):
+        assert model.correlations == ()
+    assert ProcessModel(family="ma", weights=(2.0,)).marginal_sd == 2.0
+
+
+def test_the_model_record_is_left_out_of_equality_and_follows_replace():
+    model = ProcessModel(family="ma", weights=(1.0, 0.6, -0.3), innovation_sd=2.0)
+    twin = ProcessModel(family="ma", weights=(1.0, 0.6, -0.3), innovation_sd=2.0)
+    assert model == twin and hash(model) == hash(twin)
+    assert repr(model) == "ProcessModel(family='ma', phi=0.0, weights=(1.0, 0.6, -0.3), innovation_sd=2.0)"
+    assert [f.name for f in dataclasses.fields(model) if f.compare or f.repr] == [
+        "family", "phi", "weights", "innovation_sd"]
+    with pytest.raises(TypeError):
+        ProcessModel(family="iid", marginal_sd=2.0)
+    # replace builds a new model, so the record is taken again
+    moved = dataclasses.replace(model, weights=(2.0, 1.0))
+    assert (moved.marginal_sd, moved.correlations) == (2.0 * math.sqrt(5.0), (0.4,))
+    ar = dataclasses.replace(AR_HALF, phi=0.6)
+    assert (ar.marginal_sd, ar.correlations) == (1.0 / math.sqrt(1.0 - 0.6 * 0.6), ())
+    # iid and AR(1) keep the bits of sigma / sqrt(1 - phi^2), a moving average those of sigma sqrt(sum w^2)
+    assert ProcessModel(family="ar1", phi=0.3, innovation_sd=0.7).marginal_sd == 0.7 / math.sqrt(1.0 - 0.3 * 0.3)
+    assert model.marginal_sd == 2.0 * math.sqrt(1.0 + 0.36 + 0.09)
+    assert ProcessModel(family="iid", innovation_sd=0.7).marginal_sd == 0.7
+
+
+def test_mixing_tail_bound_makes_no_public_calls(monkeypatch):
+    models = (IID, AR_HALF, MA_ONE, ProcessModel(family="ma", weights=(1.0, 0.6, -0.3)))
+    want = [mixing_tail_bound(model, power) for model in models for power in (1.0, 0.5)]
+
+    def refuse(*args):
+        raise AssertionError("the certificate calls rho_mixing_coefficient")
+
+    monkeypatch.setattr(processes, "rho_mixing_coefficient", refuse)
+    assert [mixing_tail_bound(model, power) for model in models for power in (1.0, 0.5)] == want
 
 
 def test_rho_nonincreasing():
@@ -383,6 +416,18 @@ def test_model_validation():
     # an int too large for a double is the field's error, not an OverflowError
     with pytest.raises(ValueError, match="ma weight must be a finite real number"):
         ProcessModel("ma", weights=(10**400,))
+    # a marginal sd that underflows to 0 or overflows to inf
+    for fields, sd in ((dict(family="ma", weights=(1e-200, 1e-200)), "0.0"),
+                       (dict(family="ma", weights=(1e200, 1e200)), "inf"),
+                       (dict(family="ar1", phi=0.9, innovation_sd=1e308), "inf"),
+                       (dict(family="ma", weights=(1e300, 1.0), innovation_sd=1e10), "inf")):
+        with pytest.raises(ValueError, match=re.escape(
+                "marginal sd innovation_sd * sqrt(sum of squared weights) / sqrt(1 - phi^2) must be positive "
+                f"and finite, got {sd}")):
+            ProcessModel(**fields)
+    # tiny and huge sds stay admitted (1e-320, the square of 1e-160, is subnormal)
+    assert 0.99e-160 < ProcessModel("ma", weights=(1e-160,)).marginal_sd < 1.01e-160
+    assert ProcessModel("iid", innovation_sd=1e308).marginal_sd == 1e308
     # numpy reals stay admitted, as floats, and -0.0 becomes 0.0
     weights = ProcessModel(family="ma", weights=(np.float64(1.0), np.int64(2), -0.0)).weights
     assert weights == (1.0, 2.0, 0.0) and all(type(x) is float for x in weights)
@@ -493,6 +538,10 @@ def test_indicator_long_run_variance_integrates_only_the_near_lags(monkeypatch):
 
 def test_plackett_lags_are_capped():
     assert plackett_lags(0.5) == 1 and plackett_lags(-0.99) == 68 and plackett_lags(0.0) == 0
+    # a unit root or beyond has no lag count (it was a ZeroDivisionError and an OverflowError)
+    for phi in (1.0, -1.0, 1.5, -1e300):
+        with pytest.raises(ValueError, match=re.escape(f"plackett_lags needs |phi| < 1, got phi={phi!r}")):
+            plackett_lags(phi)
     assert plackett_lags(1.0 - 6.62e-7) <= MAX_PLACKETT_LAGS
     for phi in (1.0 - 6.61e-7, -(1.0 - 1e-7), 0.999999999):
         with pytest.raises(ValueError, match="Plackett lags"):

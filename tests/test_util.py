@@ -9,11 +9,11 @@ import pytest
 from mixkde.bandwidth import BandwidthSchedule, bandwidth_at
 from mixkde.cli import _write_rows_csv
 from mixkde.blocking import _checked_level, bracket_threshold, build_partition
-from mixkde.estimator import Grid, _check_h
+from mixkde.estimator import Grid, _check_h, binned_accuracy_bound
 from mixkde.experiments import ExperimentConfig, moment_bound_check
 from mixkde.kernels import kernel_from_name
 from mixkde.processes import (ProcessModel, conditional_mean, generate_path, generate_paths, mixing_tail_bound,
-                              rho_decay, rho_mixing_coefficient)
+                              plackett_lags, rho_decay, rho_mixing_coefficient)
 from mixkde.util import (RowTable, _encoder, _key_text, _refuse, _thread_cap, clamped_log, derive_seed, dumps_json,
                          fmt_float, splitmix64)
 
@@ -215,6 +215,7 @@ def test_tables_refuse_non_string_keys_and_unknown_types(tmp_path):
 
 
 AR1 = ProcessModel("ar1", phi=0.5)
+EPANECHNIKOV = kernel_from_name("epanechnikov")
 
 
 def _config(**fields):
@@ -295,13 +296,17 @@ CHECK_REAL_SITES = {
     "mixing_tail_bound": ("power", lambda v: mixing_tail_bound(AR1, v)["partial_sum"], POSITIVE),
     "conditional_mean": ("last_value", lambda v: conditional_mean(AR1, v, 1), REALS),
     "bandwidth": ("bandwidth", _check_h, POSITIVE),
+    "plackett_lags": ("phi", plackett_lags, REALS),
+    "binned_accuracy_bound.h": ("bandwidth", lambda v: binned_accuracy_bound(EPANECHNIKOV, v, 0.01), POSITIVE),
+    "binned_accuracy_bound.spacing": ("grid spacing", lambda v: binned_accuracy_bound(EPANECHNIKOV, 0.3, v),
+                                      POSITIVE),
 }
 
 
 @pytest.mark.parametrize("site", sorted(CHECK_REAL_SITES))
 def test_real_arguments_refuse_bools_text_and_non_finite_values(site):
     name, call, admitted = CHECK_REAL_SITES[site]
-    what = "a positive finite number" if site == "bandwidth" else "a finite real number"
+    what = "a positive finite number" if name == "bandwidth" else "a finite real number"
     for value, echo in ((True, "True"), (np.True_, "np.True_"), ("0.5", "'0.5'"), (None, "None"),
                         (0.5 + 0j, "(0.5+0j)"), (math.nan, "nan"), (math.inf, "inf"),
                         (10**400, "an int of 1329 bits")):
