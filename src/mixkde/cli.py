@@ -34,7 +34,7 @@ from .experiments import (
 )
 from .kernels import kernel_from_name
 from .processes import ProcessModel, versions
-from .util import RowTable, _echo, _thread_cap, check_int, dumps_json
+from .util import RowTable, _echo, _thread_cap, check_int, check_real, dumps_json
 
 THREADS_ENV_VAR = "MIXKDE_THREADS"
 
@@ -84,9 +84,7 @@ def _conv_float(key: str, value: str) -> float:
         out = float(value)
     except ValueError:
         raise ValueError(f"key {key!r}: expected a number, got {_echo(value)}") from None
-    if not math.isfinite(out):
-        raise ValueError(f"key {key!r}: value must be finite, got {_echo(value)}")
-    return out
+    return check_real(out, f"key {key!r}")
 
 
 # the text int(value, base=10) parses, unless it has more digits than sys.get_int_max_str_digits()

@@ -8,8 +8,10 @@ raw sums of _kernel_window_sums and _cdf_window_sums. One engine
 a Hermite (Gaussian) path, chosen from the input alone. The exact centerings
 E f_n(x) and E F_n(x) under the N(0, s^2) marginal come from one oracle
 (_expected), which takes one point on Python floats and more as arrays,
-and raises ArithmeticError when its 16- and 32-node rules disagree. README "Window sums" and "Oracles" give each path's error bound
-and the crossovers. _centring and _standardized own the CLT statistic.
+gives a point the same bits either way, and raises ArithmeticError when
+its 16- and 32-node rules disagree at a point. README "Window sums" and
+"Oracles" give each path's error bound and the crossovers. _centring and
+_standardized own the CLT statistic.
 The normal CDF ndtr is scipy.special's, taken from mixkde.processes, which
 loads it without the scipy.special package.
 """
@@ -471,12 +473,12 @@ def cdf_estimate(path: SamplePath, kernel: KernelSpec, h: float, grid: Grid = DE
 
 
 def _panel_rules(coarse: tuple, fine: tuple) -> tuple:
-    """Two (nodes, weights) rules as the oracle takes them: (nodes, split, coarse weights, fine weights).
+    """Two (nodes, weights) rules as the oracle takes them: (nodes, split, weights).
 
-    Both rules' nodes lie on one row of shape (1, coarse + fine nodes), the
-    coarse rule's first `split`, so that a panel's values are taken once.
+    Both rules' nodes and weights lie on one axis of coarse + fine entries,
+    the coarse rule's first `split`, so that a panel's terms are taken once.
     """
-    return np.concatenate((coarse[0], fine[0]))[None, :], coarse[0].size, coarse[1], fine[1]
+    return np.concatenate((coarse[0], fine[0])), coarse[0].size, np.concatenate((coarse[1], fine[1]))
 
 
 @cache
@@ -489,11 +491,29 @@ _ORACLE_TOL = 1e-10
 _MARGINAL_RADIUS = 40.0
 
 
+def _panels(piece, h: float, s: float) -> int:
+    """How many equal panels a piece takes, at every x: enough for its widest part within the reach
+    |x + h u| <= 40 s to have panels at most one s wide in x + h u."""
+    return max(1, math.ceil(min((piece.hi - piece.lo) * h / s, 2.0 * _MARGINAL_RADIUS)))
+
+
+def _node_sum(terms):
+    """A rule's weighted node terms added in node order, with no BLAS: one point's list of Python floats left to right,
+    a (k, m >= 2) array down axis 0, row by row (np.add.reduce adds a (k, 1) array pairwise, so one point cannot)."""
+    if type(terms) is not list:
+        return np.add.reduce(terms, axis=0)
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
+        total += term
+    return total
+
+
 def _expected(model: ProcessModel, kernel: KernelSpec, h: float, x, form: str):
     """E f_n(x) (form "density") or E F_n(x) ("cdf"); see README "Oracles".
 
     A compact kernel asked for one point takes _expected_point, for more
-    points _expected_points; both give one point the same bits.
+    points _expected_points; a point's value is the same alone and in any set.
     """
     h = _check_h(h)
     points = _real_points(x)
@@ -510,30 +530,30 @@ def _expected(model: ProcessModel, kernel: KernelSpec, h: float, x, form: str):
 
 
 def _expected_points(model: ProcessModel, pieces, h: float, points: np.ndarray, form: str) -> np.ndarray:
-    """_expected at every point at once: each panel is one array over all points, as many as any point needs."""
-    if not points.size:
-        return np.zeros(points.shape)
+    """_expected at every point at once: each panel is one (48, m) array, nodes down axis 0, added in node order."""
     pts = points.ravel()
     s = model.marginal_sd
     limit = _MARGINAL_RADIUS * s
-    nodes, split, coarse_weights, fine_weights = _rules()
+    nodes, split, weights = _rules()
+    nodes, weights = nodes[:, None], weights[:, None]
     coarse, fine = np.zeros(pts.size), np.zeros(pts.size)
     reach = (np.array([[-limit], [limit]]) - pts) / h  # |x + h u| <= limit
     for piece in pieces:
         coef = getattr(piece, form)
         a, b = np.minimum(np.maximum(reach, piece.lo), piece.hi)  # the piece, clipped to the reach
-        width = b - a
-        panels = max(1, math.ceil(float(width.max()) * h / s))
-        half = 0.5 * width / panels
+        panels = _panels(piece, h, s)
+        half = 0.5 * (b - a) / panels
         for k in range(panels):
-            u = (a + (2 * k + 1) * half)[:, None] + half[:, None] * nodes
-            values = horner(coef, u) * _normal_density(pts[:, None] + h * u, s)
-            coarse += values[:, :split] @ coarse_weights * half
-            fine += values[:, split:] @ fine_weights * half
+            u = (a + (2 * k + 1) * half) + half * nodes
+            terms = horner(coef, u)
+            terms *= _normal_density(pts + h * u, s)
+            terms *= weights
+            coarse += _node_sum(terms[:split]) * half
+            fine += _node_sum(terms[split:]) * half
     if form == "cdf":
         below = marginal_cdf(model, pts + h * pieces[0].lo)
         coarse, fine = below + h * coarse, below + h * fine
-    _check_rules(float(np.abs(fine - coarse).max()), float(np.abs(fine).max()))
+    _check_rules(coarse, fine)
     return fine.reshape(points.shape)
 
 
@@ -541,41 +561,49 @@ def _expected_point(model: ProcessModel, pieces, h: float, x: float, form: str) 
     """_expected at one point x.
 
     Every per-point quantity is a Python float; only the node arithmetic is
-    numpy, on the (1, 48) row that _expected_points would take for this
-    point alone, so every operation, and so every bit, is the same. A piece
-    outside the reach has width 0 and adds exactly 0, so it is skipped. A
-    Python float overflows to inf without a warning, and wherever a piece
-    has width, x + h u stays within a few hundred s of 0 (the reach plus
-    rounding), so this path needs no errstate.
+    numpy, on the 48 nodes that _expected_points takes for this point, and
+    each rule's weighted terms are added left to right (_node_sum), so every
+    operation, and so every bit, is the same. A piece outside the reach has
+    width 0 and adds exactly 0, so it is skipped. A Python float overflows
+    to inf without a warning, and wherever a piece has width, x + h u stays
+    within a few hundred s of 0 (the reach plus rounding), so this path
+    needs no errstate.
     """
     s = model.marginal_sd
     limit = _MARGINAL_RADIUS * s
-    nodes, split, coarse_weights, fine_weights = _rules()
+    nodes, split, weights = _rules()
     coarse = fine = 0.0
     reach_lo, reach_hi = (-limit - x) / h, (limit - x) / h
     for piece in pieces:
         coef = getattr(piece, form)
         a, b = min(max(reach_lo, piece.lo), piece.hi), min(max(reach_hi, piece.lo), piece.hi)
-        width = b - a
-        if not width:
+        if a == b:
             continue
-        panels = max(1, math.ceil(width * h / s))
-        half = 0.5 * width / panels
+        panels = _panels(piece, h, s)
+        half = 0.5 * (b - a) / panels
         for k in range(panels):
             u = (a + (2 * k + 1) * half) + half * nodes
-            values = horner(coef, u) * _normal_density(x + h * u, s)
-            coarse += (values[:, :split] @ coarse_weights).item() * half
-            fine += (values[:, split:] @ fine_weights).item() * half
+            terms = (horner(coef, u) * _normal_density(x + h * u, s) * weights).tolist()
+            coarse += _node_sum(terms[:split]) * half
+            fine += _node_sum(terms[split:]) * half
     if form == "cdf":
         below = float(ndtr((x + h * pieces[0].lo) / s))  # F(x + h lo), as marginal_cdf takes it
         coarse, fine = below + h * coarse, below + h * fine
-    _check_rules(abs(fine - coarse), abs(fine))
+    _check_rules(coarse, fine)
     return fine
 
 
-def _check_rules(gap: float, largest: float) -> None:
-    """Raise ArithmeticError when the rules differ by more than _ORACLE_TOL times max(1, largest value)."""
-    tol = _ORACLE_TOL * max(1.0, largest)
+def _check_rules(coarse, fine) -> None:
+    """Raise ArithmeticError where the rules differ by more than _ORACLE_TOL times max(1, |value|).
+
+    coarse and fine are one point's Python floats or arrays of points; each
+    point is held to its own tolerance, so a set raises exactly when one of
+    its points alone would, and with that point's numbers.
+    """
+    if isinstance(fine, np.ndarray):  # the first point over its tolerance, if any
+        over = np.flatnonzero(np.abs(fine - coarse) > _ORACLE_TOL * np.maximum(1.0, np.abs(fine)))
+        coarse, fine = (float(coarse[over[0]]), float(fine[over[0]])) if over.size else (0.0, 0.0)
+    gap, tol = abs(fine - coarse), _ORACLE_TOL * max(1.0, abs(fine))
     if gap > tol:
         raise ArithmeticError(f"Gauss-Legendre rules differ by {gap:.3g}, above {tol:.3g}")
 
@@ -611,8 +639,8 @@ def _centring(model: ProcessModel, kernel: KernelSpec, h: float, pts, centre: st
     """(centres, variances) of the CLT statistic of `centre` at each of pts.
 
     "density": E f_n(x) and |K|_2^2 f(x); "cdf": E F_n(x) and sigma_LR^2(x);
-    "true": F(x) and sigma_LR^2(x). One oracle call takes all of pts; its
-    quadrature panels, and so its bits, depend on the whole set.
+    "true": F(x) and sigma_LR^2(x). One oracle call takes all of pts, and
+    gives each point the bits it has alone.
     """
     pts = np.asarray(pts, dtype=float)
     if centre == "density":

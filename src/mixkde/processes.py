@@ -59,8 +59,8 @@ class ProcessModel:
     phi: float = 0.0
     weights: tuple[float, ...] = ()
     innovation_sd: float = 1.0
-    # computed here: innovation_sd sqrt(sum w^2) / sqrt(1 - phi^2), w = (1,) for iid and AR(1) (sigma 1.0 and
-    # x / 1.0 are exact), and an MA's signed lag-1..q autocorrelations, () for iid and AR(1) (phi^k at lag k)
+    # computed here: innovation_sd sqrt(sum w^2) / sqrt(1 - phi^2), w = (1,) for iid and AR(1), and an MA's
+    # signed lag-1..q autocorrelations, () for iid and AR(1) (phi^k at lag k)
     marginal_sd: float = field(init=False, repr=False, compare=False)
     correlations: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
@@ -84,15 +84,18 @@ class ProcessModel:
                 raise ValueError("ma weights must not all be zero")
         elif self.weights != ():
             raise ValueError("weights are only meaningful for the ma family")
-        sd = self.innovation_sd * math.sqrt(sum(x * x for x in self.weights or (1.0,))) / math.sqrt(
-            1.0 - self.phi * self.phi)
+        # the sums run on w / max|w|, so that tiny or huge weights lose no digits; a window whose largest |w|
+        # is 1 keeps the bits of the unscaled sums (x / 1.0 and innovation_sd * 1.0 are exact)
+        top = max(map(abs, self.weights or (1.0,)))
+        w = np.array(self.weights or (1.0,)) / top
+        squares = float(np.add.reduce(w * w))
+        sd = self.innovation_sd * top * math.sqrt(squares) / math.sqrt(1.0 - self.phi * self.phi)
         if not 0.0 < sd < math.inf:
             raise ValueError(f"marginal sd innovation_sd * sqrt(sum of squared weights) / sqrt(1 - phi^2) "
                              f"must be positive and finite, got {sd!r}")
         object.__setattr__(self, "marginal_sd", sd)
-        w = np.asarray(self.weights, dtype=float)
-        lagged = [float(w[: w.size - k] @ w[k:]) for k in range(1, w.size)]
-        object.__setattr__(self, "correlations", tuple(np.divide(lagged, float(w @ w)).tolist()))
+        lagged = (float(np.add.reduce(w[: w.size - k] * w[k:])) for k in range(1, w.size))
+        object.__setattr__(self, "correlations", tuple(dot / squares for dot in lagged))
 
     @property
     def markov(self) -> bool:
@@ -204,11 +207,16 @@ def versions() -> dict:
     _load_extension: ndtri from scipy.special._ufuncs and _linear_filter, the
     C function under lfilter, from scipy.signal._sigtools. The report bits
     also rest on the SIMD loops numpy dispatches to (its exp and log differ
-    from libm's in the last bit under AVX-512) and on the BLAS kernels under
-    @. So a bundle records the Python, numpy and scipy versions, the
-    platform, numpy's baseline and enabled dispatch targets, and its BLAS
-    build; tools/report_hashes.py's pinned digests record all but the
-    platform.
+    from libm's in the last bit under AVX-512). Two calls still reach BLAS
+    or LAPACK: leggauss takes its nodes from LAPACK's symmetric eigenvalues
+    (the oracle's 16- and 32-node rules and the 128-node Plackett rule), and
+    np.convolve, which draws a moving average, sums by BLAS ddot. Under
+    OpenBLAS's SkylakeX, Haswell, Prescott and Sandybridge kernels the
+    three rules kept their bits, and so did moving-average draws of up to 8
+    weights, but not of 16 or more. So a bundle records the Python, numpy
+    and scipy versions, the platform, numpy's baseline and enabled dispatch
+    targets, and its BLAS build; tools/report_hashes.py's pinned digests
+    record all but the platform.
     """
     config = np.show_config(mode="dicts")
     simd, blas = config["SIMD Extensions"], config["Build Dependencies"]["blas"]
@@ -401,8 +409,10 @@ def _plackett_covariances(z: float, rho: np.ndarray) -> np.ndarray:
     nodes, weights = _plackett_rule()
     half = 0.5 * np.arcsin(rho)
     t = half[:, None] * (nodes[None, :] + 1.0)
-    vals = np.exp(-z * z / (1.0 + np.sin(t))) @ weights
-    return half * vals / (2.0 * math.pi)
+    terms = np.exp(-z * z / (1.0 + np.sin(t)))
+    terms *= weights
+    # each lag's row summed pairwise, alike for any number of lags, with no BLAS
+    return half * np.add.reduce(terms, axis=1) / (2.0 * math.pi)
 
 
 def plackett_lags(phi: float) -> int:

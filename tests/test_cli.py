@@ -207,7 +207,8 @@ def test_validate_failing_gate(tmp_path, capsys):
         (lambda t: t + "run.base_seed = 7\n", "duplicate key 'run.base_seed'"),
         (lambda t: t.replace("run.base_seed = 42\n", ""), "missing required config keys"),
         (lambda t: t.replace("run.n_list = 256", "run.n_list = 256, soon"), "expected an integer"),
-        (lambda t: t.replace("model.phi = 0.3", "model.phi = inf"), "must be finite"),
+        (lambda t: t.replace("model.phi = 0.3", "model.phi = inf"),
+         "key 'model.phi' must be a finite real number, got inf"),
         (lambda t: t.replace("model.phi = 0.3", "model.phi = abc"), "expected a number"),
         (lambda t: t.replace("run.n_list = 256", "run.n_list = ,"), "expected a comma-separated list"),
     ],
@@ -238,13 +239,14 @@ def test_a_huge_seed_exits_1_with_a_short_line(tmp_path, capsys, command, value,
 
 
 def test_long_config_text_is_echoed_short(tmp_path, capsys):
-    for line in ("model.phi = " + "9" * 5000, "model.phi = " + "a" * 5000, "b" * 5000,
-                 "run.eval_points = " + "," * 5000, "x" * 5000 + " = 1"):
+    # 5000 nines parse to inf, which check_real echoes as the number; every other text is cut short
+    for line, echo in (("model.phi = " + "9" * 5000, "got inf\n"), ("model.phi = " + "a" * 5000, "..."),
+                       ("b" * 5000, "..."), ("run.eval_points = " + "," * 5000, "..."), ("x" * 5000 + " = 1", "...")):
         cfg = _write(tmp_path, "\n".join(kept for kept in CLT_SMALL.splitlines()
                                          if kept.split(" =")[0] != line.split(" =")[0]) + "\n" + line + "\n")
         assert main(["validate", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "..." in err and len(err) < 120 + len(str(cfg)), err
+        assert err.startswith("error: ") and echo in err and len(err) < 120 + len(str(cfg)), err
 
 
 def test_parse_errors_carry_file_and_line(tmp_path, capsys):
@@ -414,8 +416,9 @@ ADMISSION_RULES = {
     "replicate count": ({"run.replicates": "0"}, "replicates must be an integer >= 1, got 0"),
     "innovation sd": ({"model.innovation_sd": "0"}, "innovation_sd must be positive, got 0.0"),
     "weights on AR(1)": ({"model.weights": "1, 0.5"}, "weights are only meaningful for the ma family"),
-    # each square of 1e-200 underflows to 0; 1e308 / sqrt(0.19) overflows (moment_bound ran to nan ratios)
-    "marginal sd of 0": ({"model.family": "ma", "model.phi": "0", "model.weights": "1e-200, 1e-200"},
+    # 1e-200 * 1e-200 * sqrt(2) underflows to 0; 1e308 / sqrt(0.19) overflows (moment_bound ran to nan ratios)
+    "marginal sd of 0": ({"model.family": "ma", "model.phi": "0", "model.weights": "1e-200, 1e-200",
+                          "model.innovation_sd": "1e-200"},
                          "marginal sd innovation_sd * sqrt(sum of squared weights) / sqrt(1 - phi^2) must be "
                          "positive and finite, got 0.0"),
     "marginal sd of inf": ({"model.phi": "0.9", "model.innovation_sd": "1e308"},

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import norm
@@ -24,7 +26,7 @@ from mixkde.estimator import (
     expected_density,
     expected_density_curve,
 )
-from mixkde.kernels import FAMILIES, evaluate, horner, kernel_cdf, kernel_from_name
+from mixkde.kernels import FAMILIES, evaluate, kernel_cdf, kernel_from_name
 from mixkde.processes import (
     ProcessModel,
     SamplePath,
@@ -324,46 +326,68 @@ def test_oracle_raises_when_its_rules_disagree(monkeypatch):
     monkeypatch.setattr(estimator, "_rules", lambda: estimator._panel_rules(leggauss(1), leggauss(2)))
     with pytest.raises(ArithmeticError, match="rules differ"):
         expected_density(AR, EPAN, 0.35, 0.4)
-    with pytest.raises(ArithmeticError, match="rules differ"):
+    with pytest.raises(ArithmeticError, match="rules differ") as lone:
         expected_cdf(AR, EPAN, 0.35, 0.4)
+    # each point of a set is held to its own tolerance: far out, where both rules give the limit, a set passes,
+    # and a set that holds 0.4 raises with 0.4's numbers
+    assert expected_cdf(AR, EPAN, 0.35, np.array([1e3, -1e3])).tolist() == [1.0, 0.0]
+    with pytest.raises(ArithmeticError) as joined:
+        expected_cdf(AR, EPAN, 0.35, np.array([1e3, 0.4, -2.3]))
+    assert str(joined.value) == str(lone.value)
 
 
 def _two_rule_loop(model, kernel, h, x, form):
-    """The oracle as one loop per rule over whole arrays, kept as the reference for its bits."""
+    """The oracle's rule, written apart from mixkde, as the reference for its bits.
+
+    One loop per rule over whole arrays. Each piece takes max(1, ceil(min(width h / s, 80))) panels at every
+    point, clipped to |x + h u| <= 40 s, and each rule adds its weighted node terms left to right, which the
+    last column of a cumulative sum holds.
+    """
     from numpy.polynomial.legendre import leggauss
 
+    def density(y, sd):
+        return np.exp(-0.5 * (y / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+
+    def polynomial(coef, u):
+        out = np.full(u.shape, coef[-1])
+        for c in coef[-2::-1]:
+            out = out * u + c
+        return out
+
     x = np.asarray(x, dtype=float)
-    if kernel.pieces is None:
-        smoothed = ProcessModel(family="iid", innovation_sd=math.hypot(model.marginal_sd, h))
-        return (marginal_density if form == "density" else marginal_cdf)(smoothed, x)
-    pts = x.ravel()
     s = model.marginal_sd
-    limit = 40.0 * s
-    rules = leggauss(16), leggauss(32)
-    sums = [np.zeros(pts.size) for _ in rules]
-    for piece in kernel.pieces:
-        coef = getattr(piece, form)
-        a = np.clip((-limit - pts) / h, piece.lo, piece.hi)
-        b = np.clip((limit - pts) / h, piece.lo, piece.hi)
-        panels = max(1, math.ceil(float(np.max(b - a, initial=0.0)) * h / s))
-        half = 0.5 * (b - a) / panels
-        for k in range(panels):
-            mid = a + (2 * k + 1) * half
-            for acc, (nodes, weights) in zip(sums, rules):
-                u = mid[:, None] + half[:, None] * nodes
-                values = horner(coef, u) * marginal_density(model, pts[:, None] + h * u)
-                acc += values @ weights * half
-    fine = sums[1]
-    if form == "cdf":
-        fine = marginal_cdf(model, pts + h * kernel.pieces[0].lo) + h * fine
+    with np.errstate(over="ignore"):  # far-out points and a tiny h overflow to the limits
+        if kernel.pieces is None:
+            sd = math.hypot(s, h)
+            out = density(x, sd) if form == "density" else ndtr(x / sd)
+            return out if out.ndim else float(out)
+        pts = x.ravel()
+        limit = 40.0 * s
+        rules = leggauss(16), leggauss(32)
+        sums = [np.zeros(pts.size) for _ in rules]
+        for piece in kernel.pieces:
+            coef = getattr(piece, form)
+            a = np.clip((-limit - pts) / h, piece.lo, piece.hi)
+            b = np.clip((limit - pts) / h, piece.lo, piece.hi)
+            panels = max(1, math.ceil(min((piece.hi - piece.lo) * h / s, 80.0)))
+            half = 0.5 * (b - a) / panels
+            for k in range(panels):
+                mid = a + (2 * k + 1) * half
+                for acc, (nodes, weights) in zip(sums, rules):
+                    u = mid[:, None] + half[:, None] * nodes
+                    terms = polynomial(coef, u) * density(pts[:, None] + h * u, s) * weights
+                    acc += np.cumsum(terms, axis=1)[:, -1] * half
+        fine = sums[1]
+        if form == "cdf":
+            fine = ndtr((pts + h * kernel.pieces[0].lo) / s) + h * fine
     out = fine.reshape(x.shape)
     return out if out.ndim else float(out)
 
 
 ORACLE_MODELS = (IID, AR, ProcessModel(family="ar1", phi=-0.7), ProcessModel(family="ma", weights=(1.0, 0.6, -0.3)),
                  ProcessModel(family="ar1", phi=0.9, innovation_sd=0.3), ProcessModel(family="iid", innovation_sd=2.5))
-# each panel runs on all points at once, as one matrix product of 513 rows here (and 3267 below);
-# one point, as a scalar or a one-element array, takes the oracle's one-point path
+# each panel runs on all points at once, a (48, 513) array here (and (48, 9001) below); one point, as a scalar
+# or a one-element array, takes the oracle's one-point path
 ORACLE_POINTS = (0.4, -2.3, np.array([-1.0, 0.0, 2.5]), np.linspace(-3.0, 3.0, 201),
                  np.random.default_rng(3).normal(size=(7, 5)), np.array([]),
                  np.array([-45.0, 41.0, 1e3, -1e300, math.inf, -math.inf]), np.linspace(-2.0, 2.0, 513),
@@ -392,6 +416,47 @@ def test_oracle_keeps_the_bits_of_its_two_rule_loop(family, form, monkeypatch):
                 same(model, h, x)
     for h in (0.05, 30.0):  # as many points as the whole-line uniform_as grid
         same(AR, h, np.linspace(-8.0, 8.0, 3267))
+    # past numpy's 8192-element iterator buffer the array path still adds in node order: every ninth value is
+    # also its lone call's
+    many = np.linspace(-8.0, 8.0, 9001)
+    same(AR, 0.35, many)
+    got = estimator._expected(AR, kernel, 0.35, many, form)[::9]
+    assert [value.tobytes() for value in got] == [np.float64(estimator._expected(AR, kernel, 0.35, x, form)).tobytes()
+                                                 for x in many[::9]]
+
+
+def _oracle_outcome(model, kernel, h, x, form):
+    """The oracle's bits at x, or the message of the ArithmeticError it raises."""
+    try:
+        return np.asarray(estimator._expected(model, kernel, h, x, form)).tobytes()
+    except ArithmeticError as error:
+        return str(error)
+
+
+_FAR_POINTS = (41.0, -45.0, 1e3, -1e3, 1e300, -1e300, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("form", ["density", "cdf"])
+@pytest.mark.parametrize("family", sorted(name for name, kernel in FAMILIES.items() if kernel.pieces is not None))
+@settings(max_examples=12, deadline=None)
+@given(model=st.sampled_from(ORACLE_MODELS), log_h=st.floats(-9.0, 5.0), m=st.integers(2, 300),
+       seed=st.integers(0, 2**32 - 1),
+       odd=st.lists(st.one_of(st.sampled_from(_FAR_POINTS), st.floats(allow_nan=False)), max_size=6))
+def test_a_point_has_its_lone_bits_in_any_set(family, form, model, log_h, m, seed, odd):
+    """A point's E f_n and E F_n depend on that point alone: in a set of two or more (the array path) each value
+    has the bits of its lone call (the one-point path), and a set raises exactly when one of its points would.
+
+    The set holds m points within a few marginal sds and up to six far-out points, +-inf or any other floats."""
+    kernel, h = kernel_from_name(family), 10.0**log_h
+    rng = np.random.default_rng(seed)
+    points = rng.permutation(np.concatenate((rng.normal(scale=3.0 * model.marginal_sd, size=m), odd)))
+    lone = [_oracle_outcome(model, kernel, h, x, form) for x in points]
+    try:
+        values = estimator._expected(model, kernel, h, points, form)
+    except ArithmeticError as error:
+        assert str(error) == next(got for got in lone if isinstance(got, str))
+    else:
+        assert [value.tobytes() for value in values] == lone
 
 
 def test_oracles_refuse_a_bad_x_for_every_family():
@@ -663,8 +728,14 @@ def test_public_oracles_are_not_cached(monkeypatch):
     monkeypatch.setattr(estimator, "_rules", lambda: estimator._panel_rules(leggauss(1), leggauss(2)))
     with pytest.raises(ArithmeticError, match="rules differ"):
         expected_density(AR, EPAN, 0.35, 0.4)
-    with pytest.raises(ArithmeticError, match="rules differ"):
+    with pytest.raises(ArithmeticError, match="rules differ") as lone:
         expected_cdf(AR, EPAN, 0.35, 0.4)
+    # each point of a set is held to its own tolerance: far out, where both rules give the limit, a set passes,
+    # and a set that holds 0.4 raises with 0.4's numbers
+    assert expected_cdf(AR, EPAN, 0.35, np.array([1e3, -1e3])).tolist() == [1.0, 0.0]
+    with pytest.raises(ArithmeticError) as joined:
+        expected_cdf(AR, EPAN, 0.35, np.array([1e3, 0.4, -2.3]))
+    assert str(joined.value) == str(lone.value)
     # with no lag covariance, the long-run variance is F(1 - F) alone
     monkeypatch.setattr(processes, "_plackett_covariances", lambda z, rho: np.zeros(rho.size))
     assert indicator_long_run_variance(MA, 0.2) == float(ndtr(z) * ndtr(-z))

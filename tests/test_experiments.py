@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import tracemalloc
 import warnings
 
@@ -120,7 +121,8 @@ def test_loglog_rejects_degenerate_inputs():
 
 
 def _reference_fit(xs, ys) -> dict:
-    """fit_loglog_slope as written before its distinct-x check sorted: the reference for its bits."""
+    """fit_loglog_slope as written before its distinct-x check sorted, with its residual sum of squares
+    summed pairwise by numpy rather than by a BLAS dot product: the reference for its bits."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.size < 3 or ys.size != xs.size:
@@ -136,7 +138,7 @@ def _reference_fit(xs, ys) -> dict:
     slope = float(np.sum((lx - mx) * (ly - ly.mean())) / sxx)
     intercept = float(ly.mean() - slope * mx)
     resid = ly - (intercept + slope * lx)
-    sse = float(resid @ resid)
+    sse = float(np.sum(resid * resid))
     sst = float(np.sum((ly - ly.mean()) ** 2))
     if sst > 0.0:
         r_squared = 1.0 - sse / sst
@@ -173,24 +175,36 @@ def test_loglog_fit_keeps_the_reference_bits_and_messages():
         xs = rng.permutation(xs)
         args = (xs.tolist(), ys.tolist()) if trial % 3 == 0 else (xs, ys)
         assert _fit_outcome(fit_loglog_slope, *args) == _fit_outcome(_reference_fit, *args)
-    # every mix of NaN, infinities, signed zeros, negatives and repeats in three or four xs
+    # every mix of NaN, infinities, signed zeros, negatives and repeats in three or four xs: each entry is
+    # admitted first, xs before ys, and a NaN or an infinity is refused by name
     values = [math.nan, -math.inf, -1.0, -0.0, 0.0, 0.5, 2.0, math.inf]
     messages = set()
     for size in (2, 3, 4):
         for _ in range(600):
             xs = rng.choice(values, size)
             ys = rng.choice([math.nan, -1.0, 0.0, 0.25, 3.0], size)
-            want = _fit_outcome(_reference_fit, xs, ys)
+            refused = [(name, float(v)) for name, column in (("xs", xs), ("ys", ys)) for v in column
+                       if not math.isfinite(v)]
+            want = ((ValueError, f"{refused[0][0]} entry must be a finite real number, got {refused[0][1]!r}")
+                    if refused else _fit_outcome(_reference_fit, xs, ys))
             assert _fit_outcome(fit_loglog_slope, xs, ys) == want, (xs, ys)
             if want[0] is ValueError:
                 messages.add(want[1].split(", got")[0])
-    assert messages == {"need at least 3 (x, y) pairs", "xs must be distinct", "log-log fit needs positive xs and ys"}
+    assert messages == {"need at least 3 (x, y) pairs", "xs must be distinct", "log-log fit needs positive xs and ys",
+                        "xs entry must be a finite real number", "ys entry must be a finite real number"}
     for xs, ys, message in (([1.0, 2.0, 3.0], [1.0, 2.0], "got 3 xs and 2 ys"),
-                            ([math.nan, 1.0, math.nan], [1.0, 2.0, 3.0], "xs must be distinct"),
-                            ([2.0, 1.0, 2.0], [math.nan, 2.0, 3.0], "xs must be distinct"),
-                            ([math.nan, 1.0, 2.0], [1.0, 2.0, 3.0], "positive xs and ys"),
-                            ([1.0, 2.0, 3.0], [1.0, math.nan, 3.0], "positive xs and ys")):
-        with pytest.raises(ValueError, match=message):
+                            ([math.nan, 1.0, math.nan], [1.0, 2.0, 3.0],
+                             "xs entry must be a finite real number, got nan"),
+                            ([2.0, 1.0, 2.0], [math.nan, 2.0, 3.0], "ys entry must be a finite real number, got nan"),
+                            ([2.0, 1.0, 2.0], [1.0, 2.0, 3.0], "xs must be distinct"),
+                            ([-1.0, 1.0, 2.0], [1.0, 2.0, 3.0], "positive xs and ys"),
+                            ([1.0, 2.0, 3.0], [1.0, 0.0, 3.0], "positive xs and ys"),
+                            # a string was parsed, a bool read as 1.0 (and so a repeat), text failed in numpy
+                            ([1, 2, "3"], [1.0, 2.0, 3.0], "xs entry must be a finite real number, got '3'"),
+                            ([1, 2, True], [1.0, 2.0, 3.0], "xs entry must be a finite real number, got True"),
+                            ("x", [1.0, 2.0, 3.0], "xs entry must be a finite real number, got 'x'"),
+                            ([1.0, 2.0, 3.0], [1.0, 2.0, math.inf], "ys entry must be a finite real number, got inf")):
+        with pytest.raises(ValueError, match=re.escape(message)):
             fit_loglog_slope(xs, ys)
 
 
@@ -784,6 +798,29 @@ def test_clt_rows_keep_the_bits_of_the_public_statistics(kind, statistic, model,
     stats = np.array([statistic(generate_path(model, n, derive_seed(cfg.base_seed, r)), kernel, h, 0.4)
                       for r in range(cfg.replicates)])
     assert (row["mean"], row["variance"]) == (float(stats.mean()), float(stats.var(ddof=1)))
+
+
+@pytest.mark.parametrize("kernel", [EPAN, kernel_from_name("triangular")], ids=["epanechnikov", "triangular"])
+@pytest.mark.parametrize("kind,statistic", [("clt_density", clt_statistic),
+                                            ("clt_cdf_centered", cdf_clt_statistic)])
+def test_the_clt_runner_takes_each_points_lone_statistic(monkeypatch, kind, statistic, kernel):
+    """With several evaluation points, the runner's statistic at x on replicate path r has the bits of the public
+    statistic at x alone on that path: the runner's one oracle call over all points gives each its lone centre,
+    and at three points the window sums take the direct path, as at one."""
+    columns = []
+    ks = experiments.ks_statistic
+    monkeypatch.setattr(experiments, "ks_statistic",
+                        lambda column, cdf: columns.append(column.copy()) or ks(column, cdf))
+    for model in (AR_HALF, ProcessModel(family="ma", weights=(1.0, 0.3))):
+        columns.clear()
+        cfg = _config(kind=kind, model=model, kernel=kernel, n_list=(256,), replicates=100,
+                      eval_points=(0.0, 0.5, -1.3))
+        run_experiment(cfg)
+        h = cfg.h_list[-1]
+        paths = [generate_path(model, 256, derive_seed(cfg.base_seed, r)) for r in range(cfg.replicates)]
+        assert len(columns) == len(cfg.eval_points)
+        for x, column in zip(cfg.eval_points, columns):
+            assert column.tobytes() == np.array([statistic(path, kernel, h, x) for path in paths]).tobytes(), x
 
 
 def test_no_run_reads_the_statistics_cache(monkeypatch):

@@ -323,6 +323,9 @@ def test_the_model_record_is_left_out_of_equality_and_follows_replace():
     # iid and AR(1) keep the bits of sigma / sqrt(1 - phi^2), a moving average those of sigma sqrt(sum w^2)
     assert ProcessModel(family="ar1", phi=0.3, innovation_sd=0.7).marginal_sd == 0.7 / math.sqrt(1.0 - 0.3 * 0.3)
     assert model.marginal_sd == 2.0 * math.sqrt(1.0 + 0.36 + 0.09)
+    # a window whose largest |w| is 1 keeps the bits of the unscaled sums, the digest table's MA (1.0, 0.3) too
+    table_ma = ProcessModel(family="ma", weights=(1.0, 0.3))
+    assert (table_ma.marginal_sd, table_ma.correlations) == (math.sqrt(1.0 + 0.3 * 0.3), (0.3 / (1.0 + 0.3 * 0.3),))
     assert ProcessModel(family="iid", innovation_sd=0.7).marginal_sd == 0.7
 
 
@@ -417,16 +420,21 @@ def test_model_validation():
     with pytest.raises(ValueError, match="ma weight must be a finite real number"):
         ProcessModel("ma", weights=(10**400,))
     # a marginal sd that underflows to 0 or overflows to inf
-    for fields, sd in ((dict(family="ma", weights=(1e-200, 1e-200)), "0.0"),
-                       (dict(family="ma", weights=(1e200, 1e200)), "inf"),
+    for fields, sd in ((dict(family="ma", weights=(1e-200, 1e-200), innovation_sd=1e-200), "0.0"),
+                       (dict(family="ma", weights=(1e200, 1e200), innovation_sd=1e200), "inf"),
                        (dict(family="ar1", phi=0.9, innovation_sd=1e308), "inf"),
                        (dict(family="ma", weights=(1e300, 1.0), innovation_sd=1e10), "inf")):
         with pytest.raises(ValueError, match=re.escape(
                 "marginal sd innovation_sd * sqrt(sum of squared weights) / sqrt(1 - phi^2) must be positive "
                 f"and finite, got {sd}")):
             ProcessModel(**fields)
-    # tiny and huge sds stay admitted (1e-320, the square of 1e-160, is subnormal)
-    assert 0.99e-160 < ProcessModel("ma", weights=(1e-160,)).marginal_sd < 1.01e-160
+    # tiny and huge sds stay admitted, and keep their digits: the sums run on w / max|w| (1e-320, the square of
+    # 1e-160, is subnormal, and the squares of 1e-200 and 1e200 under- and overflow)
+    assert ProcessModel("ma", weights=(1e-160,)).marginal_sd == 1e-160
+    assert ProcessModel("ma", weights=(1e-200, 1e-200)).marginal_sd == 1e-200 * math.sqrt(2.0)
+    assert ProcessModel("ma", weights=(1e200, -1e200)).marginal_sd == 1e200 * math.sqrt(2.0)
+    tiny = ProcessModel("ma", weights=(2.0**-530, 2.0**-531))  # scaled exactly to (1, 0.5)
+    assert (tiny.marginal_sd, tiny.correlations) == (2.0**-530 * math.sqrt(1.25), (0.4,))
     assert ProcessModel("iid", innovation_sd=1e308).marginal_sd == 1e308
     # numpy reals stay admitted, as floats, and -0.0 becomes 0.0
     weights = ProcessModel(family="ma", weights=(np.float64(1.0), np.int64(2), -0.0)).weights

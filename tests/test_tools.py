@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,10 +15,14 @@ from mixkde.processes import versions
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_hashes.py"
 DIGESTS = Path(__file__).resolve().parent / "report_digests.json"
 LABELS = ("clt_density-ar1-gaussian-0.3", "uniform_as-iid-gaussian-0.3")
+# one config of each kind whose numbers went through BLAS: the oracle's node sums, the fit's residual sum of
+# squares, the moment bound's two products, a moving average's lag sums and the Plackett integrals
+BLAS_LABELS = ("clt_density-ma-triangular-0.8", "clt_cdf_centered-ma-epanechnikov-0.3",
+               "rate_integral_lp-ma-uniform-0.8", "bias-ma-triangular-0.8", "moment_bound-ar1-gaussian-0.3")
 
 
-def _tool(*args) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True, timeout=300)
+def _tool(*args, env=None) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True, timeout=300, env=env)
 
 
 def test_report_hashes_runs_two_configs(tmp_path):
@@ -77,3 +82,18 @@ def test_every_config_keeps_its_pinned_report_digest():
         + ("" if pinned["versions"].items() <= run_under.items() else
            f"; pinned under {pinned['versions']}, run under {run_under}")
     )
+
+
+def test_pinned_digests_do_not_rest_on_the_blas_kernels():
+    """Under OpenBLAS's Haswell kernels the BLAS_LABELS configs keep their pinned digests.
+
+    OpenBLAS reads OPENBLAS_CORETYPE when it loads, so the tool runs in a subprocess; a BLAS other than
+    OpenBLAS ignores the variable.
+    """
+    src = str(Path(mixkde.__file__).resolve().parent.parent)
+    proc = _tool("--src", src, "--only", *BLAS_LABELS, env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"})
+    assert proc.returncode == 0, proc.stderr
+    tool = _report_hashes()
+    got = {label: tool.digest(entry) for label, entry in json.loads(proc.stdout).items()}
+    pinned = json.loads(DIGESTS.read_text())["configs"]
+    assert got == {label: pinned[label] for label in BLAS_LABELS}

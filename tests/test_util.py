@@ -10,7 +10,7 @@ from mixkde.bandwidth import BandwidthSchedule, bandwidth_at
 from mixkde.cli import _write_rows_csv
 from mixkde.blocking import _checked_level, bracket_threshold, build_partition
 from mixkde.estimator import Grid, _check_h, binned_accuracy_bound
-from mixkde.experiments import ExperimentConfig, moment_bound_check
+from mixkde.experiments import ExperimentConfig, fit_loglog_slope, moment_bound_check
 from mixkde.kernels import kernel_from_name
 from mixkde.processes import (ProcessModel, conditional_mean, generate_path, generate_paths, mixing_tail_bound,
                               plackett_lags, rho_decay, rho_mixing_coefficient)
@@ -296,6 +296,8 @@ CHECK_REAL_SITES = {
     "mixing_tail_bound": ("power", lambda v: mixing_tail_bound(AR1, v)["partial_sum"], POSITIVE),
     "conditional_mean": ("last_value", lambda v: conditional_mean(AR1, v, 1), REALS),
     "bandwidth": ("bandwidth", _check_h, POSITIVE),
+    "fit_loglog_slope.xs": ("xs entry", lambda v: fit_loglog_slope([1.0, 3.0, v], [1.0, 2.0, 4.0]), POSITIVE),
+    "fit_loglog_slope.ys": ("ys entry", lambda v: fit_loglog_slope([1.0, 3.0, 4.0], [1.0, 2.0, v]), POSITIVE),
     "plackett_lags": ("phi", plackett_lags, REALS),
     "binned_accuracy_bound.h": ("bandwidth", lambda v: binned_accuracy_bound(EPANECHNIKOV, v, 0.01), POSITIVE),
     "binned_accuracy_bound.spacing": ("grid spacing", lambda v: binned_accuracy_bound(EPANECHNIKOV, 0.3, v),
