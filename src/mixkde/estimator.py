@@ -457,7 +457,8 @@ def density_estimate(
     m_taps = int(math.ceil(radius / spacing))
     offsets = np.arange(-m_taps, m_taps + 1, dtype=float)
     taps = evaluate(kernel, offsets * spacing / h)
-    values = np.convolve(counts, taps, mode="same") / (xs.size * h)
+    # the grid's slice of the full convolution; "same" returns the taps' count where they outnumber the grid
+    values = np.convolve(counts, taps, mode="full")[m_taps : m_taps + grid.m] / (xs.size * h)
     return EstimateCurve(grid=grid, values=values)
 
 

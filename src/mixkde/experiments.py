@@ -523,7 +523,7 @@ def _run_clt(config: ExperimentConfig, threads, *, centre: str) -> dict:
         "statistics are centered at exact quadrature expectations, not at sample means",
         "all evaluation points share each replicate path (common random numbers)",
     ]
-    if form == "cdf" and model.family != "iid":
+    if form == "cdf" and (model.phi or model.correlations):  # else sigma_LR^2 is F(1-F) exactly
         ratios = ", ".join(
             f"{lr / (f * (1.0 - f)):.6g} at x={x:g}"
             for x, f, lr in zip(xs_eval, marginal_cdf(model, xs_eval), variances)

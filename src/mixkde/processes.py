@@ -8,8 +8,8 @@ the path keyed by a 64-bit seed is the Philox stream with that key, read as
 uniforms, turned into normals by the inverse CDF, then filtered.
 generate_paths draws many paths together, in pieces keyed by their stream
 position, each row with the bits it has when drawn alone (generate_path).
-ndtri and ndtr are the ufuncs of scipy.special._ufuncs and the AR(1) filter
-is scipy.signal._sigtools._linear_filter, the C function under
+ndtri and ndtr are the ufuncs of scipy.special._ufuncs and the filter is
+scipy.signal._sigtools._linear_filter, the C function under
 scipy.signal.lfilter; each extension module is loaded without its package
 (_load_extension), which halves the start-up of the CLI; where it is not
 found, the public scipy function stands in, with the same bits. The other
@@ -207,16 +207,16 @@ def versions() -> dict:
     _load_extension: ndtri from scipy.special._ufuncs and _linear_filter, the
     C function under lfilter, from scipy.signal._sigtools. The report bits
     also rest on the SIMD loops numpy dispatches to (its exp and log differ
-    from libm's in the last bit under AVX-512). Two calls still reach BLAS
-    or LAPACK: leggauss takes its nodes from LAPACK's symmetric eigenvalues
-    (the oracle's 16- and 32-node rules and the 128-node Plackett rule), and
-    np.convolve, which draws a moving average, sums by BLAS ddot. Under
-    OpenBLAS's SkylakeX, Haswell, Prescott and Sandybridge kernels the
-    three rules kept their bits, and so did moving-average draws of up to 8
-    weights, but not of 16 or more. So a bundle records the Python, numpy
-    and scipy versions, the platform, numpy's baseline and enabled dispatch
-    targets, and its BLAS build; tools/report_hashes.py's pinned digests
-    record all but the platform.
+    from libm's in the last bit under AVX-512). One filter draws every
+    model, so no draw touches BLAS. One call on the report path still
+    reaches LAPACK: leggauss takes its nodes from LAPACK's symmetric
+    eigenvalues (the oracle's 16- and 32-node rules and the 128-node
+    Plackett rule), which kept their bits under OpenBLAS's SkylakeX,
+    Haswell, Prescott and Sandybridge kernels. Off it, the binned
+    density_estimate is the one np.convolve, which sums by BLAS ddot. So a
+    bundle records the Python, numpy and scipy versions, the platform,
+    numpy's baseline and enabled dispatch targets, and its BLAS build;
+    tools/report_hashes.py's pinned digests record all but the platform.
     """
     config = np.show_config(mode="dicts")
     simd, blas = config["SIMD Extensions"], config["Build Dependencies"]["blas"]
@@ -241,23 +241,23 @@ def generate_paths(model: ProcessModel, n: int, seeds) -> np.ndarray:
     """Row r holds X_0..X_{n-1} of the path keyed by seeds[r].
 
     Each row equals generate_path(model, n, seeds[r]).values bit for bit.
-    The rows go together in pieces of at most _BLOCK_VALUES values each:
-    every row of a piece reads its uniforms from this thread's one Philox
-    (_generator), re-keyed at the piece's stream position (_rekey), then the
-    clamp, ndtri, scaling and the AR(1) filter each run once on the piece,
-    the filter state carried from piece to piece. The filter call is the one
-    scipy.signal.lfilter makes for a two-term denominator, so the bits are
-    lfilter's. _each_path hands it paths_per_block rows, so a path longer
-    than a piece comes alone.
+    Every model is one filter, X = lfilter(weights or (1,), [1, -phi], e),
+    on innovations e that start q = len(weights) - 1 values early, so that a
+    moving average's X_0 is stationary. The rows go together in pieces of at
+    most _BLOCK_VALUES values each: every row of a piece reads its uniforms
+    from this thread's one Philox (_generator), re-keyed at the piece's
+    stream position (_rekey), then the clamp, ndtri, scaling and the filter
+    (the call lfilter makes, so lfilter's bits, and no BLAS) each run once
+    on the piece, the filter state carried from piece to piece. _each_path
+    hands it paths_per_block rows, so a path longer than a piece comes alone.
     """
     n = check_int(n, "path length", 1)
     seeds = [check_seed(s, "seed") for s in seeds]
     q = len(model.correlations)
-    out = np.empty((len(seeds), n))
-    # a moving average's innovations, q more than its values, need a buffer
-    eps = np.empty((len(seeds), n + q)) if q else out
-    # X_t = phi X_{t-1} + e_t as lfilter's numerator and denominator, and its state
-    b, a, zi = np.ones(1), np.array([1.0, -model.phi]), np.zeros((len(seeds), 1))
+    # the innovations, filtered in place; the paths are their last n columns
+    eps = np.empty((len(seeds), n + q))
+    b, a = np.array(model.weights or (1.0,)), np.array([1.0, -model.phi])
+    zi = np.zeros((len(seeds), max(q, 1)))
     gen = _generator()
     for start in range(0, n + q, _BLOCK_VALUES):
         piece = eps[:, start : start + _BLOCK_VALUES]
@@ -268,24 +268,17 @@ def generate_paths(model: ProcessModel, n: int, seeds) -> np.ndarray:
         # deterministic and a longer path extends a shorter one exactly.
         np.maximum(piece, _U_MIN, out=piece)
         ndtri(piece, out=piece)
-        if model.family == "ar1" and start == 0:
+        if model.phi and start == 0:
             # Exact stationary start: X_0 gets the marginal sd, the
-            # recursion X_t = phi X_{t-1} + e_t does the rest. For phi = 0
-            # the filter is the identity and the path is bitwise the iid path.
+            # recursion X_t = phi X_{t-1} + e_t does the rest. With phi = 0
+            # X_0 needs no start (a moving average has its warm-up).
             piece[:, 1:] *= model.innovation_sd
             piece[:, 0] *= model.marginal_sd
         else:
             piece *= model.innovation_sd
-        if model.family == "ar1":
+        if model.phi or model.weights:  # else the filter is the identity
             piece[...], zi = _linear_filter(b, a, piece, 1, zi)
-    if q:
-        w = np.asarray(model.weights, dtype=float)
-        # X_t = sum_j w_j eps_{t-j}; the q warm-up innovations make X_0
-        # stationary, and index t never touches innovations past t, so the
-        # prefix property carries over from the innovation stream.
-        for r, row in enumerate(eps):
-            out[r] = np.convolve(row, w, mode="full")[q : q + n]
-    return out
+    return eps[:, q:]
 
 
 def generate_path(model: ProcessModel, n: int, seed: int) -> SamplePath:

@@ -106,6 +106,15 @@ def test_binned_within_documented_bound(family):
     assert np.max(np.abs(direct.values - binned.values)) <= bound
 
 
+def test_binned_returns_one_value_per_grid_point_when_the_taps_outnumber_them():
+    # 5 taps (spacing 0.2, radius 0.3) outnumber the 4 grid points
+    path, grid = _path_from([0.0]), Grid(-0.3, 0.3, 4)
+    direct = density_estimate(path, EPAN, 0.3, grid, strategy="direct")
+    binned = density_estimate(path, EPAN, 0.3, grid, strategy="binned")
+    assert binned.values.shape == (grid.m,)
+    assert np.max(np.abs(direct.values - binned.values)) <= binned_accuracy_bound(EPAN, 0.3, grid.spacing)
+
+
 def test_binned_rejects_uniform_kernel():
     path = _path_from(np.linspace(-1, 1, 50))
     with pytest.raises(ValueError, match="not Lipschitz"):

@@ -779,8 +779,23 @@ def test_cdf_clt_run_names_long_run_variance():
         _config(kind="clt_cdf_centered", model=AR_HALF, kernel=EPAN, eval_points=(0.5,))
     )
     assert any("long-run variance" in note and "2.25204 at x=0.5" in note for note in dep.notes)
-    iid = run_experiment(_config(kind="clt_cdf_centered", kernel=EPAN, eval_points=(0.5,)))
-    assert not any("long-run variance" in note for note in iid.notes)
+    # sigma_LR^2 = F(1-F) exactly for iid, AR(1) with phi = 0 and a one-weight moving average
+    for model in (IID, ProcessModel(family="ar1", phi=0.0), ProcessModel(family="ma", weights=(0.7,))):
+        plain = run_experiment(_config(kind="clt_cdf_centered", model=model, kernel=EPAN, eval_points=(0.5,)))
+        assert not any("long-run variance" in note for note in plain.notes)
+
+
+@pytest.mark.parametrize("kind", ["clt_density", "clt_cdf_centered", "rate_sup_lp"])
+def test_one_weight_moving_average_reports_as_the_scaled_iid_model(kind):
+    # the window (2,) is the iid law with innovation sd 2, path for path
+    runs = {"clt_density": dict(n_list=(4096,), replicates=200, eval_points=(0.0, 1.0)),
+            "clt_cdf_centered": dict(n_list=(512,), replicates=150, eval_points=(0.0, 1.0)),
+            "rate_sup_lp": dict(n_list=(64, 128, 256), replicates=5)}[kind]
+    reports = [run_experiment(_config(kind=kind, model=model, kernel=EPAN, schedule=BandwidthSchedule(delta=0.3),
+                                      **runs))
+               for model in (ProcessModel(family="ma", weights=(2.0,)), ProcessModel(family="iid", innovation_sd=2.0))]
+    ma, iid = ([report.rows, report.summary, report.notes] for report in reports)
+    assert ma == iid
 
 
 # The CLT kinds and the public statistics share one standardization

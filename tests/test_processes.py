@@ -67,6 +67,8 @@ DRAW_MODELS = {
     "ar1-0.5": AR_HALF,
     "ar1--0.9-sd2": ProcessModel(family="ar1", phi=-0.9, innovation_sd=2.0),
     "ma": ProcessModel(family="ma", weights=(1.0, 0.5, -0.25)),
+    # a long window, whose bits must not rest on BLAS (test_long_window_draws_do_not_rest_on_the_blas_kernels)
+    "ma-40": ProcessModel(family="ma", weights=tuple(0.9**k for k in range(40))),
 }
 DRAW_KEYS = (derive_seed(20260814, 0), derive_seed(20260814, 1))
 DRAW_DIGESTS = {
@@ -98,6 +100,13 @@ DRAW_DIGESTS = {
     ("ma", 65537): "ed79d9d9e06dae0a69d59a903646fda132e955b57f2b9694636d093b71a089c4",
     ("ma", 131072): "9b45a00224042ae5456db0f862ed7d0ff9efb58ad9740c75b9d1bf8f62f7ceba",
     ("ma", 1048579): "ac293c21f1d49ef1d21fee7df5147207aceead66dd5a03704458ba0bc6065997",
+    ("ma-40", 1): "9dadcbede9dd3a3e96caf173f579d76508224d219caab08757bd274c53bd7b54",
+    ("ma-40", 5): "5e9b78192095566ce99960033567deac2e3ce8259c7cef7a712451bfdd27f514",
+    ("ma-40", 65535): "b4e43839332b911b97b54207e1ab864a7bb441bb26b5f015517395b798ca04a1",
+    ("ma-40", 65536): "8e7e1414624a57b05e8a12a823dd18442a4cbd078dc23c45d955f261ca5bd2d8",
+    ("ma-40", 65537): "6dda6f5127b3d7ab81e01c28823b76072959db00c01144dcd42687f24b345b41",
+    ("ma-40", 131072): "0c96a5b79ac78c8f01a2c94897973087d504aa230e0c6914a5b4031ca455ceb7",
+    ("ma-40", 1048579): "c2905030d7a5c382b407ca73a7f5761ecb1b34b8a1250617d168220fcaebd278",
 }
 
 
@@ -131,18 +140,21 @@ def test_generate_paths_rows_equal_single_paths(monkeypatch, block_values):
                 assert np.array_equal(row, single)
 
 
-@pytest.mark.parametrize("phi", [0.0, 0.5, -0.9, 0.99])
+# AR(1) filters, and moving averages of 1, 3 and 40 weights, whose denominator is [1, -0.0]
+@pytest.mark.parametrize("b, phi", [((1.0,), 0.0), ((1.0,), 0.5), ((1.0,), -0.9), ((1.0,), 0.99), ((2.0,), 0.0),
+                                    (DRAW_MODELS["ma"].weights, 0.0), (DRAW_MODELS["ma-40"].weights, 0.0)],
+                         ids=["0.0", "0.5", "-0.9", "0.99", "ma-1", "ma-3", "ma-40"])
 @pytest.mark.parametrize("rows, n", [(6, 10**4), (1, 2**16)])
 @pytest.mark.parametrize("strided", [False, True], ids=["whole", "piece"])
-def test_linear_filter_is_lfilter_bit_for_bit(phi, rows, n, strided):
+def test_linear_filter_is_lfilter_bit_for_bit(b, phi, rows, n, strided):
     # generate_paths calls lfilter's C kernel as lfilter does for a two-term
     # denominator, on a piece of a wider buffer when a path takes two pieces
     rng = np.random.default_rng(17)
     x = rng.standard_normal((rows, n + 3))[:, 3:] if strided else rng.standard_normal((rows, n))
-    zi = rng.standard_normal((rows, 1))
-    y, zf = processes._linear_filter(np.ones(1), np.array([1.0, -phi]), x, 1, zi)
-    want_y, want_zf = lfilter([1.0], [1.0, -phi], x, axis=1, zi=zi)
-    assert y.shape == want_y.shape and zf.shape == want_zf.shape == (rows, 1)
+    zi = rng.standard_normal((rows, max(len(b) - 1, 1)))
+    y, zf = processes._linear_filter(np.array(b), np.array([1.0, -phi]), x, 1, zi)
+    want_y, want_zf = lfilter(b, [1.0, -phi], x, axis=1, zi=zi)
+    assert y.shape == want_y.shape and zf.shape == want_zf.shape == zi.shape
     assert y.tobytes() == want_y.tobytes() and zf.tobytes() == want_zf.tobytes()
 
 
@@ -193,6 +205,38 @@ def test_draws_keep_their_bits_through_the_public_scipy_functions():
                           text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["True True mixkde.processes"] + [DRAW_DIGESTS[case] for case in cases]
+
+
+BLAS_CORE_DRAW = """
+import hashlib
+from mixkde.processes import ProcessModel, generate_path
+digest = hashlib.sha256()
+for key in KEYS:
+    digest.update(generate_path(ProcessModel("ma", weights=WEIGHTS), N, key).values.astype("<f8").tobytes())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_long_window_draws_do_not_rest_on_the_blas_kernels(core):
+    # no draw goes through BLAS, so a 40-weight window keeps its pinned bits under other OpenBLAS kernels
+    weights, n = DRAW_MODELS["ma-40"].weights, 65537
+    package_root = os.path.dirname(os.path.dirname(processes.__file__))
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": core}
+    code = f"KEYS, WEIGHTS, N = {DRAW_KEYS!r}, {weights!r}, {n}" + BLAS_CORE_DRAW
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [DRAW_DIGESTS["ma-40", n]]
+
+
+@pytest.mark.parametrize("w", [2.0, -0.5])
+def test_one_weight_moving_average_scales_the_iid_path(w):
+    # a one-weight window is the iid path times its weight, across a piece boundary too
+    for n in (1, 1000, 70000):
+        ma = generate_path(ProcessModel(family="ma", weights=(w,), innovation_sd=1.3), n, seed=41).values
+        iid = generate_path(ProcessModel(family="iid", innovation_sd=1.3), n, seed=41).values
+        assert ma.tobytes() == (w * iid).tobytes()
 
 
 def test_extension_load_leaves_no_placeholder(monkeypatch, tmp_path):
