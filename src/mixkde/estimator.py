@@ -27,6 +27,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .kernels import KernelSpec, evaluate, horner
 from .processes import (
+    _SQRT_2PI,
     ProcessModel,
     SamplePath,
     _normal,
@@ -148,7 +149,6 @@ _HERMITE_TERMS = 20
 # The Gaussian's terms on the direct path, in u = (X_i - x)/h; the density's
 # factor 1/sqrt(2 pi) is applied to the sums (_kernel_window_sums)
 _GAUSSIAN_TERMS = {"density": lambda u: np.exp(-0.5 * u * u), "cdf": lambda u: ndtr(-u)}
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _window_sums(xs: np.ndarray, kernel: KernelSpec, h: float, pts: np.ndarray, form: str):
@@ -368,7 +368,7 @@ def _hermite_sums(xs, h, pts, form, reach):
 
     def terms(idx, x):
         s = (x - centers[idx]) / h
-        gauss = np.exp(-0.5 * s * s)
+        gauss = _GAUSSIAN_TERMS["density"](s)
         if form == "density":
             return gauss * _hermite_series(s, moments[:, idx])
         return ndtr(s) * moments[0, idx] - gauss / _SQRT_2PI * _hermite_series(s, moments[1:, idx])
@@ -426,7 +426,8 @@ def density_estimate(
 
     The direct strategy is the defining sum. The binned strategy distributes
     each observation linearly over its two neighboring grid nodes and then
-    convolves once with kernel taps; it must agree with direct within
+    convolves once with kernel taps, tap by tap in a fixed order (no BLAS,
+    unlike np.convolve); it must agree with direct within
     binned_accuracy_bound per point, and rejects grids that do not cover
     the data inflated by the kernel window.
     """
@@ -457,9 +458,12 @@ def density_estimate(
     m_taps = int(math.ceil(radius / spacing))
     offsets = np.arange(-m_taps, m_taps + 1, dtype=float)
     taps = evaluate(kernel, offsets * spacing / h)
-    # the grid's slice of the full convolution; "same" returns the taps' count where they outnumber the grid
-    values = np.convolve(counts, taps, mode="full")[m_taps : m_taps + grid.m] / (xs.size * h)
-    return EstimateCurve(grid=grid, values=values)
+    # the grid's slice of the full convolution: values[g] = sum_k taps[2 m_taps - k] padded[g + k]
+    padded = np.pad(counts, m_taps)
+    values = np.zeros(grid.m)
+    for k, tap in enumerate(taps[::-1]):
+        values += tap * padded[k : k + grid.m]
+    return EstimateCurve(grid=grid, values=values / (xs.size * h))
 
 
 def cdf_estimate(path: SamplePath, kernel: KernelSpec, h: float, grid: Grid = DEFAULT_GRID) -> EstimateCurve:

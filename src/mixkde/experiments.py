@@ -337,8 +337,7 @@ def _rho1_gate(config: ExperimentConfig) -> ConditionVerdict:
 
 # the conditions that every admitted config meets, each with its holds text
 _ALWAYS_HOLDS: dict[str, Callable[[ExperimentConfig], str]] = {
-    "C1": lambda c: "holds: the Gaussian marginal is bounded by "
-                    f"{1.0 / (c.model.marginal_sd * math.sqrt(2 * math.pi)):.6g}",
+    "C1": lambda c: f"holds: the Gaussian marginal is bounded by {marginal_density(c.model, 0.0):.6g}",
     "C2": lambda c: "holds: the Gaussian marginal is uniformly continuous and bounded",
     "C3": lambda c: "holds: the Gaussian marginal is bounded and continuously differentiable "
                     f"with sup|f'| = {marginal_density_derivative_sup(c.model):.6g}",
@@ -761,8 +760,8 @@ def moment_bound_check(
 
     For each replicate path, G = sum_m E[xi_m | anchor_m] where xi_m is the
     m-th big-block sum of the level-k partition and the anchor is the
-    observation immediately before that block (the Markov state, which is
-    why only iid and ar1 models are accepted). The estimated E|G|^p is
+    observation immediately before that block (the Markov state, so a
+    model must be ProcessModel.markov). The estimated E|G|^p is
     compared against the bound shape
 
         (log 2 r_k)^p [ (sum_m rho(q(m/2))^2 |xi_m|_2^2)^{p/2}

@@ -2,8 +2,8 @@
 
 Four classical second-order kernels are provided. A compact kernel's K and
 G_K are its polynomial pieces, which the window sums and the oracle use too;
-the Gaussian keeps its closed forms, its G_K being scipy.special's ndtr as
-mixkde.processes loads it, without the scipy.special package. Constants are
+the Gaussian's K and G_K are the N(0, 1) law of mixkde.processes (_normal at
+s = 1), so the marginals and the kernel share one formula. Constants are
 stored in closed form, so every normalization downstream is bit-stable; the
 test suite checks the stored numbers against adaptive quadrature.
 """
@@ -16,17 +16,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .processes import ndtr
+from .processes import _SQRT_2PI, _normal
 from .util import _real_points
 
 # Beyond 8 standard deviations the Gaussian kernel is below 1.3e-15 of its
 # peak; windowed evaluation treats it as compactly supported at this radius.
 GAUSSIAN_TAIL_RADIUS = 8.0
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-# exp(-u^2/2) underflows to 0 from |u| = 38.6 on; |u| is clipped here first
-# so that u^2 stays finite
-_GAUSSIAN_CLIP = 40.0
 
 
 class PolyPiece(NamedTuple):
@@ -155,9 +150,7 @@ def evaluate(kernel: KernelSpec, u):
     u = _real_points(u)
     if kernel.pieces is not None:
         return _from_pieces(kernel.pieces, u, "density", 0.0, 0.0)
-    u = np.clip(u, -_GAUSSIAN_CLIP, _GAUSSIAN_CLIP)
-    out = np.exp(-0.5 * np.square(u)) / _SQRT_2PI
-    return out if out.ndim else float(out)
+    return _normal(u, 1.0, "density")
 
 
 def kernel_cdf(kernel: KernelSpec, u):
@@ -165,6 +158,5 @@ def kernel_cdf(kernel: KernelSpec, u):
     u = _real_points(u)
     if kernel.pieces is not None:
         return _from_pieces(kernel.pieces, -u, "cdf", 1.0, 0.0)
-    out = ndtr(u)
-    return out if out.ndim else float(out)
+    return _normal(u, 1.0, "cdf")
 

@@ -13,8 +13,8 @@ scipy.signal._sigtools._linear_filter, the C function under
 scipy.signal.lfilter; each extension module is loaded without its package
 (_load_extension), which halves the start-up of the CLI; where it is not
 found, the public scipy function stands in, with the same bits. The other
-modules take ndtr from here. versions() names what the draw and report bits
-rest on.
+modules take ndtr and the N(0, s^2) law _normal (the Gaussian kernel too)
+from here. versions() names what the draw and report bits rest on.
 See README "Library layout" and "Testing" (criterion 2).
 """
 
@@ -99,8 +99,8 @@ class ProcessModel:
 
     @property
     def markov(self) -> bool:
-        """iid and AR(1) are Markov in their own value; a moving average is not."""
-        return self.family != "ma"
+        """iid, AR(1) and white noise (no correlated lag, as in a one-weight window) are Markov in their own value."""
+        return not any(self.correlations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,12 +208,11 @@ def versions() -> dict:
     C function under lfilter, from scipy.signal._sigtools. The report bits
     also rest on the SIMD loops numpy dispatches to (its exp and log differ
     from libm's in the last bit under AVX-512). One filter draws every
-    model, so no draw touches BLAS. One call on the report path still
-    reaches LAPACK: leggauss takes its nodes from LAPACK's symmetric
-    eigenvalues (the oracle's 16- and 32-node rules and the 128-node
-    Plackett rule), which kept their bits under OpenBLAS's SkylakeX,
-    Haswell, Prescott and Sandybridge kernels. Off it, the binned
-    density_estimate is the one np.convolve, which sums by BLAS ddot. So a
+    model, so no draw touches BLAS, and the binned density_estimate sums its
+    taps in a loop. The only BLAS or LAPACK call left is leggauss, which
+    takes its nodes from LAPACK's symmetric eigenvalues (the oracle's 16-
+    and 32-node rules and the 128-node Plackett rule); they kept their bits
+    under OpenBLAS's SkylakeX, Haswell, Prescott and Sandybridge kernels. So a
     bundle records the Python, numpy and scipy versions, the platform,
     numpy's baseline and enabled dispatch targets, and its BLAS build;
     tools/report_hashes.py's pinned digests record all but the platform.
@@ -342,15 +341,15 @@ def _rho(model: ProcessModel, lag: int) -> float:
 
 
 def rho_decay(model: ProcessModel, lag: float) -> float:
-    """rho_mixing_coefficient extended to real lag >= 0 for Markov families.
+    """rho_mixing_coefficient extended to real lag >= 0 for Markov models (ProcessModel.markov).
 
     The block-moment machinery interpolates gap lengths, which needs the
     decay curve at non-integer arguments. That extension is only canonical
-    when the decay is a pure power |phi|^lag (iid has phi = 0, and 0.0 ** 0
-    is 1.0); moving averages are refused.
+    when the decay is a pure power |phi|^lag (phi = 0 without AR(1), and
+    0.0 ** 0 is 1.0); a moving average whose lags are correlated is refused.
     """
     if not model.markov:
-        raise ValueError("real-lag decay is only defined for the iid and ar1 families")
+        raise ValueError("real-lag decay is not defined for a moving average whose lags are correlated")
     lag = check_real(lag, "lag")
     if not lag >= 0.0:
         raise ValueError(f"lag must be >= 0, got {lag!r}")
@@ -469,38 +468,34 @@ def indicator_long_run_variance(model: ProcessModel, x: float) -> float:
 
     sigma_LR^2(x) = F(1-F) + 2 sum_{k>=1} [Phi_2(z, z; rho_k) - F^2], with
     z = x / marginal_sd and rho_k the signed lag-k autocorrelation, by
-    Plackett integrals and, for the far AR(1) lags, a Mehler series
-    (_mehler_far_sum) truncated below 1e-17 F(1-F). iid models and phi = 0
-    return F(1-F) exactly. plackett_lags raises ValueError for |phi| from
-    about 1 - 6.61e-7 on, and _real_point for an x that is not one real
-    point other than NaN.
+    Plackett integrals over a moving average's window or the AR(1) lags up to
+    plackett_lags, in one loop, and a Mehler series (_mehler_far_sum) for the
+    far AR(1) lags, truncated below 1e-17 F(1-F). Without a correlated lag it
+    is F(1-F) exactly. plackett_lags raises ValueError for |phi| from about
+    1 - 6.61e-7 on, and _real_point for an x that is not one real point.
     """
     z = _real_point(x) / model.marginal_sd
+    phi = model.phi
     # F(1-F) as Phi(z) Phi(-z): symmetric in z, and 1 - F loses no digits
     marginal = float(ndtr(z) * ndtr(-z))
-    if model.correlations:
-        return marginal + 2.0 * float(np.sum(_plackett_covariances(z, np.array(model.correlations))))
-    if model.phi == 0.0:  # iid too, and a moving average of one weight
-        return marginal
-    lags = plackett_lags(model.phi)
+    near = np.array(model.correlations) if phi == 0.0 else phi ** np.arange(1, plackett_lags(phi) + 1)
     total = 0.0
-    # lags go in chunks so that phi near 1 (up to 2^20 lags) stays small in memory
-    for start in range(1, lags + 1, _LRV_LAG_CHUNK):
-        k = np.arange(start, min(start + _LRV_LAG_CHUNK, lags + 1))
-        total += float(np.sum(_plackett_covariances(z, model.phi**k)))
-    if math.exp(-z * z) > 0.0:
-        total += _mehler_far_sum(z, model.phi, lags)
+    # in chunks, so that the (lags x 128) Plackett scratch stays small for phi near 1 (up to 2^20 lags)
+    for start in range(0, near.size, _LRV_LAG_CHUNK):
+        total += float(np.sum(_plackett_covariances(z, near[start : start + _LRV_LAG_CHUNK])))
+    if phi != 0.0 and math.exp(-z * z) > 0.0:
+        total += _mehler_far_sum(z, phi, near.size)
     return marginal + 2.0 * total
 
 
 def conditional_mean(model: ProcessModel, last_value: float, horizon: int) -> float:
-    """E[X_{t+horizon} | X_t = last_value] for Markov families.
+    """E[X_{t+horizon} | X_t = last_value] for Markov models (ProcessModel.markov).
 
-    A moving average is not Markov in its own value, so it is refused; the
-    answer is phi^horizon times the conditioning value (iid has phi = 0).
+    A moving average with a correlated lag is not Markov, so it is refused;
+    the answer is phi^horizon times the value (phi = 0 without AR(1)).
     """
     if not model.markov:
-        raise ValueError("conditional_mean needs the Markov property; the ma family is not "
-                         "Markov in its own value")
+        raise ValueError("conditional_mean needs the Markov property; a moving average whose lags are "
+                         "correlated is not Markov in its own value")
     last_value = check_real(last_value, "last_value")
     return model.phi ** check_int(horizon, "horizon", 1) * last_value

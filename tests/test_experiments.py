@@ -284,10 +284,13 @@ def test_gate_rejection_small_p():
 
 
 def test_gate_rejection_ma_for_moment_bound():
+    # a window with a correlated lag is refused, with the text the gate has always given
     cfg = _config(kind="moment_bound", model=ProcessModel(family="ma", weights=(1.0, 0.3)),
                   n_list=(6, 7, 8), p=2.0)
-    with pytest.raises(GateError, match="markov-model"):
+    with pytest.raises(GateError, match="markov-model") as refusal:
         run_experiment(cfg)
+    assert ("fails: the ma family is not Markov in its own value, so block anchors have no single-state "
+            "conditional mean") in str(refusal.value)
 
 
 def test_gate_rejection_odd_p_for_moment_bound():
@@ -785,16 +788,17 @@ def test_cdf_clt_run_names_long_run_variance():
         assert not any("long-run variance" in note for note in plain.notes)
 
 
-@pytest.mark.parametrize("kind", ["clt_density", "clt_cdf_centered", "rate_sup_lp"])
+@pytest.mark.parametrize("kind", ["clt_density", "clt_cdf_centered", "rate_sup_lp", "moment_bound"])
 def test_one_weight_moving_average_reports_as_the_scaled_iid_model(kind):
-    # the window (2,) is the iid law with innovation sd 2, path for path
+    # the window (2,) is the iid law with innovation sd 2, path for path, and Markov like it
     runs = {"clt_density": dict(n_list=(4096,), replicates=200, eval_points=(0.0, 1.0)),
             "clt_cdf_centered": dict(n_list=(512,), replicates=150, eval_points=(0.0, 1.0)),
-            "rate_sup_lp": dict(n_list=(64, 128, 256), replicates=5)}[kind]
+            "rate_sup_lp": dict(n_list=(64, 128, 256), replicates=5),
+            "moment_bound": dict(n_list=(6, 7, 8), replicates=20, p=2.0)}[kind]
     reports = [run_experiment(_config(kind=kind, model=model, kernel=EPAN, schedule=BandwidthSchedule(delta=0.3),
                                       **runs))
                for model in (ProcessModel(family="ma", weights=(2.0,)), ProcessModel(family="iid", innovation_sd=2.0))]
-    ma, iid = ([report.rows, report.summary, report.notes] for report in reports)
+    ma, iid = ([report.rows, report.summary, report.notes, report.verdict] for report in reports)
     assert ma == iid
 
 

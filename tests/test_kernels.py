@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from mixkde.kernels import (
     FAMILIES,
@@ -215,14 +216,22 @@ def test_evaluate_vectorized():
 
 
 def test_gaussian_evaluate_far_out_raises_no_warning():
+    """K and G_K of the Gaussian are the N(0, 1) law of mixkde.processes (_normal at s = 1), bit for bit
+    the closed forms exp(-u^2/2)/sqrt(2 pi), with |u| clipped at 40 (exp underflows to 0 from |u| = 38.6
+    on), and ndtr(u); far out, where u^2 overflows, they are 0 and 0 or 1, with no warning."""
+    def clipped_density(u):
+        return np.exp(-0.5 * np.square(np.clip(u, -40.0, 40.0))) / math.sqrt(2.0 * math.pi)
+
     kernel = kernel_from_name("gaussian")
     far = [1e200, -1e200, math.inf, -math.inf]
+    edges = [38.6, 40.0, 1e154, 1.4e154, 1e200, math.inf]
+    us = np.concatenate((np.linspace(-45.0, 45.0, 200_001), edges, np.negative(edges), [0.0, -0.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert [evaluate(kernel, u) for u in far] == [0.0] * 4
         assert evaluate(kernel, np.array(far)).tolist() == [0.0] * 4
-    # bit for bit the closed form inside the clip, 0 beyond it
-    us = np.linspace(-45.0, 45.0, 9001)
-    with np.errstate(under="ignore"):
-        want = np.exp(-0.5 * np.square(us)) / math.sqrt(2.0 * math.pi)
-    assert np.array_equal(evaluate(kernel, us), want)
+        assert evaluate(kernel, us).tobytes() == clipped_density(us).tobytes()
+        assert kernel_cdf(kernel, us).tobytes() == ndtr(us).tobytes()
+        for u in us[::1999].tolist() + edges + [-e for e in edges]:
+            assert evaluate(kernel, u).hex() == float(clipped_density(np.float64(u))).hex()
+            assert kernel_cdf(kernel, u).hex() == float(ndtr(u)).hex()

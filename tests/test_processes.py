@@ -1,5 +1,6 @@
 """Path generation, marginals, and mixing coefficients for the built-in models."""
 
+import ast
 import dataclasses
 import hashlib
 import math
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,6 +232,55 @@ def test_long_window_draws_do_not_rest_on_the_blas_kernels(core):
     assert proc.stdout.split() == [DRAW_DIGESTS["ma-40", n]]
 
 
+BLAS_CORE_BINNED = """
+import hashlib
+from mixkde.estimator import Grid, density_estimate
+from mixkde.kernels import GAUSSIAN
+from mixkde.processes import ProcessModel, generate_path
+path = generate_path(ProcessModel("ar1", phi=0.5), 2**17, KEY)
+curve = density_estimate(path, GAUSSIAN, 0.05, Grid(-8.0, 8.0, 1601), "binned")
+digest = hashlib.sha256(curve.values.astype("<f8").tobytes()).hexdigest()
+print(digest)
+"""
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_binned_estimate_does_not_rest_on_the_blas_kernels(core):
+    # the taps are summed in a loop, not by np.convolve's BLAS ddot, so an 81-tap Gaussian curve keeps the bits
+    # it has under the default kernel
+    code = f"KEY = {DRAW_KEYS[0]!r}" + BLAS_CORE_BINNED
+    default = {}
+    exec(code, default)
+    package_root = os.path.dirname(os.path.dirname(processes.__file__))
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": core}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [default["digest"]]
+
+
+# numpy's sums that reach BLAS (np.convolve by ddot) and the @ operator; versions() names leggauss as the one
+# LAPACK call on the report path
+BLAS_NAMES = {"convolve", "dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
+
+
+def test_no_source_line_sums_by_blas():
+    found = []
+    for path in sorted((Path(processes.__file__).parent).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                name = "@"
+            elif isinstance(node, ast.Attribute):  # np.dot, x.dot
+                name = node.attr
+            elif isinstance(node, ast.alias):  # from numpy import dot
+                name = node.name
+            else:
+                continue
+            if name in BLAS_NAMES | {"@"}:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
+
+
 @pytest.mark.parametrize("w", [2.0, -0.5])
 def test_one_weight_moving_average_scales_the_iid_path(w):
     # a one-weight window is the iid path times its weight, across a piece boundary too
@@ -415,7 +466,7 @@ def test_mixing_tail_converges():
 def test_rho_decay_real_lag():
     assert rho_decay(AR_HALF, 2.5) == pytest.approx(0.5**2.5, abs=1e-15)
     assert rho_decay(IID, 0.7) == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="a moving average whose lags are correlated"):
         rho_decay(MA_ONE, 1.5)
     with pytest.raises(ValueError, match="lag must be >= 0"):
         rho_decay(AR_HALF, -1.0)
@@ -499,8 +550,28 @@ def test_rho_rejects_lag_zero():
 
 
 def test_conditional_mean_rejects_ma():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="a moving average whose lags are correlated is not Markov"):
         conditional_mean(MA_ONE, 1.0, 1)
+
+
+@pytest.mark.parametrize("model,markov", [
+    (IID, True), (AR_HALF, True),
+    (ProcessModel(family="ma", weights=(2.0,)), True),
+    (ProcessModel(family="ma", weights=(1.0, 0.0)), True),
+    (ProcessModel(family="ma", weights=(1.0, 0.3)), False),
+    (MA_ONE, False),
+], ids=["iid", "ar1", "ma-one-weight", "ma-uncorrelated-lag", "ma-correlated-lag", "ma-(1,0.6)"])
+def test_markov_reads_the_lag_correlations(model, markov):
+    # a window whose lags are all uncorrelated is Gaussian white noise, so Markov
+    assert model.markov is markov
+
+
+def test_a_one_weight_window_decays_and_predicts_as_iid():
+    ma, iid = ProcessModel(family="ma", weights=(2.0,)), ProcessModel(family="iid", innovation_sd=2.0)
+    for lag in (0.0, 0.5, 1.0, 2.5):
+        assert rho_decay(ma, lag).hex() == rho_decay(iid, lag).hex()
+    for value, horizon in ((3.7, 1), (-1.2, 4)):
+        assert conditional_mean(ma, value, horizon).hex() == conditional_mean(iid, value, horizon).hex()
 
 
 def test_indicator_long_run_variance_iid_is_marginal_variance():
@@ -586,6 +657,22 @@ def test_indicator_long_run_variance_integrates_only_the_near_lags(monkeypatch):
     indicator_long_run_variance(ProcessModel(family="ar1", phi=0.9999), 0.4)
     # the lags with 0.9999^k > 1/2; integrating until 0.9999^k / 4 < 1e-15 took 423608
     assert 0 < sum(seen) <= 6932
+
+
+# indicator_long_run_variance(model, x).hex() at x = 0, 0.5 and -2; phi = 0.9999 integrates 6931 lags, two chunks
+LRV_BITS = {
+    ("ar1", 0.9999, ()): ["0x1.b1320897d16cep+11", "0x1.b12d907455059p+11", "0x1.b0ea8c11b980dp+11"],
+    ("ar1", -0.7, ()): ["0x1.9aae27f0f6b34p-4", "0x1.03f7d387605a2p-3", "0x1.78beced4a7226p-4"],
+    ("ma", 0.0, (1.0, 0.6, -0.3)): ["0x1.1bdb6fc15a280p-2", "0x1.ff997e2403d72p-3", "0x1.a5078d2d51817p-5"],
+    ("ma", 0.0, (2.0,)): ["0x1.0000000000000p-2", "0x1.ec0be4e64eccep-3", "0x1.115fef92cd807p-3"],
+    ("iid", 0.0, ()): ["0x1.0000000000000p-2", "0x1.b4ecb76d956a4p-3", "0x1.6c422139a1161p-6"],
+}
+
+
+@pytest.mark.parametrize("family,phi,weights", list(LRV_BITS), ids=["ar1-0.9999", "ar1--0.7", "ma", "ma-2", "iid"])
+def test_indicator_long_run_variance_keeps_its_bits(family, phi, weights):
+    model = ProcessModel(family=family, phi=phi, weights=weights)
+    assert [indicator_long_run_variance(model, x).hex() for x in (0.0, 0.5, -2.0)] == LRV_BITS[family, phi, weights]
 
 
 def test_plackett_lags_are_capped():
