@@ -41,8 +41,9 @@ from .util import _as_real, _echo, _real_point, _real_points, check_int, check_r
 
 STRATEGIES = ("direct", "binned")
 
-# Relative floor below which a bandwidth cannot resolve distinct data points.
-_H_RANGE_FLOOR = 1e-12
+# The bandwidths every config, estimate and statistic admits, in marginal sds: far below the floor the
+# sums are of point spikes, far above the ceiling the prefix sums' powers h^j overflow.
+_H_RANGE_FLOOR, _H_RANGE_CEILING = 1e-12, 1e12
 _DENSITY_FLOOR = 1e-300  # the CLT statistics and gates need f(x) above it,
 _CDF_EDGE = 1e-12  # and F(x) this far from 0 and 1
 
@@ -78,21 +79,15 @@ class EstimateCurve:
     values: np.ndarray
 
 
-def _check_h(value: float, xs: np.ndarray | None = None) -> float:
-    """value as a float bandwidth (util._as_real): positive, finite and, given xs sorted, above its range floor.
-
-    A NaN sorts last, so the range xs[-1] - xs[0] is NaN and the check passes.
-    """
+def _check_h(value: float, s: float | None = None, name: str = "bandwidth") -> float:
+    """value as a float bandwidth (util._as_real): positive, finite and, given the model's marginal sd s, within
+    [_H_RANGE_FLOOR s, _H_RANGE_CEILING s]."""
     h = _as_real(value)
     if not 0.0 < h < math.inf:
-        raise ValueError(f"bandwidth must be a positive finite number, got {_echo(value)}")
-    if xs is not None and xs.size > 1:
-        rng = float(xs[-1] - xs[0])
-        if rng > 0.0 and h < _H_RANGE_FLOOR * rng:
-            raise ValueError(
-                f"bandwidth {h:g} is below {_H_RANGE_FLOOR:g} of the data range {rng:g}; "
-                "sums of point spikes are not a usable estimate"
-            )
+        raise ValueError(f"{name} must be a positive finite number, got {_echo(value)}")
+    if s is not None and not _H_RANGE_FLOOR * s <= h <= _H_RANGE_CEILING * s:
+        raise ValueError(f"{name} must be between {_H_RANGE_FLOOR:g} and {_H_RANGE_CEILING:g} times the "
+                         f"marginal sd {s:g}, got {h:g}")
     return h
 
 
@@ -433,8 +428,8 @@ def density_estimate(
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    h = _check_h(h, path.model.marginal_sd)
     xs = np.sort(path.values)
-    h = _check_h(h, xs)
     if strategy == "direct":
         return EstimateCurve(grid=grid, values=_estimate(xs, kernel, h, grid.points, "density"))
 
@@ -472,8 +467,8 @@ def cdf_estimate(path: SamplePath, kernel: KernelSpec, h: float, grid: Grid = DE
     Every kernel family is symmetric with unit mass, which keeps the estimate
     a genuine distribution function up to the kernel window at the edges.
     """
+    h = _check_h(h, path.model.marginal_sd)
     xs = np.sort(path.values)
-    h = _check_h(h, xs)
     return EstimateCurve(grid=grid, values=_estimate(xs, kernel, h, grid.points, "cdf"))
 
 
@@ -672,8 +667,8 @@ def _standardized(xs, kernel: KernelSpec, h: float, pts, form: str, centres, var
 
 def _statistic(path: SamplePath, kernel: KernelSpec, h: float, x: float, form: str):
     """The statistic of `form` at the checked point x, its centre and variance read from the cache."""
+    h = _check_h(h, path.model.marginal_sd)
     xs = np.sort(path.values)
-    h = _check_h(h, xs)
     centres, variances = _standardization(path.model, kernel, h, (x,), form)
     return _standardized(xs, kernel, h, np.array([x]), form, centres, variances)[0]
 

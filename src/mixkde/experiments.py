@@ -24,12 +24,12 @@ from .blocking import _checked_level, _interpolated_gap, build_partition
 from .estimator import (
     _CDF_EDGE,
     _DENSITY_FLOOR,
-    _H_RANGE_FLOOR,
     _MARGINAL_RADIUS,
     DEFAULT_GRID,
     Grid,
     _cdf_window_sums,  # noqa: F401  (perfbench/spans.py traces this name)
     _centring,
+    _check_h,
     _estimate,
     _kernel_window_sums,  # noqa: F401  (perfbench/spans.py traces this name)
     _standardized,
@@ -42,6 +42,7 @@ from .kernels import KernelSpec
 from .processes import generate_path  # noqa: F401  (perfbench/spans.py traces this name)
 from .processes import (
     ProcessModel,
+    _rho,
     conditional_mean,
     generate_paths,
     indicator_long_run_variance,  # noqa: F401  (perfbench/spans.py traces this name)
@@ -52,7 +53,6 @@ from .processes import (
     ndtr,
     paths_per_block,
     plackett_lags,
-    rho_decay,
     rho_mixing_coefficient,
 )
 from .util import (_as_real, _echo, _run_replicates, check_int, check_real, check_seed, clamped_log, derive_seed,
@@ -160,12 +160,7 @@ class ExperimentConfig:
                 h = bandwidth_at(self.schedule, n)
             except OverflowError:
                 h = math.inf
-            if not (math.isfinite(h) and h >= _H_RANGE_FLOOR * sd):
-                raise ValueError(f"bandwidth h_n = {h:g} at n = {n} must be finite and at least "
-                                 f"{_H_RANGE_FLOOR:g} times the marginal sd {sd:g}")
-            if h > 1e12 * sd:  # the floor's mirror, far below where h^j overflows
-                raise ValueError(f"bandwidth h_n = {h:g} at n = {n} must be at most "
-                                 f"1e+12 times the marginal sd {sd:g}")
+            _check_h(h, sd, f"bandwidth h_n at n = {n}")
             # a kind that plots against h fits its slope against h
             if spec.plot[0] == "h" and h in h_list:
                 raise ValueError(f"{self.kind} fits its slope against h, but h_n = {h:g} "
@@ -542,19 +537,26 @@ def _deviations(config: ExperimentConfig, threads, pts: np.ndarray, fold, shape)
 
     E f_n is one oracle call over pts per bandwidth, and _sorted_prefixes
     runs the paths; each fold result has the trailing shape `shape`. A size
-    at which every deviation is 0 has no log-log fit: only points far out in
-    the tails, where E f_n is 0 and no window holds a value, give it, and
-    the f(x) > 0 gate keeps evaluation points out of there.
+    at which every deviation is 0 has no log-log fit, and the error names
+    its cause: no window held a value where E f_n is 0 (a grid far out in
+    the tails), or f_n rounded to E f_n (an h so large that every window
+    holds the whole sample).
     """
     kernel, h_list = config.kernel, config.h_list
     centers = [expected_density(config.model, kernel, h, pts) for h in h_list]
 
     def reduce(j: int, xs: np.ndarray):
-        dev = np.abs(_estimate(xs, kernel, h_list[j], pts, "density") - centers[j])
+        h = h_list[j]
+        dev = np.abs(_estimate(xs, kernel, h, pts, "density") - centers[j])
         if not dev.any():
-            raise ValueError(f"every deviation |f_n - E f_n| is 0 at n = {xs.size}: no evaluation "
-                             f"point's window held a value (grid spacing {config.grid.spacing:g} "
-                             f"against 2h = {2.0 * h_list[j]:g})")
+            reach = kernel.effective_radius * h
+            if (xs.searchsorted(pts + reach, "right") > xs.searchsorted(pts - reach)).any():
+                cause = (f"windows held values, but f_n rounded to E f_n at every point (h = {h:g} against "
+                         f"the marginal sd {config.model.marginal_sd:g})")
+            else:  # only a grid kind reads the grid
+                spacing = "" if _KIND_TABLE[config.kind].needs_points else f"grid spacing {config.grid.spacing:g} "
+                cause = f"no evaluation point's window held a value ({spacing}against 2h = {2.0 * h:g})"
+            raise ValueError(f"every deviation |f_n - E f_n| is 0 at n = {xs.size}: {cause}")
         return fold(dev)
 
     return _sorted_prefixes(config, threads, config.n_list, reduce, shape)
@@ -768,11 +770,12 @@ def moment_bound_check(
                         + sum_m rho(q(m/2))^{2/(p-1)} |xi_m|_p^p ]
 
     with block moments estimated from the same replicates, rho the model's
-    real-lag decay, q(.) the interpolated gap length, and log the clamped
-    convention. Returns lhs_estimate, rhs_bound_shape, and their ratio
-    (defined as 0 when both sides vanish, as for iid models). The paths run
-    on the replicate pool and the sums in replicate order afterwards, so the
-    result does not depend on the thread count.
+    decay |phi|^q at real gaps (processes._rho), q(.) the interpolated gap
+    length, and log the clamped convention. Returns lhs_estimate,
+    rhs_bound_shape, and their ratio (defined as 0 when both sides vanish,
+    as for iid models). The paths run on the replicate pool and the sums in
+    replicate order afterwards, so the result does not depend on the thread
+    count.
     """
     p = check_int(p, "moment order p", 2)
     if p % 2 != 0:
@@ -797,8 +800,7 @@ def moment_bound_check(
     lhs = sum(abs(v) ** p for v in g) / replicates
     xi_sq = (xi * xi).sum(axis=0) / replicates
     xi_pp = (np.abs(xi) ** p).sum(axis=0) / replicates
-    gaps = np.array([_interpolated_gap(part.beta, 0.5 * m) for m in range(1, part.r_k + 1)])
-    rho = np.array([rho_decay(model, g) for g in gaps])
+    rho = np.array([_rho(model, _interpolated_gap(part.beta, 0.5 * m)) for m in range(1, part.r_k + 1)])
     log_factor = clamped_log(2.0 * part.r_k) ** p
     rhs = log_factor * (float(np.add.reduce(rho * rho * xi_sq)) ** (p / 2.0)
                         + float(np.add.reduce(rho ** (2.0 / (p - 1)) * xi_pp)))

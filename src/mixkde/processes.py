@@ -335,25 +335,13 @@ def rho_mixing_coefficient(model: ProcessModel, lag: int) -> float:
     return _rho(model, check_int(lag, "lag", 1))
 
 
-def _rho(model: ProcessModel, lag: int) -> float:
-    """rho_mixing_coefficient without the check of its lag."""
-    return max(map(abs, model.correlations[lag - 1 :]), default=0.0) if model.correlations else abs(model.phi) ** lag
+def _rho(model: ProcessModel, lag: float) -> float:
+    """rho_mixing_coefficient without the check of its lag, the one rho every reader takes.
 
-
-def rho_decay(model: ProcessModel, lag: float) -> float:
-    """rho_mixing_coefficient extended to real lag >= 0 for Markov models (ProcessModel.markov).
-
-    The block-moment machinery interpolates gap lengths, which needs the
-    decay curve at non-integer arguments. That extension is only canonical
-    when the decay is a pure power |phi|^lag (phi = 0 without AR(1), and
-    0.0 ** 0 is 1.0); a moving average whose lags are correlated is refused.
+    A Markov model (ProcessModel.markov) decays as the pure power |phi|^lag, which also holds at real lags
+    (0.0 ** 0 is 1.0), as the block-moment gaps need; any other model is a moving average of integer lags.
     """
-    if not model.markov:
-        raise ValueError("real-lag decay is not defined for a moving average whose lags are correlated")
-    lag = check_real(lag, "lag")
-    if not lag >= 0.0:
-        raise ValueError(f"lag must be >= 0, got {lag!r}")
-    return abs(model.phi) ** lag
+    return abs(model.phi) ** lag if model.markov else max(map(abs, model.correlations[lag - 1 :]), default=0.0)
 
 
 def mixing_tail_bound(model: ProcessModel, power: float = 1.0) -> dict:

@@ -332,11 +332,13 @@ def test_phi_beyond_the_plackett_lag_cap_exits_1(tmp_path, capsys, command, kind
 # inf (the bias kind has no B1 gate) or past it, is 0.0, or is subnormal,
 # where the oracle's panels overflow.
 BANDWIDTH_RUNS = {
-    "inf": ("bias", "1e308", "-1", "256, 512, 1024", 1, "inf at n = 256"),
+    "inf": ("bias", "1e308", "-1", "256, 512, 1024", 1, "at n = 256 must be a positive finite number, got inf"),
     # 256.0 ** 1000 raises OverflowError rather than giving inf
-    "overflow": ("rate_sup_lp", "1", "-1000", "256, 512, 1024", 1, "inf at n = 256"),
-    "zero": ("clt_density", "5e-324", "0.9", "1000", 100, "0 at n = 1000"),
-    "subnormal": ("clt_density", "1e-320", "0.9", "1000", 100, "1.97626e-323 at n = 1000"),
+    "overflow": ("rate_sup_lp", "1", "-1000", "256, 512, 1024", 1,
+                 "at n = 256 must be a positive finite number, got inf"),
+    "zero": ("clt_density", "5e-324", "0.9", "1000", 100, "at n = 1000 must be a positive finite number, got 0.0"),
+    "subnormal": ("clt_density", "1e-320", "0.9", "1000", 100,
+                  "at n = 1000 must be between 1e-12 and 1e+12 times the marginal sd 1, got 1.97626e-323"),
 }
 
 
@@ -353,8 +355,7 @@ def test_unusable_bandwidths_exit_1(tmp_path, capsys, command, case):
     argv = [command, str(cfg)] + (["--out", str(out)] if command == "run" else [])
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: bandwidth h_n = {fragment} must be finite and at "
-                                   "least 1e-12 times the marginal sd 1")
+    assert captured.err == f"error: bandwidth h_n {fragment}\n"
     assert "PASS" not in captured.out and "Traceback" not in captured.err
     assert not out.exists()
 
@@ -398,10 +399,13 @@ ADMISSION_RULES = {
                      "level k=21 is above the largest level 20"),
     "plackett lags": ({"experiment.kind": "clt_cdf_centered", "model.phi": "0.9999995",
                        "run.eval_points": "0.5"}, "AR(1) phi=0.9999995 needs "),
-    "bandwidth range": ({"bandwidth.c": "1e-20"}, "bandwidth h_n = 2.33258e-21 at n = 128 "),
+    "bandwidth range": ({"bandwidth.c": "1e-20"},
+                        "bandwidth h_n at n = 128 must be between 1e-12 and 1e+12 times the marginal sd 1.0328, "
+                        "got 2.33258e-21"),
     # far above the ceiling, h^j overflows in the prefix sums
     "bandwidth ceiling": ({"bandwidth.c": "1e300"},
-                          "bandwidth h_n = 2.33258e+299 at n = 128 must be at most 1e+12 times "),
+                          "bandwidth h_n at n = 128 must be between 1e-12 and 1e+12 times the marginal sd 1.0328, "
+                          "got 2.33258e+299"),
     # hi - lo overflows in the grid's linspace
     "grid span": ({"grid.lo": "-1e308", "grid.hi": "1e308"},
                   "grid needs lo < hi and a finite span hi - lo, got [-1e+308, 1e+308]"),
@@ -558,6 +562,23 @@ def test_a_grid_that_meets_no_window_is_an_error_line(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert err == ("error: every deviation |f_n - E f_n| is 0 at n = 128: no evaluation point's "
                    "window held a value (grid spacing 82 against 2h = 0.466516)\n")
+    assert not out.exists()
+
+
+def test_a_bandwidth_whose_windows_hold_the_sample_names_the_rounding(tmp_path, capsys):
+    # at h = 2.3e9 marginal sds every window holds the whole sample, and f_n rounds to E f_n at both points;
+    # rate_sup_lp reads no grid, so the error quotes none
+    cfg = _write(tmp_path, (
+        "experiment.kind = rate_sup_lp\nmodel.family = iid\nkernel.family = gaussian\nbandwidth.c = 1e10\n"
+        "bandwidth.delta = 0.3\nrun.n_list = 128, 256, 512\nrun.replicates = 4\nrun.eval_points = 0, 0.5\n"
+        "run.base_seed = 7\n"
+    ))
+    assert main(["validate", str(cfg)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: every deviation |f_n - E f_n| is 0 at n = 128: windows held values, "
+                                       "but f_n rounded to E f_n at every point (h = 2.33258e+09 against the "
+                                       "marginal sd 1)\n")
     assert not out.exists()
 
 

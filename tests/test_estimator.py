@@ -13,6 +13,7 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 from mixkde import estimator, processes
+from mixkde.bandwidth import BandwidthSchedule
 from mixkde.estimator import (
     DEFAULT_GRID,
     Grid,
@@ -26,6 +27,7 @@ from mixkde.estimator import (
     expected_density,
     expected_density_curve,
 )
+from mixkde.experiments import ExperimentConfig
 from mixkde.kernels import FAMILIES, evaluate, kernel_cdf, kernel_from_name
 from mixkde.processes import (
     ProcessModel,
@@ -181,8 +183,44 @@ def test_numpy_scalar_bandwidths_count_by_value():
 
 def test_rejects_degenerate_bandwidth():
     path = _path_from([0.0, 1.0])
-    with pytest.raises(ValueError, match="data range"):
+    with pytest.raises(ValueError, match="must be between 1e-12 and 1e\\+12 times the marginal sd 1, got 1e-14"):
         density_estimate(path, GAUSS, 1e-14)
+
+
+def test_a_bandwidth_above_the_ceiling_is_refused_before_it_overflows():
+    # above the ceiling the prefix sums' h**j overflow, with a warning, then an OverflowError
+    path = generate_path(IID, 1000, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for estimate, h in ((density_estimate, 1e155), (cdf_estimate, 1e103), (cdf_estimate, 1e102)):
+            with pytest.raises(ValueError) as info:
+                estimate(path, EPAN, h, Grid(-2.0, 2.0, 401))
+            assert str(info.value) == f"bandwidth must be between 1e-12 and 1e+12 times the marginal sd 1, got {h:g}"
+
+
+@pytest.mark.parametrize("s", [1e-7, 1.0, 1e7])
+def test_configs_estimates_and_statistics_admit_one_bandwidth_range(s):
+    model = ProcessModel(family="iid", innovation_sd=s)
+    path, grid = generate_path(model, 200, seed=1), Grid(-s, s, 5)
+    sites = {
+        "ExperimentConfig": lambda h: ExperimentConfig(
+            kind="clt_density", model=model, kernel=EPAN, schedule=BandwidthSchedule(c=h, delta=0.0),
+            n_list=(200,), replicates=100, base_seed=1, eval_points=(0.0,)).h_list,
+        "density_estimate": lambda h: density_estimate(path, EPAN, h, grid),
+        "cdf_estimate": lambda h: cdf_estimate(path, EPAN, h, grid),
+        "clt_statistic": lambda h: clt_statistic(path, EPAN, h, 0.0),
+        "cdf_clt_statistic": lambda h: cdf_clt_statistic(path, EPAN, h, 0.0),
+    }
+    for h, admitted in ((0.99e-12 * s, False), (1e-12 * s, True), (1e12 * s, True), (1.01e12 * s, False)):
+        for site, call in sites.items():
+            if admitted:
+                call(h)
+                continue
+            with pytest.raises(ValueError) as info:
+                call(h)
+            assert str(info.value).endswith(
+                f"must be between 1e-12 and 1e+12 times the marginal sd {s:g}, got {h:g}"), (site, h)
+    assert sites["ExperimentConfig"](1e12 * s) == (1e12 * s,)
 
 
 def test_density_nonnegative_and_mass_near_one():

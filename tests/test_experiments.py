@@ -398,7 +398,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="n_list must not be empty"):
         _config(n_list=())
     # 256.0 ** 1000 raises OverflowError, which admission reads as h_n = inf
-    with pytest.raises(ValueError, match="bandwidth h_n = inf at n = 256 must be finite"):
+    with pytest.raises(ValueError, match="bandwidth h_n at n = 256 must be a positive finite number, got inf"):
         _config(kind="rate_sup_lp", schedule=BandwidthSchedule(delta=-1000.0), n_list=(256, 512, 1024))
     # a fractional size is refused, not truncated to 100
     with pytest.raises(ValueError, match="n_list entries must be integers, got 100.7"):
@@ -825,15 +825,18 @@ def test_clt_rows_keep_the_bits_of_the_public_statistics(kind, statistic, model,
 def test_the_clt_runner_takes_each_points_lone_statistic(monkeypatch, kind, statistic, kernel):
     """With several evaluation points, the runner's statistic at x on replicate path r has the bits of the public
     statistic at x alone on that path: the runner's one oracle call over all points gives each its lone centre,
-    and at three points the window sums take the direct path, as at one."""
+    and at three points the window sums take the direct path, as at one. A compact window holds at most n values,
+    so at two points the sums stay direct at any h: at c = 3 (h = 0.99) a window holds 59% of the sample on average."""
     columns = []
     ks = experiments.ks_statistic
     monkeypatch.setattr(experiments, "ks_statistic",
                         lambda column, cdf: columns.append(column.copy()) or ks(column, cdf))
-    for model in (AR_HALF, ProcessModel(family="ma", weights=(1.0, 0.3))):
+    for model, c, points in ((AR_HALF, 1.0, (0.0, 0.5, -1.3)),
+                             (ProcessModel(family="ma", weights=(1.0, 0.3)), 1.0, (0.0, 0.5, -1.3)),
+                             (AR_HALF, 3.0, (0.0, 0.5))):
         columns.clear()
-        cfg = _config(kind=kind, model=model, kernel=kernel, n_list=(256,), replicates=100,
-                      eval_points=(0.0, 0.5, -1.3))
+        cfg = _config(kind=kind, model=model, kernel=kernel, schedule=BandwidthSchedule(c=c, delta=0.2),
+                      n_list=(256,), replicates=100, eval_points=points)
         run_experiment(cfg)
         h = cfg.h_list[-1]
         paths = [generate_path(model, 256, derive_seed(cfg.base_seed, r)) for r in range(cfg.replicates)]

@@ -22,6 +22,7 @@ from mixkde import processes
 from mixkde.processes import (
     MAX_PLACKETT_LAGS,
     ProcessModel,
+    _rho,
     conditional_mean,
     generate_path,
     indicator_long_run_variance,
@@ -30,10 +31,9 @@ from mixkde.processes import (
     marginal_density_derivative_sup,
     mixing_tail_bound,
     plackett_lags,
-    rho_decay,
     rho_mixing_coefficient,
 )
-from mixkde.util import derive_seed
+from mixkde.util import check_real, derive_seed
 
 IID = ProcessModel(family="iid")
 AR_HALF = ProcessModel(family="ar1", phi=0.5)
@@ -463,13 +463,54 @@ def test_mixing_tail_converges():
         mixing_tail_bound(AR_HALF, 0)
 
 
-def test_rho_decay_real_lag():
-    assert rho_decay(AR_HALF, 2.5) == pytest.approx(0.5**2.5, abs=1e-15)
-    assert rho_decay(IID, 0.7) == 0.0
-    with pytest.raises(ValueError, match="a moving average whose lags are correlated"):
-        rho_decay(MA_ONE, 1.5)
-    with pytest.raises(ValueError, match="lag must be >= 0"):
-        rho_decay(AR_HALF, -1.0)
+def _deleted_rho_decay(model, lag):
+    """The body of the deleted processes.rho_decay, the real-lag decay of a Markov model."""
+    if not model.markov:
+        raise ValueError("real-lag decay is not defined for a moving average whose lags are correlated")
+    lag = check_real(lag, "lag")
+    if not lag >= 0.0:
+        raise ValueError(f"lag must be >= 0, got {lag!r}")
+    return abs(model.phi) ** lag
+
+
+MARKOV_MODELS = {
+    "iid": IID,
+    "ar1 0.7": ProcessModel(family="ar1", phi=0.7),
+    "ar1 -0.7": ProcessModel(family="ar1", phi=-0.7),
+    "ma (2.0,)": ProcessModel(family="ma", weights=(2.0,)),
+    "ma (1.0, 0.0)": ProcessModel(family="ma", weights=(1.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MARKOV_MODELS))
+def test_rho_at_real_lags_is_the_deleted_decay(name):
+    # a Markov model's rho is |phi|^lag at any real lag >= 0, as the block-moment gaps read it
+    model = MARKOV_MODELS[name]
+    for lag in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 7.25, 40.0, 2.0**41):
+        assert _rho(model, lag).hex() == _deleted_rho_decay(model, lag).hex(), lag
+
+
+# _rho at lags 1, 2 and 3, pinned from the code before _rho took real lags: the one rho keeps every integer-lag bit
+RHO_BITS = {
+    "iid": (IID, ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0")),
+    "ar1 0.5": (AR_HALF, ("0x1.0000000000000p-1", "0x1.0000000000000p-2", "0x1.0000000000000p-3")),
+    "ar1 0.7": (ProcessModel(family="ar1", phi=0.7),
+                ("0x1.6666666666666p-1", "0x1.f5c28f5c28f5bp-2", "0x1.5f3b645a1cabfp-2")),
+    "ar1 -0.7": (ProcessModel(family="ar1", phi=-0.7),
+                 ("0x1.6666666666666p-1", "0x1.f5c28f5c28f5bp-2", "0x1.5f3b645a1cabfp-2")),
+    "ma (1.0, 0.6)": (MA_ONE, ("0x1.c3c3c3c3c3c3dp-2", "0x0.0p+0", "0x0.0p+0")),
+    "ma (1.0, 0.3)": (ProcessModel(family="ma", weights=(1.0, 0.3)), ("0x1.19d5b98a919d5p-2", "0x0.0p+0", "0x0.0p+0")),
+    "ma (1.0, 0.6, -0.3)": (ProcessModel(family="ma", weights=(1.0, 0.6, -0.3)),
+                            ("0x1.289b5d9289b5ep-2", "0x1.a7b9611a7b961p-3", "0x0.0p+0")),
+    "ma (2.0,)": (ProcessModel(family="ma", weights=(2.0,)), ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0")),
+    "ma (1.0, 0.0)": (ProcessModel(family="ma", weights=(1.0, 0.0)), ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RHO_BITS))
+def test_rho_keeps_its_bits_at_integer_lags(name):
+    model, bits = RHO_BITS[name]
+    assert tuple(_rho(model, lag).hex() for lag in (1, 2, 3)) == bits
 
 
 def test_conditional_mean_closed_form():
@@ -569,7 +610,7 @@ def test_markov_reads_the_lag_correlations(model, markov):
 def test_a_one_weight_window_decays_and_predicts_as_iid():
     ma, iid = ProcessModel(family="ma", weights=(2.0,)), ProcessModel(family="iid", innovation_sd=2.0)
     for lag in (0.0, 0.5, 1.0, 2.5):
-        assert rho_decay(ma, lag).hex() == rho_decay(iid, lag).hex()
+        assert _rho(ma, lag).hex() == _rho(iid, lag).hex()
     for value, horizon in ((3.7, 1), (-1.2, 4)):
         assert conditional_mean(ma, value, horizon).hex() == conditional_mean(iid, value, horizon).hex()
 

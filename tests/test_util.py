@@ -13,7 +13,7 @@ from mixkde.estimator import Grid, _check_h, binned_accuracy_bound
 from mixkde.experiments import ExperimentConfig, fit_loglog_slope, moment_bound_check
 from mixkde.kernels import kernel_from_name
 from mixkde.processes import (ProcessModel, conditional_mean, generate_path, generate_paths, mixing_tail_bound,
-                              plackett_lags, rho_decay, rho_mixing_coefficient)
+                              plackett_lags, rho_mixing_coefficient)
 from mixkde.util import (RowTable, _encoder, _key_text, _refuse, _thread_cap, clamped_log, derive_seed, dumps_json,
                          fmt_float, splitmix64)
 
@@ -292,10 +292,10 @@ CHECK_REAL_SITES = {
     "build_partition.beta": ("block exponent beta", lambda v: build_partition(5, 0.6, v).beta, (np.float32(0.25),)),
     "bracket_threshold.alpha": ("block exponent alpha", lambda v: bracket_threshold(v, 0.25), (np.float32(0.5),)),
     "bracket_threshold.beta": ("block exponent beta", lambda v: bracket_threshold(0.6, v), (np.float32(0.25),)),
-    "rho_decay": ("lag", lambda v: rho_decay(AR1, v), REALS),
     "mixing_tail_bound": ("power", lambda v: mixing_tail_bound(AR1, v)["partial_sum"], POSITIVE),
     "conditional_mean": ("last_value", lambda v: conditional_mean(AR1, v, 1), REALS),
-    "bandwidth": ("bandwidth", _check_h, POSITIVE),
+    # held to [1e-12, 1e12] marginal sds: the ceiling, as a numpy int, is admitted at a marginal sd of 1
+    "bandwidth": ("bandwidth", lambda v: _check_h(v, 1.0), POSITIVE + (np.int64(10**12),)),
     "fit_loglog_slope.xs": ("xs entry", lambda v: fit_loglog_slope([1.0, 3.0, v], [1.0, 2.0, 4.0]), POSITIVE),
     "fit_loglog_slope.ys": ("ys entry", lambda v: fit_loglog_slope([1.0, 3.0, 4.0], [1.0, 2.0, v]), POSITIVE),
     "plackett_lags": ("phi", plackett_lags, REALS),
